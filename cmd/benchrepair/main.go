@@ -81,26 +81,11 @@ type designReport struct {
 	CNFClauseReduction float64 `json:"cnf_clause_reduction_pct"`
 	SATConflicts       int64   `json:"sat_conflicts"`
 	SATPropagations    int64   `json:"sat_propagations"`
-	// DomainCNF prices each abstract domain separately: one shadow
-	// encoder per ablation ("no-signed", "no-congruence", "no-eq")
-	// plus the fully disabled baseline ("no-absint"). ReductionPct is
-	// how much smaller the live encoding is than that shadow — for an
-	// ablation it is the marginal CNF win of the ablated domain.
-	DomainCNF map[string]domainCNF `json:"domain_cnf,omitempty"`
 	// PhaseMS is the median total time per observability phase (span
 	// name) across `reps` traced sequential runs, in milliseconds. The
 	// traced runs are separate from the timing runs, so the reported
 	// wall-clock numbers stay free of tracing overhead.
 	PhaseMS map[string]float64 `json:"phase_ms"`
-}
-
-// domainCNF is the CNF footprint of one shadow (ablated) encoder
-// configuration, compared against the live encoding.
-type domainCNF struct {
-	Vars               int64   `json:"vars"`
-	Clauses            int64   `json:"clauses"`
-	VarReductionPct    float64 `json:"var_reduction_pct"`
-	ClauseReductionPct float64 `json:"clause_reduction_pct"`
 }
 
 // matrixDesign is one design's timing under one GOMAXPROCS setting.
@@ -158,9 +143,6 @@ func main() {
 		gateSlack  = flag.Float64("gate-slack", 25, "absolute per-phase slack in ms before the 20% gate applies")
 		floor      = flag.Float64("speedup-floor", 0, "fail the gate when total_measured_speedup drops below this (0 disables)")
 	)
-	flag.BoolVar(&noSigned, "no-signed", false, "disable the signed-interval abstract domain in the measured runs")
-	flag.BoolVar(&noCongruence, "no-congruence", false, "disable the congruence abstract domain in the measured runs")
-	flag.BoolVar(&noEq, "no-eq", false, "disable the equality abstract domain in the measured runs")
 	var ocli obs.CLI
 	ocli.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -195,18 +177,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "%-12s cnf %d vars %d clauses (absint off: %d / %d, reduction %.1f%% / %.1f%%)\n",
 			"", dr.CNFVars, dr.CNFClauses, dr.CNFVarsNoAbsint, dr.CNFClausesNoAbsint,
 			dr.CNFVarReduction, dr.CNFClauseReduction)
-		var shNames []string
-		for sh := range dr.DomainCNF {
-			if sh != "no-absint" {
-				shNames = append(shNames, sh)
-			}
-		}
-		sort.Strings(shNames)
-		for _, sh := range shNames {
-			dc := dr.DomainCNF[sh]
-			fmt.Fprintf(os.Stderr, "%-12s   %-13s %d vars %d clauses (domain worth %.1f%% / %.1f%%)\n",
-				"", sh+":", dc.Vars, dc.Clauses, dc.VarReductionPct, dc.ClauseReductionPct)
-		}
 	}
 	if rep.TotalParMS > 0 {
 		rep.TotalMeasuredSpeedup = rep.TotalSeqMS / rep.TotalParMS
@@ -287,12 +257,6 @@ func runMatrix(designs, list string, workers, reps int) []matrixEntry {
 	return out
 }
 
-// Per-domain ablation knobs (-no-signed/-no-congruence/-no-eq) let a
-// single benchrepair invocation measure the engine with one abstract
-// domain switched off — the complement of the per-domain shadow
-// columns, which price each domain without rerunning.
-var noSigned, noCongruence, noEq bool
-
 func loadBench(bm *bench.Benchmark) (*verilog.Module, *trace.Trace, core.Options) {
 	tr, err := bm.Trace()
 	if err != nil {
@@ -306,13 +270,10 @@ func loadBench(bm *bench.Benchmark) (*verilog.Module, *trace.Trace, core.Options
 	}
 	lib, _ := bm.LibModules()
 	return m, tr, core.Options{
-		Policy:       sim.Randomize,
-		Seed:         1,
-		Timeout:      120 * time.Second,
-		Lib:          lib,
-		NoSigned:     noSigned,
-		NoCongruence: noCongruence,
-		NoEq:         noEq,
+		Policy:  sim.Randomize,
+		Seed:    1,
+		Timeout: 120 * time.Second,
+		Lib:     lib,
 	}
 }
 
@@ -396,10 +357,10 @@ func measure(bm *bench.Benchmark, workers, reps int, sc obs.Scope, gating bool) 
 
 	dr.CNFVars, dr.CNFClauses, dr.SATConflicts, dr.SATPropagations = aggregateSAT(seqRes)
 
-	// One untimed sequential run with passive shadow encoders prices
-	// every domain at once: each shadow re-blasts the identical assert
-	// stream under an ablated configuration, so the columns compare the
-	// same search path rather than two separately scheduled repairs.
+	// One untimed sequential run with passive shadow encoders prices the
+	// simplifier: each shadow re-blasts the identical assert stream with
+	// abstract interpretation off, so the columns compare the same
+	// search path rather than two separately scheduled repairs.
 	shOpts := opts
 	shOpts.Workers = 1
 	shOpts.ShadowCNF = true
@@ -408,20 +369,13 @@ func measure(bm *bench.Benchmark, workers, reps int, sc obs.Scope, gating bool) 
 	// columns divide numbers from the very same encodings.
 	liveVars, liveClauses, _, _ := aggregateSAT(shRes)
 	dr.CNFVars, dr.CNFClauses = liveVars, liveClauses
-	dr.DomainCNF = map[string]domainCNF{}
-	for name, st := range shRes.Shadow {
-		dc := domainCNF{Vars: st.Vars, Clauses: st.Clauses}
-		if st.Vars > 0 {
-			dc.VarReductionPct = 100 * (1 - float64(liveVars)/float64(st.Vars))
-		}
-		if st.Clauses > 0 {
-			dc.ClauseReductionPct = 100 * (1 - float64(liveClauses)/float64(st.Clauses))
-		}
-		dr.DomainCNF[name] = dc
+	na := shRes.Shadow
+	dr.CNFVarsNoAbsint, dr.CNFClausesNoAbsint = na.Vars, na.Clauses
+	if na.Vars > 0 {
+		dr.CNFVarReduction = 100 * (1 - float64(liveVars)/float64(na.Vars))
 	}
-	if na, ok := dr.DomainCNF["no-absint"]; ok {
-		dr.CNFVarsNoAbsint, dr.CNFClausesNoAbsint = na.Vars, na.Clauses
-		dr.CNFVarReduction, dr.CNFClauseReduction = na.VarReductionPct, na.ClauseReductionPct
+	if na.Clauses > 0 {
+		dr.CNFClauseReduction = 100 * (1 - float64(liveClauses)/float64(na.Clauses))
 	}
 	return dr
 }

@@ -13,8 +13,8 @@ import (
 )
 
 // absFactsPass is the fact-driven lint pass: it elaborates the design to
-// its transition system, runs the reduced-product abstract domains to a
-// reachability fixpoint (tsys.AbstractReach — the same certified domain
+// its transition system, runs the known-bits × interval abstract domains
+// to a reachability fixpoint (tsys.AbstractReach — the same certified domain
 // code the repair solvers use for simplification), and reports
 //
 //   - const-net: registers and outputs whose fact is a singleton — the
@@ -39,9 +39,8 @@ func (a *analyzer) absFactsPass() {
 	if err != nil || sys == nil {
 		return
 	}
-	cfg := smt.DomainConfig{}
-	reach := tsys.AbstractReach(sys, cfg, 0)
-	p := &absPass{a: a, ctx: ctx, sys: sys, cfg: cfg, reach: reach}
+	reach := tsys.AbstractReach(sys, 0)
+	p := &absPass{a: a, ctx: ctx, sys: sys, reach: reach}
 	p.constNets()
 	for _, it := range a.m.Items {
 		if al, ok := it.(*verilog.Always); ok {
@@ -55,7 +54,6 @@ type absPass struct {
 	a     *analyzer
 	ctx   *smt.Context
 	sys   *tsys.System
-	cfg   smt.DomainConfig
 	reach *tsys.ReachFacts
 }
 
@@ -121,7 +119,7 @@ func (p *absPass) checkIf(s *verilog.If) {
 		return
 	}
 	cond := p.ctx.Truthy(t)
-	f := p.reach.FactOf(p.sys, p.cfg, cond)
+	f := p.reach.FactOf(p.sys, cond)
 	if !f.IsConst() {
 		return
 	}
@@ -151,7 +149,7 @@ func (p *absPass) checkCaseArms(c *verilog.Case) {
 	if subj == nil {
 		return
 	}
-	f := p.reach.FactOf(p.sys, p.cfg, subj)
+	f := p.reach.FactOf(p.sys, subj)
 	if f.IsTop() {
 		return
 	}

@@ -92,7 +92,6 @@ func RepairAllCtx(ctx context.Context, m *verilog.Module, tr *trace.Trace, opts 
 		sopts.Interrupt = &stop
 		sopts.Certify = opts.Certify
 		sopts.NoAbsint = opts.NoAbsint
-		sopts.Domains = opts.domainConfig()
 		sopts.ShadowCNF = opts.ShadowCNF
 		// Sample more aggressively than the single-repair flow.
 		sopts.MaxSamples = maxCandidates * 2

@@ -158,7 +158,9 @@ func solveMultiTrace(ctx *smt.Context, sys *tsys.System, vars *VarTable, traces 
 		res.SAT.Add(solver.SATStats())
 		res.Certify.Add(solver.CertifyStats())
 	}()
-	solver.SetDomains(opts.domainConfig())
+	if opts.NoAbsint {
+		solver.DisableSimplify()
+	}
 	if opts.Certify {
 		solver.EnableCertification()
 	}

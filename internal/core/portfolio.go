@@ -184,7 +184,7 @@ func runPortfolio(ctx context.Context, res *Result, fe *Frontend,
 		res.SAT.Add(at.tres.Stats.SAT)
 		res.Certify.Add(at.tres.Stats.Certify)
 		res.Abs.Add(at.tres.Stats.Abs)
-		res.addShadow(at.tres.Stats.Shadow)
+		res.Shadow.Add(at.tres.Stats.Shadow)
 		if at.tres.State != AttemptSkipped {
 			busy += at.tres.Duration
 		}
@@ -350,7 +350,6 @@ func (p *portfolio) runAttempt(at *attempt, worker int, stolen bool) {
 	sopts.Interrupt = &at.stop
 	sopts.Certify = p.opts.Certify
 	sopts.NoAbsint = p.opts.NoAbsint
-	sopts.Domains = p.opts.domainConfig()
 	sopts.ShadowCNF = p.opts.ShadowCNF
 	sopts.SharedPrefix = p.prefix
 	if p.exch != nil {

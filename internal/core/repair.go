@@ -97,16 +97,10 @@ type Options struct {
 	// NoAbsint disables the abstract-interpretation term simplifier
 	// (ablation / A/B measurement of its CNF impact).
 	NoAbsint bool
-	// NoSigned/NoCongruence/NoEq disable individual abstract domains in
-	// the simplifier's reduced product (per-domain ablation); known-bits
-	// and unsigned intervals always run unless NoAbsint is set.
-	NoSigned     bool
-	NoCongruence bool
-	NoEq         bool
-	// ShadowCNF attaches passive shadow encoders (no-absint plus one
-	// per-domain ablation) to every window solver: they receive the same
-	// asserts along the identical search path but never solve, yielding
-	// apples-to-apples per-domain CNF size deltas in Result.Stats.
+	// ShadowCNF attaches a passive no-absint shadow encoder to every
+	// window solver: it receives the same asserts along the identical
+	// search path but never solves, yielding an apples-to-apples CNF size
+	// delta for the simplifier in Result.Shadow.
 	ShadowCNF bool
 	// NoClauseShare disables the learned-clause exchange between the
 	// window solvers of each portfolio attempt (ablation). Sharing is
@@ -122,16 +116,6 @@ type Options struct {
 	// no frontend cost. The artifact must have been built from the same
 	// module and lib with the same NoPreprocess setting.
 	Frontend *Frontend
-}
-
-// domainConfig folds the per-domain ablation flags into a DomainConfig.
-func (o *Options) domainConfig() smt.DomainConfig {
-	return smt.DomainConfig{
-		Disable:      o.NoAbsint,
-		NoSigned:     o.NoSigned,
-		NoCongruence: o.NoCongruence,
-		NoEq:         o.NoEq,
-	}
 }
 
 // frozenSet converts the Frozen option into the template Env form.
@@ -229,25 +213,10 @@ type Result struct {
 	// Abs aggregates abstract-interpretation statistics (facts learned,
 	// rewrites, never-worse guard fallbacks) across the same solvers.
 	Abs smt.AbsStats
-	// Shadow holds per-configuration CNF statistics from the passive
-	// shadow encoders (Options.ShadowCNF), keyed by config name
-	// ("no-absint", "no-signed", ...). Nil unless ShadowCNF was set.
-	Shadow map[string]sat.Statistics
-}
-
-// addShadow folds per-config shadow statistics into the result.
-func (r *Result) addShadow(sh map[string]sat.Statistics) {
-	if len(sh) == 0 {
-		return
-	}
-	if r.Shadow == nil {
-		r.Shadow = map[string]sat.Statistics{}
-	}
-	for name, st := range sh {
-		v := r.Shadow[name]
-		v.Add(st)
-		r.Shadow[name] = v
-	}
+	// Shadow aggregates the CNF statistics of the passive no-absint
+	// shadow encoders (Options.ShadowCNF) across the same solvers. Zero
+	// unless ShadowCNF was set.
+	Shadow sat.Statistics
 }
 
 // Frontend is the reusable result of the repair pipeline's frontend:

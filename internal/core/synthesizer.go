@@ -51,16 +51,11 @@ type SynthOptions struct {
 	// NoAbsint disables the abstract-interpretation term simplifier
 	// (A/B measurement of its CNF impact).
 	NoAbsint bool
-	// Domains selects which abstract domains run in the window solvers'
-	// simplifier (per-domain A/B knobs); NoAbsint above forces
-	// Domains.Disable for compatibility.
-	Domains smt.DomainConfig
-	// ShadowCNF attaches passive shadow encoders to every window solver:
-	// one with the simplifier off plus one per-domain ablation. Shadows
-	// blast the identical assert stream but never solve, so their CNF
-	// statistics measure each configuration's encoding size along the
-	// exact search path the live run takes (cmd/benchrepair A/B columns
-	// and the corpus never-worse test).
+	// ShadowCNF attaches a passive shadow encoder with the simplifier off
+	// to every window solver. The shadow blasts the identical assert
+	// stream but never solves, so its CNF statistics measure the
+	// no-absint encoding size along the exact search path the live run
+	// takes (cmd/benchrepair A/B columns and the corpus never-worse test).
 	ShadowCNF bool
 	// SharedPrefix, when non-nil, serves window start states from a
 	// portfolio-wide snapshot cache instead of this synthesizer's
@@ -128,63 +123,13 @@ type SynthStats struct {
 	// Abs aggregates abstract-interpretation work (facts learned,
 	// rewrites, never-worse guard fallbacks) across the same solvers.
 	Abs smt.AbsStats
-	// Shadow holds per-configuration CNF statistics from the shadow
-	// encoders when SynthOptions.ShadowCNF is on (key: config name).
-	Shadow map[string]sat.Statistics
+	// Shadow holds the CNF statistics of the no-absint shadow encoders
+	// when SynthOptions.ShadowCNF is on (zero otherwise).
+	Shadow sat.Statistics
 	// FactCacheHits/FactCacheSize report the cross-window base-fact
 	// cache: hits are transfer computations served from earlier windows.
 	FactCacheHits int64
 	FactCacheSize int
-}
-
-// domainCfg resolves the effective domain configuration (NoAbsint wins).
-func (o SynthOptions) domainCfg() smt.DomainConfig {
-	cfg := o.Domains
-	if o.NoAbsint {
-		cfg.Disable = true
-	}
-	return cfg
-}
-
-// shadowSet lists the shadow configurations attached when ShadowCNF is
-// on: the simplifier fully off, plus one ablation per domain that is
-// enabled in the live configuration.
-func shadowSet(live smt.DomainConfig) []struct {
-	Name string
-	Cfg  smt.DomainConfig
-} {
-	out := []struct {
-		Name string
-		Cfg  smt.DomainConfig
-	}{{"no-absint", smt.DomainConfig{Disable: true}}}
-	if live.Disable {
-		return out
-	}
-	if !live.NoSigned {
-		c := live
-		c.NoSigned = true
-		out = append(out, struct {
-			Name string
-			Cfg  smt.DomainConfig
-		}{"no-signed", c})
-	}
-	if !live.NoCongruence {
-		c := live
-		c.NoCongruence = true
-		out = append(out, struct {
-			Name string
-			Cfg  smt.DomainConfig
-		}{"no-congruence", c})
-	}
-	if !live.NoEq {
-		c := live
-		c.NoEq = true
-		out = append(out, struct {
-			Name string
-			Cfg  smt.DomainConfig
-		}{"no-eq", c})
-	}
-	return out
 }
 
 // ErrTimeout is returned when the deadline expires mid-synthesis.
@@ -242,7 +187,7 @@ type Synthesizer struct {
 	retiredSAT    sat.Statistics
 	retiredCert   smt.CertifyStats
 	retiredAbs    smt.AbsStats
-	retiredShadow map[string]sat.Statistics
+	retiredShadow sat.Statistics
 
 	// facts caches environment-free abstract facts keyed on hash-consed
 	// term identity, so window extensions and rebuilds re-derive nothing
@@ -258,8 +203,8 @@ type Synthesizer struct {
 // init must assign every uninitialized state (use Concretize).
 func NewSynthesizer(ctx *smt.Context, sys *tsys.System, vars *VarTable, tr *trace.Trace, init map[string]bv.XBV, opts SynthOptions) *Synthesizer {
 	s := &Synthesizer{ctx: ctx, sys: sys, vars: vars, tr: tr, init: init, opts: opts}
-	if cfg := opts.domainCfg(); !cfg.Disable {
-		s.facts = smt.NewFactCache(cfg)
+	if !opts.NoAbsint {
+		s.facts = smt.NewFactCache()
 	}
 	return s
 }
@@ -495,14 +440,13 @@ func (s *Synthesizer) encodeWindow(start, end int, startState map[string]bv.XBV,
 	u.SetObs(sc)
 	u.SetFactCache(s.facts)
 	solver := smt.NewSolver(s.ctx)
-	solver.SetDomains(s.opts.domainCfg())
-	if s.facts != nil {
+	if s.opts.NoAbsint {
+		solver.DisableSimplify()
+	} else {
 		solver.SetFactCache(s.facts)
 	}
 	if s.opts.ShadowCNF {
-		for _, sh := range shadowSet(s.opts.domainCfg()) {
-			solver.AddShadow(sh.Name, sh.Cfg)
-		}
+		solver.AddShadow()
 	}
 	if s.opts.Certify {
 		solver.EnableCertification()
@@ -570,14 +514,7 @@ func (s *Synthesizer) retireWindowStats(solver *smt.Solver) {
 	s.retiredSAT.Add(solver.SATStats())
 	s.retiredCert.Add(solver.CertifyStats())
 	s.retiredAbs.Add(solver.AbsStats())
-	for _, sh := range solver.ShadowStats() {
-		if s.retiredShadow == nil {
-			s.retiredShadow = map[string]sat.Statistics{}
-		}
-		st := s.retiredShadow[sh.Name]
-		st.Add(sh.SAT)
-		s.retiredShadow[sh.Name] = st
-	}
+	s.retiredShadow.Add(solver.ShadowStats())
 }
 
 // check runs one solver query, mapping low-level errors to the
@@ -591,17 +528,8 @@ func (s *Synthesizer) check(solver *smt.Solver, assumptions ...*smt.Term) (sat.S
 	s.Stats.Certify.Add(solver.CertifyStats())
 	s.Stats.Abs = s.retiredAbs
 	s.Stats.Abs.Add(solver.AbsStats())
-	if shs := solver.ShadowStats(); len(shs) > 0 || len(s.retiredShadow) > 0 {
-		s.Stats.Shadow = map[string]sat.Statistics{}
-		for name, v := range s.retiredShadow {
-			s.Stats.Shadow[name] = v
-		}
-		for _, sh := range shs {
-			v := s.Stats.Shadow[sh.Name]
-			v.Add(sh.SAT)
-			s.Stats.Shadow[sh.Name] = v
-		}
-	}
+	s.Stats.Shadow = s.retiredShadow
+	s.Stats.Shadow.Add(solver.ShadowStats())
 	if s.facts != nil {
 		s.Stats.FactCacheHits = s.facts.Hits
 		s.Stats.FactCacheSize = s.facts.Len()

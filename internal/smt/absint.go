@@ -5,9 +5,8 @@ import (
 )
 
 // This file implements the abstract-interpretation framework over the
-// hash-consed term DAG: a reduced product of the four non-relational
-// domains defined in domains.go plus the equality closure of eqdom.go,
-// run to fixpoint on demand.
+// hash-consed term DAG: the reduced product of known bits and unsigned
+// intervals defined in domains.go, run to fixpoint on demand.
 //
 // Facts live in two layers:
 //
@@ -17,33 +16,30 @@ import (
 //     this is what carries analysis work across sequential window
 //     rebuilds and incremental Extends.
 //   - refined facts additionally intersect the environment: facts
-//     learned from asserted constraints (Learn/LearnAsserted) and the
-//     equality closure. They are valid only for one solver's assert
-//     stream and are kept per-Abs.
+//     learned from asserted constraints (Learn/LearnAsserted). They are
+//     valid only for one solver's assert stream and are kept per-Abs.
 //
 // Unlike the first-generation implementation, memoized refined facts do
-// not lag behind later Learn calls: every Learn (and every equality
-// union) invalidates the memo entries of all recorded ancestors of the
-// touched term, so the next query recomputes through the new
-// environment — an on-demand fixpoint instead of a single bottom-up
-// pass. The simplifier memo is invalidated along the same edges, since
-// a rewrite is justified by the facts of its sub-DAG.
+// not lag behind later Learn calls: every Learn invalidates the memo
+// entries of all recorded ancestors of the touched term, so the next
+// query recomputes through the new environment — an on-demand fixpoint
+// instead of a single bottom-up pass. The simplifier memo is invalidated
+// along the same edges, since a rewrite is justified by the facts of its
+// sub-DAG.
 //
 // The solver seeds the environment from asserted constraints and uses
 // the results to rewrite terms before bit-blasting (simplify.go):
 // fully-determined terms collapse to constants, decided muxes drop the
-// dead branch, determined shifts reduce to wiring, and equal terms wire
-// to one representative. Every rewrite is guarded by a CNF cost
-// comparison against the already-blasted term set, so simplification
-// can only shrink an encoding, never inflate it.
+// dead branch, and determined shifts reduce to wiring. Every rewrite is
+// guarded by a CNF cost comparison against the already-blasted term
+// set, so simplification can only shrink an encoding, never inflate it.
 
 // AbsStats counts analysis work for observability and bench reporting.
 type AbsStats struct {
 	Learned        int64 // environment facts recorded
-	Invalidations  int64 // memo entries dropped by Learn/union
+	Invalidations  int64 // memo entries dropped by Learn
 	Rewrites       int64 // simplifier rewrites applied
 	GuardFallbacks int64 // rewrites rejected by the never-worse guard
-	EqUnions       int64 // equality classes merged
 }
 
 // Add merges another solver's analysis counters into st.
@@ -52,23 +48,20 @@ func (st *AbsStats) Add(o AbsStats) {
 	st.Invalidations += o.Invalidations
 	st.Rewrites += o.Rewrites
 	st.GuardFallbacks += o.GuardFallbacks
-	st.EqUnions += o.EqUnions
 }
 
 type absEntry struct {
 	fact    Fact
-	tainted bool // some node of the sub-DAG carries env/eq information
+	tainted bool // some node of the sub-DAG carries env information
 }
 
 // Abs computes facts for terms on demand. Facts harvested from asserted
 // constraints are seeded with Learn; computed results are memoized and
 // invalidated when the environment tightens.
 type Abs struct {
-	cfg   DomainConfig
 	cache *FactCache // optional shared base-fact layer (may be nil)
 
 	env      map[*Term]Fact
-	eq       *eqDom
 	memo     map[*Term]absEntry
 	baseMemo map[*Term]Fact // local base layer when cache == nil
 	parents  map[*Term]map[*Term]struct{}
@@ -81,37 +74,19 @@ type Abs struct {
 	Stats AbsStats
 }
 
-// NewAbs returns an empty analysis state with every domain enabled.
-func NewAbs() *Abs { return NewAbsWith(DomainConfig{}) }
-
-// NewAbsWith returns an empty analysis state for the given domain
-// configuration.
-func NewAbsWith(cfg DomainConfig) *Abs {
-	a := &Abs{
-		cfg:      cfg,
+// NewAbs returns an empty analysis state.
+func NewAbs() *Abs {
+	return &Abs{
 		env:      map[*Term]Fact{},
 		memo:     map[*Term]absEntry{},
 		baseMemo: map[*Term]Fact{},
 		parents:  map[*Term]map[*Term]struct{}{},
 		simp:     map[*Term]*Term{},
 	}
-	if !cfg.NoEq {
-		a.eq = newEqDom()
-	}
-	return a
 }
 
-// Config returns the domain configuration.
-func (a *Abs) Config() DomainConfig { return a.cfg }
-
-// SetCache attaches a shared base-fact cache. The cache's configuration
-// must match this analysis (facts are config-dependent); a mismatched
-// cache is ignored.
-func (a *Abs) SetCache(fc *FactCache) {
-	if fc != nil && fc.cfg == a.cfg {
-		a.cache = fc
-	}
-}
+// SetCache attaches a shared base-fact cache (nil detaches it).
+func (a *Abs) SetCache(fc *FactCache) { a.cache = fc }
 
 // SetFree installs the already-blasted predicate used by the simplifier
 // guard: terms for which free reports true cost nothing to re-use.
@@ -130,10 +105,9 @@ func (a *Abs) beginAssert() {
 // constraint). It intersects with anything already known and
 // invalidates memoized facts of t's recorded ancestors.
 func (a *Abs) Learn(t *Term, f Fact) {
-	f = f.restrict(a.cfg)
 	if prev, ok := a.env[t]; ok {
 		f = prev.intersect(f)
-		if f.sameAs(prev) {
+		if f.Same(prev) {
 			return
 		}
 	} else {
@@ -167,33 +141,6 @@ func (a *Abs) invalidate(t *Term) {
 	}
 }
 
-// learnEqual merges the equality classes of x and y (both asserted
-// equal) and invalidates every member of the merged class.
-func (a *Abs) learnEqual(x, y *Term) {
-	if a.eq == nil {
-		return
-	}
-	if !a.eq.union(x, y) {
-		return
-	}
-	a.Stats.EqUnions++
-	root := a.eq.find(x)
-	a.eq.members(func(t *Term) {
-		if a.eq.find(t) == root {
-			a.invalidate(t)
-		}
-	})
-}
-
-// EqRep returns the preferred substitution representative for t (a
-// constant or variable asserted equal to it), or nil.
-func (a *Abs) EqRep(t *Term) *Term {
-	if a.eq == nil {
-		return nil
-	}
-	return a.eq.rep(t)
-}
-
 func (a *Abs) recordParent(child, parent *Term) {
 	m, ok := a.parents[child]
 	if !ok {
@@ -215,13 +162,7 @@ func (a *Abs) Fact(t *Term) Fact {
 }
 
 func (a *Abs) computeRefined(t *Term) (Fact, bool) {
-	tainted := false
-	if _, ok := a.env[t]; ok {
-		tainted = true
-	}
-	if a.eq != nil && a.eq.rep(t) != nil {
-		tainted = true
-	}
+	_, tainted := a.env[t]
 	childFacts := make([]Fact, len(t.Args))
 	for i, c := range t.Args {
 		a.recordParent(c, t)
@@ -234,15 +175,11 @@ func (a *Abs) computeRefined(t *Term) (Fact, bool) {
 	if !tainted {
 		return base, false
 	}
-	f := a.transfer(t, func(i int) Fact { return childFacts[i] })
-	if t.Op == OpEq && a.eq != nil && a.eq.same(t.Args[0], t.Args[1]) {
-		f = f.intersect(boolFact(true))
-	}
-	f = f.intersect(base)
+	f := a.transfer(t, func(i int) Fact { return childFacts[i] }).intersect(base)
 	if e, ok := a.env[t]; ok {
 		f = f.intersect(e)
 	}
-	return f.restrict(a.cfg), true
+	return f, true
 }
 
 // baseFact computes the environment-free fact of t — a pure function of
@@ -256,7 +193,6 @@ func (a *Abs) baseFact(t *Term) Fact {
 		return f
 	}
 	f := a.transfer(t, func(i int) Fact { return a.baseFact(t.Args[i]) })
-	f = f.restrict(a.cfg)
 	if a.cache != nil {
 		a.cache.put(t, f)
 	} else {
@@ -282,11 +218,6 @@ func (a *Abs) transfer(t *Term, arg func(int) Fact) Fact {
 			Val:   x.Val.Not().And(x.Known),
 			Lo:    x.Hi.Not(),
 			Hi:    x.Lo.Not(),
-			// ~x = -x-1 exactly, so signed order reverses with no wrap.
-			SLo: x.SHi.Not(),
-			SHi: x.SLo.Not(),
-			CK:  x.CK,
-			CR:  x.CR.Not().And(lowMask(w, x.CK)),
 		}.normalize()
 	case OpAnd:
 		x, y := arg(0), arg(1)
@@ -318,10 +249,6 @@ func (a *Abs) transfer(t *Term, arg func(int) Fact) Fact {
 		if !(x.Lo.IsZero() && !x.Hi.IsZero()) { // range does not wrap at 0
 			f.Lo, f.Hi = x.Hi.Neg(), x.Lo.Neg()
 		}
-		if !x.SLo.Eq(sMinBV(w)) { // -sMin overflows; anything else negates cleanly
-			f.SLo, f.SHi = x.SHi.Neg(), x.SLo.Neg()
-		}
-		f.CK, f.CR = x.CK, x.CR.Neg().And(lowMask(w, x.CK))
 		return f.normalize()
 	case OpAdd:
 		x, y := arg(0), arg(1)
@@ -332,10 +259,6 @@ func (a *Abs) transfer(t *Term, arg func(int) Fact) Fact {
 				f.Lo, f.Hi = lo, hi
 			}
 		}
-		if lo, hi, ok := sAddBounds(x.SLo, x.SHi, y.SLo, y.SHi); ok {
-			f.SLo, f.SHi = lo, hi
-		}
-		f.CK, f.CR = congAdd(w, x.CK, x.CR, y.CK, y.CR, false)
 		return f.normalize()
 	case OpSub:
 		x, y := arg(0), arg(1)
@@ -346,12 +269,6 @@ func (a *Abs) transfer(t *Term, arg func(int) Fact) Fact {
 		if !x.Lo.Ult(y.Hi) { // no borrow anywhere in the range
 			f.Lo, f.Hi = x.Lo.Sub(y.Hi), x.Hi.Sub(y.Lo)
 		}
-		if !y.SLo.Eq(sMinBV(w)) {
-			if lo, hi, ok := sAddBounds(x.SLo, x.SHi, y.SHi.Neg(), y.SLo.Neg()); ok {
-				f.SLo, f.SHi = lo, hi
-			}
-		}
-		f.CK, f.CR = congAdd(w, x.CK, x.CR, y.CK, y.CR, true)
 		return f.normalize()
 	case OpMul:
 		x, y := arg(0), arg(1)
@@ -362,7 +279,6 @@ func (a *Abs) transfer(t *Term, arg func(int) Fact) Fact {
 			f.Lo = x.Lo.Mul(y.Lo)
 			f.Hi = hi.Extract(w-1, 0)
 		}
-		f.CK, f.CR = congMul(w, x.CK, x.CR, y.CK, y.CR)
 		return f.normalize()
 	case OpUdiv:
 		x, y := arg(0), arg(1)
@@ -396,15 +312,6 @@ func (a *Abs) transfer(t *Term, arg func(int) Fact) Fact {
 		if x.Hi.Ult(y.Lo) || y.Hi.Ult(x.Lo) {
 			return boolFact(false) // disjoint unsigned ranges
 		}
-		if x.SHi.Slt(y.SLo) || y.SHi.Slt(x.SLo) {
-			return boolFact(false) // disjoint signed ranges
-		}
-		if k := minInt(x.CK, y.CK); k > 0 {
-			m := lowMask(x.Width(), k)
-			if !x.CR.And(m).Eq(y.CR.And(m)) {
-				return boolFact(false) // incompatible residues
-			}
-		}
 		if x.IsConst() && y.IsConst() && x.Val.Eq(y.Val) {
 			return boolFact(true)
 		}
@@ -420,12 +327,6 @@ func (a *Abs) transfer(t *Term, arg func(int) Fact) Fact {
 		return topFact(1)
 	case OpSlt:
 		x, y := arg(0), arg(1)
-		if x.SHi.Slt(y.SLo) {
-			return boolFact(true)
-		}
-		if !x.SLo.Slt(y.SHi) { // y.SHi ≤s x.SLo, so x ≥s y everywhere
-			return boolFact(false)
-		}
 		sw := t.Args[0].Width
 		if x.Known.Bit(sw-1) && y.Known.Bit(sw-1) {
 			sx, sy := x.Val.Bit(sw-1), y.Val.Bit(sw-1)
@@ -459,10 +360,6 @@ func (a *Abs) transfer(t *Term, arg func(int) Fact) Fact {
 			// Ashr on the value replicates its (then known) value.
 			f.Known = x.Known.AshrBV(amt)
 			f.Val = x.Val.AshrBV(amt).And(f.Known)
-			if n, ok := shiftAmount(amt, w); ok {
-				// Arithmetic shift is monotone in signed order.
-				f.SLo, f.SHi = x.SLo.Ashr(n), x.SHi.Ashr(n)
-			}
 		}
 		return f.normalize()
 	case OpConcat:
@@ -472,32 +369,16 @@ func (a *Abs) transfer(t *Term, arg func(int) Fact) Fact {
 		f.Val = x.Val.Concat(y.Val)
 		f.Lo = x.Lo.Concat(y.Lo)
 		f.Hi = x.Hi.Concat(y.Hi)
-		// The low part's congruence survives; a fully-determined low
-		// part extends the high part's congruence past it.
-		yw := t.Args[1].Width
-		if x.CK > 0 && y.CK >= yw {
-			f.CK = minInt(x.CK+yw, w)
-			f.CR = x.CR.Concat(y.CR).And(lowMask(w, f.CK))
-		} else {
-			f.CK = minInt(y.CK, w)
-			f.CR = y.CR.ZeroExt(w).And(lowMask(w, f.CK))
-		}
 		return f.normalize()
 	case OpExtract:
 		x := arg(0)
 		f := topFact(w)
 		f.Known = x.Known.Extract(t.Hi, t.Lo)
 		f.Val = x.Val.Extract(t.Hi, t.Lo)
-		if t.Lo == 0 {
-			if x.Hi.Lshr(t.Hi + 1).IsZero() {
-				// The whole range fits in the kept bits: truncation is the
-				// identity on it, so the interval carries over.
-				f.Lo, f.Hi = x.Lo.Extract(t.Hi, 0), x.Hi.Extract(t.Hi, 0)
-			}
-			if x.CK > 0 {
-				f.CK = minInt(x.CK, w)
-				f.CR = x.CR.Extract(t.Hi, 0).And(lowMask(w, f.CK))
-			}
+		if t.Lo == 0 && x.Hi.Lshr(t.Hi+1).IsZero() {
+			// The whole range fits in the kept bits: truncation is the
+			// identity on it, so the interval carries over.
+			f.Lo, f.Hi = x.Lo.Extract(t.Hi, 0), x.Hi.Extract(t.Hi, 0)
 		}
 		return f.normalize()
 	case OpZeroExt:
@@ -509,8 +390,6 @@ func (a *Abs) transfer(t *Term, arg func(int) Fact) Fact {
 		f.Val = x.Val.ZeroExt(w)
 		f.Lo = x.Lo.ZeroExt(w)
 		f.Hi = x.Hi.ZeroExt(w)
-		f.CK = x.CK
-		f.CR = x.CR.ZeroExt(w)
 		return f.normalize()
 	case OpSignExt:
 		x := arg(0)
@@ -519,12 +398,6 @@ func (a *Abs) transfer(t *Term, arg func(int) Fact) Fact {
 		// whether the sign is known, on the value its replicated value.
 		f.Known = x.Known.SignExt(w)
 		f.Val = x.Val.SignExt(w).And(f.Known)
-		// Sign extension preserves the integer value, so the signed
-		// interval carries over exactly.
-		f.SLo = x.SLo.SignExt(w)
-		f.SHi = x.SHi.SignExt(w)
-		f.CK = x.CK
-		f.CR = x.CR.ZeroExt(w)
 		return f.normalize()
 	case OpIte:
 		c := arg(0)
@@ -564,13 +437,6 @@ func (a *Abs) transfer(t *Term, arg func(int) Fact) Fact {
 	return topFact(w)
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // shiftAmount converts a constant shift amount to an int, reporting
 // whether it is within [0, limit].
 func shiftAmount(amt bv.BV, limit int) (int, bool) {
@@ -593,8 +459,7 @@ func shiftAmount(amt bv.BV, limit int) (int, bool) {
 // through invertible structure (Not/Neg/Xor/Add with a constant,
 // Concat, Zero/SignExt, Extract) and through muxes whose pinned result
 // is only reachable on one branch, which also decides the branch
-// condition. Asserted equalities between two non-constant terms enter
-// the equality closure.
+// condition.
 func (a *Abs) LearnAsserted(t *Term) {
 	a.learnTrue(t)
 }
@@ -613,7 +478,13 @@ func (a *Abs) learnTrue(t *Term) {
 		a.learnFalse(t.Args[0])
 		return
 	case OpEq:
-		a.learnEq(t.Args[0], t.Args[1])
+		x, y := t.Args[0], t.Args[1]
+		if x.IsConst() {
+			x, y = y, x
+		}
+		if y.IsConst() {
+			a.learnEqConst(x, y.Val)
+		}
 	case OpUlt:
 		x, y := t.Args[0], t.Args[1]
 		if y.IsConst() && !y.Val.IsZero() {
@@ -624,20 +495,6 @@ func (a *Abs) learnTrue(t *Term) {
 		if x.IsConst() && !x.Val.IsOnes() {
 			f := topFact(y.Width)
 			f.Lo = x.Val.Add(bv.One(y.Width))
-			a.Learn(y, f)
-		}
-	case OpSlt:
-		x, y := t.Args[0], t.Args[1]
-		if y.IsConst() {
-			f := topFact(x.Width)
-			f.SHi = y.Val.Sub(bv.One(x.Width)) // x <s y, y > sMin or the fact is vacuous
-			if !y.Val.Eq(sMinBV(x.Width)) {
-				a.Learn(x, f)
-			}
-		}
-		if x.IsConst() && !x.Val.Eq(sMaxBV(y.Width)) {
-			f := topFact(y.Width)
-			f.SLo = x.Val.Add(bv.One(y.Width))
 			a.Learn(y, f)
 		}
 	case OpRedAnd:
@@ -687,19 +544,6 @@ func (a *Abs) learnFalse(t *Term) {
 			f.Lo = y.Val
 			a.Learn(x, f)
 		}
-	case OpSlt:
-		// Not(Slt(x, y)) asserted means y ≤s x.
-		x, y := t.Args[0], t.Args[1]
-		if x.IsConst() {
-			f := topFact(y.Width)
-			f.SHi = x.Val
-			a.Learn(y, f)
-		}
-		if y.IsConst() {
-			f := topFact(x.Width)
-			f.SLo = y.Val
-			a.Learn(x, f)
-		}
 	case OpEq:
 		// A refuted equality with a width-1 constant pins the other side.
 		x, y := t.Args[0], t.Args[1]
@@ -713,19 +557,6 @@ func (a *Abs) learnFalse(t *Term) {
 	if t.Width == 1 && !t.IsConst() {
 		a.Learn(t, boolFact(false))
 	}
-}
-
-// learnEq records that x and y evaluate to the same value in every
-// model of the constraints.
-func (a *Abs) learnEq(x, y *Term) {
-	if x.IsConst() {
-		x, y = y, x
-	}
-	if y.IsConst() {
-		a.learnEqConst(x, y.Val)
-		return
-	}
-	a.learnEqual(x, y)
 }
 
 // learnEqConst records x = c and pushes the constant backwards through

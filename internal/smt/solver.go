@@ -27,16 +27,14 @@ type Solver struct {
 
 	// Abstract-interpretation state: facts harvested from hard asserts
 	// plus the simplifier memo (invalidated on environment tightening).
-	// nil when simplification is disabled (see SetDomains).
-	abs     *Abs
-	domains DomainConfig
+	// nil when simplification is disabled (see DisableSimplify).
+	abs *Abs
 
-	// shadows are passive replica encoders fed the same original (pre-
-	// simplification) assert stream under different domain
-	// configurations. They blast but never solve, so their CNF sizes
-	// give apples-to-apples per-domain A/B measurements along the exact
-	// search path the live solver takes (see AddShadow).
-	shadows []*shadowEnc
+	// shadow is a passive replica encoder with the simplifier off, fed
+	// the same original (pre-simplification) assert stream. It blasts
+	// but never solves, so its CNF size prices the simplifier along the
+	// exact search path the live solver takes (see AddShadow).
+	shadow *Solver
 
 	// Self-certification state. asserted holds every (simplified) term
 	// handed to the bit-blaster, so a Sat model can be re-checked by the
@@ -77,19 +75,6 @@ type gateKey struct {
 	a, b sat.Lit
 }
 
-// shadowEnc pairs a shadow encoder with its report name.
-type shadowEnc struct {
-	name string
-	s    *Solver
-}
-
-// ShadowStats reports the CNF size a shadow configuration produced for
-// the same assert stream as the live solver.
-type ShadowStats struct {
-	Name string
-	SAT  sat.Statistics
-}
-
 // NewSolver returns a solver for terms of the given context. Model
 // validation (re-evaluating all asserted terms after every Sat answer)
 // is always on under `go test`; use EnableCertification to also get
@@ -116,63 +101,48 @@ func (s *Solver) isBlasted(t *Term) bool {
 	return ok
 }
 
-// SetDomains selects which abstract domains run in this solver's
-// simplifier (cfg.Disable turns simplification off entirely). Must be
-// called before the first Assert.
-func (s *Solver) SetDomains(cfg DomainConfig) {
-	if len(s.asserted) > 0 {
-		panic("smt: SetDomains after Assert")
-	}
-	s.domains = cfg
-	if cfg.Disable {
-		s.abs = nil
-		return
-	}
-	s.abs = NewAbsWith(cfg)
-	s.abs.SetFree(s.isBlasted)
-}
-
 // DisableSimplify turns off the abstract-interpretation pre-blast
-// simplifier for this solver (used for A/B measurement of its CNF
-// impact). It should be called before the first Assert.
+// simplifier for this solver: no facts, no rewrites (used for A/B
+// measurement of its CNF impact). Must be called before the first
+// Assert.
 func (s *Solver) DisableSimplify() {
-	s.SetDomains(DomainConfig{Disable: true})
+	if len(s.asserted) > 0 {
+		panic("smt: DisableSimplify after Assert")
+	}
+	s.abs = nil
 }
 
 // SetFactCache attaches a shared base-fact cache (see FactCache) so
 // structure-only analysis work carries across the sequential solvers of
-// one synthesizer. The cache's domain configuration must match this
-// solver's; a mismatch is ignored. Call before the first Assert.
+// one synthesizer. Call before the first Assert.
 func (s *Solver) SetFactCache(fc *FactCache) {
 	if s.abs != nil {
 		s.abs.SetCache(fc)
 	}
 }
 
-// AddShadow attaches a passive shadow encoder running the given domain
-// configuration. The shadow receives every original (pre-simplify)
-// asserted term and Check assumption, blasts them with its own analysis
-// state, and never solves; its CNF statistics (ShadowStats) measure
-// what this solver's encoding WOULD have been under cfg, along the
-// identical search path. Must be called before the first Assert.
-func (s *Solver) AddShadow(name string, cfg DomainConfig) {
+// AddShadow attaches a passive shadow encoder with the simplifier off.
+// The shadow receives every original (pre-simplify) asserted term and
+// Check assumption, blasts them, and never solves; its CNF statistics
+// (ShadowStats) measure what this solver's encoding WOULD have been
+// without abstract interpretation, along the identical search path.
+// Must be called before the first Assert.
+func (s *Solver) AddShadow() {
 	if len(s.asserted) > 0 {
 		panic("smt: AddShadow after Assert")
 	}
-	sh := NewSolver(s.ctx)
-	sh.validate = false
-	sh.SetDomains(cfg)
-	s.shadows = append(s.shadows, &shadowEnc{name: name, s: sh})
+	s.shadow = NewSolver(s.ctx)
+	s.shadow.validate = false
+	s.shadow.DisableSimplify()
 }
 
-// ShadowStats returns the CNF statistics of every attached shadow
-// encoder, in attachment order.
-func (s *Solver) ShadowStats() []ShadowStats {
-	out := make([]ShadowStats, 0, len(s.shadows))
-	for _, sh := range s.shadows {
-		out = append(out, ShadowStats{Name: sh.name, SAT: sh.s.SATStats()})
+// ShadowStats returns the CNF statistics of the shadow encoder (zero
+// when none is attached).
+func (s *Solver) ShadowStats() sat.Statistics {
+	if s.shadow == nil {
+		return sat.Statistics{}
 	}
-	return out
+	return s.shadow.SATStats()
 }
 
 // AbsStats returns the abstract-interpretation work counters (zero when
@@ -618,8 +588,8 @@ func (s *Solver) Assert(t *Term) {
 	if t.Width != 1 {
 		panic("smt: assert of non-boolean term")
 	}
-	for _, sh := range s.shadows {
-		sh.s.Assert(t)
+	if s.shadow != nil {
+		s.shadow.Assert(t)
 	}
 	t = s.prepare(t)
 	if t.Op == OpConst && !t.Val.IsZero() {
@@ -648,8 +618,8 @@ func (s *Solver) Check(assumptions ...*Term) (sat.Status, error) {
 		if a.Width != 1 {
 			panic("smt: assumption of non-boolean term")
 		}
-		for _, sh := range s.shadows {
-			sh.s.blast(sh.s.prepare(a))
+		if s.shadow != nil {
+			s.shadow.blast(a)
 		}
 		a = s.prepare(a)
 		terms = append(terms, a)

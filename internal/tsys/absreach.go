@@ -7,8 +7,8 @@ import (
 )
 
 // ReachFacts is the result of abstract reachability over a transition
-// system: for every state variable and output, a product-domain fact
-// that over-approximates the values it can take in ANY cycle of ANY
+// system: for every state variable and output, a known-bits × interval
+// fact that over-approximates the values it can take in ANY cycle of ANY
 // execution from the initial states (inputs unconstrained).
 type ReachFacts struct {
 	// State maps a state variable name to its invariant fact.
@@ -25,13 +25,13 @@ type ReachFacts struct {
 }
 
 // widenAfter is the iteration at which interval widening kicks in: the
-// finite-chain domains (known bits, congruence) settle within a few
-// iterations on real designs, and the interval chains of length 2^w are
-// extrapolated to their extremes once past it.
+// finite-chain known-bits domain settles within a few iterations on
+// real designs, and the interval chains of length 2^w are extrapolated
+// to their extremes once past it.
 const widenAfter = 8
 
-// AbstractReach runs the reduced-product abstract domains to a fixpoint
-// over the transition relation: state facts start at the initial-value
+// AbstractReach runs the abstract domains to a fixpoint over the
+// transition relation: state facts start at the initial-value
 // singletons (top when uninitialized) and are joined with the abstract
 // next-state image each iteration until nothing changes. Inputs and
 // params are unconstrained (top) every cycle. maxIters caps the
@@ -39,14 +39,14 @@ const widenAfter = 8
 // effectively never hit). The same facts that the window solvers learn
 // per-encoding are derived here once per design, feeding the fact-driven
 // lint pass (constant nets, dead branches, unreachable case arms).
-func AbstractReach(sys *System, cfg smt.DomainConfig, maxIters int) *ReachFacts {
+func AbstractReach(sys *System, maxIters int) *ReachFacts {
 	if maxIters <= 0 {
 		maxIters = 64
 	}
-	fc := smt.NewFactCache(cfg)
+	fc := smt.NewFactCache()
 
 	// Seed: init expressions evaluated with an empty environment.
-	seed := smt.NewAbsWith(cfg)
+	seed := smt.NewAbs()
 	seed.SetCache(fc)
 	cur := map[*smt.Term]smt.Fact{}
 	for _, st := range sys.States {
@@ -59,7 +59,7 @@ func AbstractReach(sys *System, cfg smt.DomainConfig, maxIters int) *ReachFacts 
 
 	res := &ReachFacts{State: map[string]smt.Fact{}, Output: map[string]smt.Fact{}}
 	env := func() *smt.Abs {
-		a := smt.NewAbsWith(cfg)
+		a := smt.NewAbs()
 		a.SetCache(fc)
 		for sv, f := range cur {
 			a.Learn(sv, f)
@@ -108,8 +108,8 @@ func AbstractReach(sys *System, cfg smt.DomainConfig, maxIters int) *ReachFacts 
 // FactOf evaluates the fact of an arbitrary expression over the
 // system's variables in the fixpoint state environment. Used by the
 // lint pass to judge branch conditions and case selectors.
-func (r *ReachFacts) FactOf(sys *System, cfg smt.DomainConfig, t *smt.Term) smt.Fact {
-	a := smt.NewAbsWith(cfg)
+func (r *ReachFacts) FactOf(sys *System, t *smt.Term) smt.Fact {
+	a := smt.NewAbs()
 	for _, st := range sys.States {
 		if f, ok := r.State[st.Var.Name]; ok {
 			a.Learn(st.Var, f)

@@ -11,9 +11,10 @@ import (
 )
 
 // evenCounter builds an 8-bit counter that only ever holds even values:
-// count' = ite(reset, 0, count + 2), init 0. The congruence domain must
-// prove bit 0 == 0 as a reachability invariant, and the invariant must
-// survive interval widening.
+// count' = ite(reset, 0, count + 2), init 0. Known bits alone must prove
+// bit 0 == 0 as a reachability invariant (the adder transfer keeps the
+// low bit known, and the join of 0 with count + 2 agrees on it), and the
+// invariant must survive interval widening.
 func evenCounter(ctx *smt.Context) *tsys.System {
 	reset := ctx.Var("reset", 1)
 	count := ctx.Var("count", 8)
@@ -32,13 +33,13 @@ func evenCounter(ctx *smt.Context) *tsys.System {
 func TestAbstractReachEvenInvariant(t *testing.T) {
 	ctx := smt.NewContext()
 	sys := evenCounter(ctx)
-	r := tsys.AbstractReach(sys, smt.DomainConfig{}, 0)
+	r := tsys.AbstractReach(sys, 0)
 	if !r.Converged {
 		t.Fatalf("fixpoint did not converge in %d iterations", r.Iters)
 	}
 	f := r.State["count"]
 	if f.Admits(bv.FromWords(8, []uint64{3})) {
-		t.Fatalf("count fact %v admits odd value 3; congruence invariant lost", f)
+		t.Fatalf("count fact %v admits odd value 3; known-bit invariant lost", f)
 	}
 	if !f.Admits(bv.FromWords(8, []uint64{254})) {
 		t.Fatalf("count fact %v rejects reachable value 254", f)
@@ -47,52 +48,35 @@ func TestAbstractReachEvenInvariant(t *testing.T) {
 	if !lsb.IsConst() || !lsb.Val.IsZero() {
 		t.Fatalf("lsb output fact %v; want constant 0", lsb)
 	}
-	// With the congruence domain off, the invariant must degrade to one
-	// the remaining domains can carry (known bit 0, derived via the
-	// known-bits adder transfer) or vanish — never to an unsound fact.
-	r2 := tsys.AbstractReach(sys, smt.DomainConfig{NoCongruence: true}, 0)
-	if !r2.State["count"].Admits(bv.FromWords(8, []uint64{254})) {
-		t.Fatalf("no-congruence fact rejects reachable value 254")
-	}
 }
 
 // TestAbstractReachSimSound drives random executions of the counter
 // system and checks every simulated state and output value is admitted
-// by its reachability fact, for the full product and every single-domain
-// ablation.
+// by its reachability fact.
 func TestAbstractReachSimSound(t *testing.T) {
-	cfgs := []smt.DomainConfig{
-		{},
-		{NoSigned: true},
-		{NoCongruence: true},
-		{NoEq: true},
-		{NoSigned: true, NoCongruence: true, NoEq: true},
-	}
 	ctx := smt.NewContext()
 	sys := evenCounter(ctx)
-	for _, cfg := range cfgs {
-		r := tsys.AbstractReach(sys, cfg, 0)
-		rng := rand.New(rand.NewSource(7))
-		cs := sim.NewCycleSim(sys, sim.Zero, 0)
-		for cycle := 0; cycle < 200; cycle++ {
-			ins := map[string]bv.XBV{
-				"reset": bv.K(bv.FromWords(1, []uint64{uint64(rng.Intn(2))})),
+	r := tsys.AbstractReach(sys, 0)
+	rng := rand.New(rand.NewSource(7))
+	cs := sim.NewCycleSim(sys, sim.Zero, 0)
+	for cycle := 0; cycle < 200; cycle++ {
+		ins := map[string]bv.XBV{
+			"reset": bv.K(bv.FromWords(1, []uint64{uint64(rng.Intn(2))})),
+		}
+		outs := cs.Peek(ins)
+		for name, f := range r.Output {
+			v := outs[name]
+			if !v.HasUnknown() && !f.Admits(v.Val) {
+				t.Fatalf("cycle %d: output %s value %s not admitted by %v",
+					cycle, name, v.Val.HexString(), f)
 			}
-			outs := cs.Peek(ins)
-			for name, f := range r.Output {
-				v := outs[name]
-				if !v.HasUnknown() && !f.Admits(v.Val) {
-					t.Fatalf("cfg %s cycle %d: output %s value %s not admitted by %v",
-						cfg, cycle, name, v.Val.HexString(), f)
-				}
-			}
-			cs.Step(ins)
-			for name, f := range r.State {
-				v := cs.State(name)
-				if !v.HasUnknown() && !f.Admits(v.Val) {
-					t.Fatalf("cfg %s cycle %d: state %s value %s not admitted by %v",
-						cfg, cycle, name, v.Val.HexString(), f)
-				}
+		}
+		cs.Step(ins)
+		for name, f := range r.State {
+			v := cs.State(name)
+			if !v.HasUnknown() && !f.Admits(v.Val) {
+				t.Fatalf("cycle %d: state %s value %s not admitted by %v",
+					cycle, name, v.Val.HexString(), f)
 			}
 		}
 	}

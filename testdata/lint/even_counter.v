@@ -1,6 +1,6 @@
 // Fact-driven lint showcase: count starts at 0 and only ever steps by
-// 2, so the abstract-interpretation reachability pass proves
-// count[0] == 0 in every cycle. That invariant makes the count[0]
+// 2, so known bits alone prove count[0] == 0 in every reachable cycle
+// (bit 0 of count + 2 stays known). That invariant makes the count[0]
 // branch dead, the odd case arms unreachable, and flag (assigned only
 // on those paths) a constant net.
 module even_counter(input clk, input en, output reg [7:0] count, output reg flag);
