@@ -11,19 +11,16 @@ import (
 // TestBenchServeArtifact pins the committed BENCH_serve.json to the
 // serve.LoadReport schema: CI re-validates the artifact on every run so
 // a schema change that forgets to regenerate the snapshot fails fast.
-// The committed artifact is a 3-node fleet run over the full corpus;
-// regenerate with (raise -job-timeout when the nodes share one box):
+// The committed artifact is a single-server run over the full corpus
+// with the write-ahead log and on-disk cache enabled (the state
+// directory must start empty, or the run measures a warm cache);
+// regenerate with:
 //
-//	rtlserved -addr localhost:8181 -name n1 -wal /tmp/f/n1.wal -artifacts /tmp/f/cas &
-//	rtlserved -addr localhost:8182 -name n2 -wal /tmp/f/n2.wal -artifacts /tmp/f/cas &
-//	rtlserved -addr localhost:8183 -name n3 -wal /tmp/f/n3.wal -artifacts /tmp/f/cas &
-//	rtlserved -addr localhost:8180 -router \
-//	        -nodes n1=http://localhost:8181,n2=http://localhost:8182,n3=http://localhost:8183 &
-//	rtlload -addr http://localhost:8180 -cluster -n 90 -c 2 \
+//	d=$(mktemp -d)
+//	rtlserved -addr localhost:8180 -slots 2 -job-timeout 300s \
+//	        -wal $d/jobs.wal -artifacts $d/cas &
+//	rtlload -addr http://localhost:8180 -n 90 -c 2 \
 //	        -goldens testdata/repair_goldens -out BENCH_serve.json
-//
-// A single-node regeneration also validates (the fleet section is
-// optional), but drops the cluster's per-node split from the artifact.
 func TestBenchServeArtifact(t *testing.T) {
 	data, err := os.ReadFile("BENCH_serve.json")
 	if err != nil {

@@ -16,16 +16,6 @@
 // flight-recorder fan-out; the report (serve.LoadReport) splits each
 // job's end-to-end latency into its queue-wait and run-time components
 // from the terminal JobView.
-//
-// With -cluster the target is a fleet router (rtlserved -router): the
-// latency percentiles are then fleet-wide (every job crossed the
-// router), the resubmit hit rate is computed from the fleet's cached+
-// deduped totals, and the report gains a "fleet" section — the
-// end-of-run /debugz/fleet rollup with the per-node job split, router
-// retry counters, and WAL replay totals:
-//
-//	rtlload -addr http://localhost:8080 -cluster -n 90 -c 8 \
-//	        -goldens testdata/repair_goldens -out BENCH_serve.json
 package main
 
 import (
@@ -45,7 +35,6 @@ import (
 
 	"rtlrepair/internal/bench"
 	"rtlrepair/internal/eval"
-	"rtlrepair/internal/fleet"
 	"rtlrepair/internal/serve"
 )
 
@@ -68,7 +57,6 @@ func main() {
 		goldens = flag.String("goldens", "", "golden dir for verdict checking (e.g. testdata/repair_goldens); empty skips")
 		out     = flag.String("out", "BENCH_serve.json", "report output file")
 		seed    = flag.Int64("seed", 1, "base concretization seed")
-		cluster = flag.Bool("cluster", false, "target is a fleet router: attach the /debugz/fleet rollup; latency percentiles are then fleet-wide")
 	)
 	flag.Parse()
 
@@ -122,12 +110,6 @@ func main() {
 	baseline, err := fetchCounters(client, *addr)
 	if err != nil {
 		die(fmt.Errorf("server not reachable: %v", err))
-	}
-	var fleetBase *fleet.FleetDebug
-	if *cluster {
-		if fleetBase, err = fetchFleet(client, *addr); err != nil {
-			die(fmt.Errorf("router /debugz/fleet not reachable: %v", err))
-		}
 	}
 	start := time.Now()
 	for w := 0; w < *c; w++ {
@@ -186,12 +168,10 @@ func main() {
 	rep.Latency, rep.QueueWait, rep.Run = pct(lats), pct(waits), pct(runs)
 
 	// Cache economics from the server's own counters (delta over the
-	// run, so earlier traffic on a shared server does not leak in). A
-	// router's /metricsz carries fleet.router.* counters instead of
-	// serve.*; both land in the report.
+	// run, so earlier traffic on a shared server does not leak in).
 	if counters, err := fetchCounters(client, *addr); err == nil {
 		for k, v := range counters {
-			if strings.HasPrefix(k, "serve.") || strings.HasPrefix(k, "fleet.") {
+			if strings.HasPrefix(k, "serve.") {
 				if d := v - baseline[k]; d != 0 {
 					rep.Serve[k] = d
 				}
@@ -210,32 +190,6 @@ func main() {
 		// raced an identical in-flight job, by singleflight dedup.
 		hot := rep.Serve["serve.jobs.cached"] + rep.Serve["serve.jobs.deduped"]
 		if hot > 0 {
-			rep.ResubmitHit = float64(hot) / float64(rep.Resubmits)
-		}
-	}
-
-	if *cluster {
-		fd, err := fetchFleet(client, *addr)
-		if err != nil {
-			die(fmt.Errorf("router /debugz/fleet: %v", err))
-		}
-		rep.Fleet = fleetSection(fd)
-		// Through a router the per-node serve.* counters never reach the
-		// front door's /metricsz; reconstruct the fleet-wide job counters
-		// from the rollup deltas so cluster reports keep the same serve.*
-		// vocabulary as single-node ones.
-		for k, d := range map[string]int64{
-			"serve.jobs.accepted":  sumAccepted(fd) - sumAccepted(fleetBase),
-			"serve.jobs.completed": fd.Totals.Completed - fleetBase.Totals.Completed,
-			"serve.jobs.cached":    fd.Totals.Cached - fleetBase.Totals.Cached,
-			"serve.jobs.deduped":   fd.Totals.Deduped - fleetBase.Totals.Deduped,
-		} {
-			if d != 0 {
-				rep.Serve[k] = d
-			}
-		}
-		if rep.Resubmits > 0 {
-			hot := rep.Serve["serve.jobs.cached"] + rep.Serve["serve.jobs.deduped"]
 			rep.ResubmitHit = float64(hot) / float64(rep.Resubmits)
 		}
 	}
@@ -382,57 +336,6 @@ func goldenStatus(dir, name string) (string, error) {
 		return "", fmt.Errorf("%s: malformed golden header %q", name, line)
 	}
 	return status, nil
-}
-
-// fetchFleet reads the router's /debugz/fleet rollup.
-func fetchFleet(client *http.Client, addr string) (*fleet.FleetDebug, error) {
-	resp, err := client.Get(addr + "/debugz/fleet")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("http %d (is the target a -router rtlserved?)", resp.StatusCode)
-	}
-	var fd fleet.FleetDebug
-	if err := json.NewDecoder(resp.Body).Decode(&fd); err != nil {
-		return nil, err
-	}
-	return &fd, nil
-}
-
-// sumAccepted totals node-level admissions across the fleet snapshot
-// (FleetTotals itself carries completions, not admissions).
-func sumAccepted(fd *fleet.FleetDebug) int64 {
-	var n int64
-	for _, v := range fd.Nodes {
-		if v.Debug != nil {
-			n += v.Debug.Accepted
-		}
-	}
-	return n
-}
-
-// fleetSection converts the end-of-run rollup into the report schema.
-func fleetSection(fd *fleet.FleetDebug) *serve.FleetReport {
-	fr := &serve.FleetReport{
-		Nodes:       fd.Totals.Nodes,
-		NodesReady:  fd.Totals.NodesReady,
-		Forwarded:   fd.Router.Forwarded,
-		Retries:     fd.Router.Retries,
-		Exhausted:   fd.Router.Exhausted,
-		WALReplayed: fd.Totals.WALReplayed,
-		Completed:   fd.Totals.Completed,
-		Cached:      fd.Totals.Cached,
-		Stalled:     fd.Totals.Stalled,
-		JobsPerNode: map[string]int64{},
-	}
-	for _, n := range fd.Nodes {
-		if n.Debug != nil {
-			fr.JobsPerNode[n.Name] = n.Debug.Completed
-		}
-	}
-	return fr
 }
 
 func fetchCounters(client *http.Client, addr string) (map[string]int64, error) {

@@ -16,25 +16,22 @@
 // solvers all stop heartbeating for -stall-after trips the
 // serve.jobs.stalled watchdog gauge on /metricsz.
 //
-// Fleet mode (see DESIGN.md "Fleet"): -wal makes the node crash-safe
-// (accepted jobs are durably logged and replayed after a restart) and
-// -artifacts points several nodes at one shared content-addressed
-// store so any node's results and frontend artifacts warm all of them:
+// Durability (see DESIGN.md "Durability"): -wal makes the server
+// crash-safe — every queued job is durably logged before its 202 and
+// replayed after a restart, with /healthz/ready answering 503 until the
+// backlog is requeued — and -artifacts keeps results and frontend
+// artifacts in an on-disk content-addressed cache, so a restarted
+// server comes back warm:
 //
-//	rtlserved -addr :8081 -name n1 -wal /var/rtl/n1.wal -artifacts /var/rtl/cas
+//	rtlserved -addr :8080 -wal /var/rtl/jobs.wal -artifacts /var/rtl/cas
 //
-// -router turns the process into the fleet's front door instead: jobs
-// are sharded across -nodes by their content-hash result key
-// (rendezvous hashing), with health probes, failover to the next
-// replica, per-tenant quotas and batch shedding, and a /debugz/fleet
-// rollup of every node's gauges:
-//
-//	rtlserved -addr :8080 -router -nodes n1=http://h1:8081,n2=http://h2:8081
+// Write-ahead log counters appear on /metricsz as serve.wal.*.
 //
 // See DESIGN.md "Serving" and "Live introspection" for the API, queue,
-// cache, and lifecycle semantics. SIGINT/SIGTERM drain gracefully: intake stops, accepted
-// jobs finish (cancelled if -drain-timeout expires — they still reach a
-// terminal state), and the observability outputs flush.
+// cache, and lifecycle semantics. SIGINT/SIGTERM drain gracefully:
+// intake stops, accepted jobs finish (cancelled if -drain-timeout
+// expires — they still reach a terminal state), and the observability
+// outputs flush.
 //
 // With -portfolio-workers > 1, GET /metricsz additionally reports the
 // parallel portfolio's health: portfolio.utilization_pct (worker busy
@@ -51,11 +48,9 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"rtlrepair/internal/fleet"
 	"rtlrepair/internal/obs"
 	"rtlrepair/internal/serve"
 )
@@ -72,16 +67,8 @@ func main() {
 		artifactCache = flag.Int("artifact-cache", 64, "frontend artifact cache entries (-1 disables)")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "shutdown drain budget before running jobs are cancelled")
 		stallAfter    = flag.Duration("stall-after", 10*time.Second, "solver heartbeat staleness behind the stalled-job watchdog (-1s disables)")
-
-		nodeName    = flag.String("name", "", "fleet node name (default: hostname); feeds the router's rendezvous hash")
-		walPath     = flag.String("wal", "", "write-ahead job log path; enables crash-safe replay")
-		artifactDir = flag.String("artifacts", "", "shared content-addressed store directory (share it across nodes)")
-
-		routerMode    = flag.Bool("router", false, "run as the fleet router instead of a repair node")
-		nodesFlag     = flag.String("nodes", "", "router: comma-separated name=url fleet members")
-		probeInterval = flag.Duration("probe-interval", time.Second, "router: node health-probe period")
-		tenantQuota   = flag.Int("tenant-quota", 0, "router: max submissions per tenant per minute (0 = unlimited)")
-		batchShed     = flag.Float64("batch-shed", 0.75, "router: fleet queue utilization above which batch priority is shed (>=1 disables)")
+		walPath       = flag.String("wal", "", "write-ahead job log path; enables crash-safe replay")
+		artifactDir   = flag.String("artifacts", "", "on-disk content-addressed cache directory; survives restarts")
 	)
 	var ocli obs.CLI
 	ocli.RegisterFlags(flag.CommandLine)
@@ -93,38 +80,25 @@ func main() {
 		ocli.Metrics = obs.NewRegistry()
 	}
 
-	if *routerMode {
-		runRouter(&ocli, *addr, *nodesFlag, *probeInterval, *tenantQuota, *batchShed)
-		return
-	}
-
-	if *nodeName == "" {
-		if hn, err := os.Hostname(); err == nil {
-			*nodeName = hn
-		}
-	}
-	node, err := fleet.NewNode(fleet.NodeConfig{
-		Name:        *nodeName,
-		WALPath:     *walPath,
-		ArtifactDir: *artifactDir,
-		Serve: serve.Config{
-			QueueDepth:        *queueDepth,
-			Slots:             *slots,
-			PortfolioWorkers:  *portfolio,
-			JobTimeout:        *jobTimeout,
-			QueueTimeout:      *queueTimeout,
-			ResultCacheSize:   *resultCache,
-			ArtifactCacheSize: *artifactCache,
-			StallAfter:        *stallAfter,
-			Obs:               ocli.Scope(),
-		},
+	srv, err := serve.New(serve.Config{
+		QueueDepth:        *queueDepth,
+		Slots:             *slots,
+		PortfolioWorkers:  *portfolio,
+		JobTimeout:        *jobTimeout,
+		QueueTimeout:      *queueTimeout,
+		ResultCacheSize:   *resultCache,
+		ArtifactCacheSize: *artifactCache,
+		StallAfter:        *stallAfter,
+		WALPath:           *walPath,
+		ArtifactDir:       *artifactDir,
+		Obs:               ocli.Scope(),
 	})
 	check(err)
-	hs := &http.Server{Addr: *addr, Handler: node.Handler()}
+	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	st := node.Server().Snapshot()
+	st := srv.Snapshot()
 	fmt.Fprintf(os.Stderr, "rtlserved: listening on %s (slots=%d queue=%d)\n", *addr, st.Slots, st.QueueCap)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -138,7 +112,7 @@ func main() {
 	fmt.Fprintln(os.Stderr, "rtlserved: draining...")
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	if err := node.Shutdown(drainCtx); err != nil {
+	if err := srv.Shutdown(drainCtx); err != nil {
 		fmt.Fprintln(os.Stderr, "rtlserved: drain:", err)
 	}
 	// In-flight HTTP requests (e.g. ?wait=1 pollers) complete as their
@@ -148,61 +122,6 @@ func main() {
 	}
 	check(ocli.Finish())
 	fmt.Fprintln(os.Stderr, "rtlserved: bye")
-}
-
-// runRouter serves the fleet front door until SIGINT/SIGTERM.
-func runRouter(ocli *obs.CLI, addr, nodesFlag string, probe time.Duration, quota int, shed float64) {
-	nodes, err := parseNodes(nodesFlag)
-	check(err)
-	rt, err := fleet.NewRouter(fleet.RouterConfig{
-		Nodes:         nodes,
-		ProbeInterval: probe,
-		TenantQuota:   quota,
-		BatchShedUtil: shed,
-		Metrics:       ocli.Metrics,
-	})
-	check(err)
-	hs := &http.Server{Addr: addr, Handler: rt.Handler()}
-
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "rtlserved: router on %s over %d nodes\n", addr, len(nodes))
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-errc:
-		check(err)
-	case <-ctx.Done():
-	}
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(shutCtx); err != nil {
-		_ = hs.Close()
-	}
-	rt.Close()
-	check(ocli.Finish())
-	fmt.Fprintln(os.Stderr, "rtlserved: bye")
-}
-
-// parseNodes decodes -nodes "n1=http://h1:8081,n2=http://h2:8081".
-func parseNodes(s string) (map[string]string, error) {
-	nodes := map[string]string{}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, url, ok := strings.Cut(part, "=")
-		if !ok || name == "" || url == "" {
-			return nil, fmt.Errorf("bad -nodes entry %q (want name=url)", part)
-		}
-		nodes[name] = url
-	}
-	if len(nodes) == 0 {
-		return nil, fmt.Errorf("-router needs -nodes name=url[,name=url...]")
-	}
-	return nodes, nil
 }
 
 func check(err error) {

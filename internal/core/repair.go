@@ -316,7 +316,7 @@ func newFrontend(sc obs.Scope, m *verilog.Module, lib map[string]*verilog.Module
 }
 
 // RehydrateFrontend rebuilds a Frontend from a previously preprocessed
-// design — e.g. one deserialized from a fleet's shared artifact store.
+// design — e.g. one deserialized from the server's on-disk artifact cache.
 // The lint transform is skipped: fixed and fixes come verbatim from the
 // original preprocessing (they are inputs to the repair verdict), while
 // the static-analysis report and the elaboration are recomputed here.

@@ -21,11 +21,11 @@ func getStatus(t *testing.T, url string) (int, Stats) {
 	return resp.StatusCode, st
 }
 
-// TestHealthLiveReadySplit pins the probe contract the fleet router and
-// external orchestrators depend on: liveness stays 200 through every
-// state (so nobody kills a node that is finishing work), while
-// readiness flips to 503 both for the explicit SetReady(false) used
-// during WAL replay and for draining.
+// TestHealthLiveReadySplit pins the probe contract load balancers and
+// orchestrators depend on: liveness stays 200 through every state (so
+// nobody kills a server that is finishing work), while readiness flips
+// to 503 both for the setReady(false) used during WAL replay and for
+// draining.
 func TestHealthLiveReadySplit(t *testing.T) {
 	br := newBlockingRepair()
 	s := newTestServer(t, Config{Slots: 1, QueueDepth: 4}, br.fn)
@@ -40,7 +40,7 @@ func TestHealthLiveReadySplit(t *testing.T) {
 	}
 
 	// WAL-replay posture: not ready, but alive and accepting.
-	s.SetReady(false)
+	s.setReady(false)
 	if code, st := getStatus(t, ts.URL+"/healthz/ready"); code != http.StatusServiceUnavailable || st.Ready {
 		t.Fatalf("not-ready server: %d %+v", code, st)
 	}
@@ -54,7 +54,7 @@ func TestHealthLiveReadySplit(t *testing.T) {
 		t.Fatalf("not-ready server must still accept (replay path): %v", err)
 	}
 	<-br.started
-	s.SetReady(true)
+	s.setReady(true)
 	if code, st := getStatus(t, ts.URL+"/healthz/ready"); code != http.StatusOK || !st.Ready {
 		t.Fatalf("re-ready server: %d %+v", code, st)
 	}

@@ -119,14 +119,14 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 
 // handleLive is the liveness probe: 200 as long as the process serves
 // HTTP at all — even while draining, so an orchestrator does not kill a
-// node that is finishing accepted jobs.
+// server that is finishing accepted jobs.
 func (s *Server) handleLive(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]bool{"live": true})
 }
 
-// handleReady is the readiness probe: 503 while draining or while a
-// fleet node is replaying its write-ahead log, so routers and external
-// load balancers stop sending new work without declaring the node dead.
+// handleReady is the readiness probe: 503 while draining or while the
+// server is replaying its write-ahead log, so load balancers stop
+// sending new work without declaring the server dead.
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	st := s.Snapshot()
 	status := http.StatusOK

@@ -84,7 +84,10 @@ func TestConcurrentClientsMatchGoldenVerdicts(t *testing.T) {
 		reqs[name] = benchRequest(t, name)
 	}
 
-	s := New(Config{Slots: 4, QueueDepth: 256, JobTimeout: 120 * time.Second})
+	s, err := New(Config{Slots: 4, QueueDepth: 256, JobTimeout: 120 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -21,13 +21,6 @@ type Request struct {
 	Source  string     `json:"source"`
 	Trace   string     `json:"trace"`
 	Options ReqOptions `json:"options"`
-	// Tenant and Priority are fleet routing metadata: the router's
-	// admission controller enforces per-tenant quotas and sheds batch
-	// traffic under load. Both are deliberately excluded from the cache
-	// keys — the same (source, trace, options) submitted by two tenants
-	// shares one cached result.
-	Tenant   string `json:"tenant,omitempty"`
-	Priority string `json:"priority,omitempty"`
 }
 
 // ReqOptions is the client-tunable subset of core.Options. Every field
@@ -80,9 +73,6 @@ func parseRequest(req *Request) (*parsedRequest, error) {
 	}
 	if strings.TrimSpace(req.Trace) == "" {
 		return nil, fmt.Errorf("empty trace")
-	}
-	if !ValidPriority(req.Priority) {
-		return nil, fmt.Errorf("unknown priority %q", req.Priority)
 	}
 	mods, err := verilog.Parse(req.Source)
 	if err != nil {
@@ -166,6 +156,9 @@ type Job struct {
 	created time.Time
 
 	parsed *parsedRequest
+	// walSeq is the job's write-ahead log record (0 when unlogged); set
+	// at admission, before the job is shared.
+	walSeq uint64
 
 	mu       sync.Mutex
 	state    JobState

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"time"
@@ -31,52 +32,6 @@ type LoadReport struct {
 	ResubmitHit float64          `json:"resubmit_hit_rate"`
 	SSEEvents   int64            `json:"sse_events"`
 	Serve       map[string]int64 `json:"serve_counters"`
-	// Fleet is attached by rtlload -cluster runs against a fleet router:
-	// the end-of-run /debugz/fleet rollup. Absent for single-node runs
-	// (same schema version either way). The latency/queue-wait/run
-	// percentile blocks above are fleet-wide in cluster runs — every job
-	// crossed the router.
-	Fleet *FleetReport `json:"fleet,omitempty"`
-}
-
-// FleetReport summarizes a cluster run: the router's routing counters
-// plus the per-node completion split, read from /debugz/fleet when the
-// load run ends.
-type FleetReport struct {
-	Nodes       int              `json:"nodes"`
-	NodesReady  int              `json:"nodes_ready"`
-	Forwarded   int64            `json:"forwarded"`
-	Retries     int64            `json:"retries"`
-	Exhausted   int64            `json:"exhausted"`
-	WALReplayed int64            `json:"wal_replayed"`
-	Completed   int64            `json:"completed"`
-	Cached      int64            `json:"cached"`
-	Stalled     float64          `json:"stalled"`
-	JobsPerNode map[string]int64 `json:"jobs_per_node"`
-}
-
-func (f *FleetReport) validate() error {
-	if f.Nodes <= 0 {
-		return fmt.Errorf("fleet.nodes = %d", f.Nodes)
-	}
-	if f.NodesReady < 0 || f.NodesReady > f.Nodes {
-		return fmt.Errorf("fleet.nodes_ready = %d of %d", f.NodesReady, f.Nodes)
-	}
-	for _, v := range map[string]int64{
-		"forwarded": f.Forwarded, "retries": f.Retries, "exhausted": f.Exhausted,
-		"wal_replayed": f.WALReplayed, "completed": f.Completed, "cached": f.Cached,
-	} {
-		if v < 0 {
-			return fmt.Errorf("fleet counter negative: %+v", f)
-		}
-	}
-	if f.JobsPerNode == nil {
-		return fmt.Errorf("fleet.jobs_per_node missing")
-	}
-	if len(f.JobsPerNode) > f.Nodes {
-		return fmt.Errorf("fleet.jobs_per_node has %d entries for %d nodes", len(f.JobsPerNode), f.Nodes)
-	}
-	return nil
 }
 
 // LoadReportVersion is the current LoadReport schema version.
@@ -164,18 +119,17 @@ func (r *LoadReport) Validate() error {
 	if r.Serve == nil {
 		return fmt.Errorf("serve_counters missing")
 	}
-	if r.Fleet != nil {
-		if err := r.Fleet.validate(); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
 // ParseLoadReport decodes and validates a BENCH_serve.json document.
+// Unknown fields are rejected, so a report written before a schema
+// field was removed fails instead of silently passing.
 func ParseLoadReport(data []byte) (*LoadReport, error) {
 	var r LoadReport
-	if err := json.Unmarshal(data, &r); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&r); err != nil {
 		return nil, err
 	}
 	if err := r.Validate(); err != nil {

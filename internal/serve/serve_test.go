@@ -74,7 +74,10 @@ func (b *blockingRepair) fn(ctx context.Context, job *Job) *RepairResult {
 
 func newTestServer(t *testing.T, cfg Config, fn repairFunc) *Server {
 	t.Helper()
-	s := New(cfg)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if fn != nil {
 		s.repair = fn
 	}
@@ -274,14 +277,17 @@ func TestQueueWaitDeadlineFailsStaleJobs(t *testing.T) {
 		t.Fatalf("stale job result = %+v, want queue-wait timeout", v.Result)
 	}
 	// The queue-timeout verdict must not poison the result cache.
-	if _, ok := s.results.GetResult(stale.Key); ok {
+	if _, ok := s.results.Get(stale.Key); ok {
 		t.Fatalf("queue-timeout result was cached")
 	}
 }
 
 func TestShutdownDrainsAcceptedJobs(t *testing.T) {
 	br := newBlockingRepair()
-	s := New(Config{Slots: 2, QueueDepth: 8})
+	s, err := New(Config{Slots: 2, QueueDepth: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s.repair = br.fn
 
 	var jobs []*Job
@@ -321,7 +327,10 @@ func TestShutdownDrainsAcceptedJobs(t *testing.T) {
 }
 
 func TestShutdownDeadlineCancelsButLosesNoJob(t *testing.T) {
-	s := New(Config{Slots: 1, QueueDepth: 8})
+	s, err := New(Config{Slots: 1, QueueDepth: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
 	started := make(chan struct{}, 8)
 	s.repair = func(ctx context.Context, job *Job) *RepairResult {
 		started <- struct{}{}

@@ -3,7 +3,9 @@
 // running repairs under per-job deadlines, and a two-tier
 // content-addressed cache (exact-request results, plus reusable
 // frontend artifacts so re-repairing a known design with a new trace
-// skips parsing and elaboration). See DESIGN.md "Serving".
+// skips parsing and elaboration). Optionally, a write-ahead job log
+// makes accepted jobs survive a crash and an on-disk store keeps both
+// cache tiers across restarts. See DESIGN.md "Serving".
 package serve
 
 import (
@@ -67,17 +69,14 @@ type Config struct {
 	// serve.jobs.stalled watchdog gauge and /debugz/solvers stall
 	// reporting. Default 10s; < 0 disables the watchdog.
 	StallAfter time.Duration
-	// Queue replaces the accepted-job buffer (default: a bounded channel
-	// of QueueDepth). internal/fleet composes priority- or WAL-aware
-	// queues through this seam.
-	Queue JobQueue
-	// Results replaces the result tier (default: an in-memory LRU of
-	// ResultCacheSize entries). Fleet nodes install a store layered over
-	// the shared content-addressed blob store.
-	Results ResultStore
-	// Artifacts replaces the frontend-artifact tier (default: an
-	// in-memory LRU of ArtifactCacheSize entries).
-	Artifacts ArtifactStore
+	// WALPath enables the write-ahead job log ("" disables): every
+	// queued job is durably logged before its 202, and jobs a previous
+	// process accepted but never finished are replayed by New.
+	WALPath string
+	// ArtifactDir enables the on-disk content-addressed cache (""
+	// disables): results and frontend artifacts are written through to
+	// it, so a restarted server comes back warm.
+	ArtifactDir string
 	// Obs supplies the tracer/metrics registry and the flight recorder.
 	// A nil Metrics is replaced with a fresh registry so /metricsz
 	// always works; a nil Rec with the process-wide obs.Default()
@@ -125,6 +124,10 @@ func (c Config) withDefaults() Config {
 // repairFunc is the worker's compute seam; tests substitute a fake.
 type repairFunc func(ctx context.Context, job *Job) *RepairResult
 
+// replayRetry is the backoff between re-admission attempts while
+// replaying a write-ahead log into a full queue.
+const replayRetry = 50 * time.Millisecond
+
 // Server is the repair service. Create with New, serve its Handler,
 // stop with Shutdown.
 type Server struct {
@@ -132,13 +135,16 @@ type Server struct {
 	metrics *obs.Registry
 	rec     *obs.Recorder
 
-	queue  JobQueue
+	queue  chan *Job // accepted, not yet running; buffer = QueueDepth
 	repair repairFunc
 
+	wal *wal     // nil unless Config.WALPath is set
+	cas *diskCAS // nil unless Config.ArtifactDir is set
+
 	// notReady marks the server not-ready for traffic independently of
-	// draining (a fleet node replaying its write-ahead log flips it);
-	// /healthz/ready reports 503 while set. Jobs are still accepted —
-	// replay goes through Submit — only the readiness signal changes.
+	// draining (set while the write-ahead log replays); /healthz/ready
+	// reports 503 while set. Jobs are still accepted — replay goes
+	// through admission — only the readiness signal changes.
 	notReady atomic.Bool
 
 	mu       sync.Mutex
@@ -146,35 +152,44 @@ type Server struct {
 	inflight map[string]*Job // singleflight: cache key → running/queued job
 	jobs     map[string]*Job // job id → job (terminal jobs included)
 
-	results   ResultStore
-	artifacts ArtifactStore
+	results   *lruCache[*RepairResult]
+	artifacts *lruCache[*Artifact]
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 	workers    sync.WaitGroup
 }
 
-// New starts a server's worker pool and returns it.
-func New(cfg Config) *Server {
+// New opens the server's on-disk state (if configured), starts its
+// worker pool, and kicks off replay of any jobs a previous process
+// accepted but never finished. The server reports not-ready until
+// replay has re-admitted every pending job.
+func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:       cfg,
 		metrics:   cfg.Obs.Metrics,
 		rec:       cfg.Obs.Rec,
-		queue:     cfg.Queue,
-		results:   cfg.Results,
-		artifacts: cfg.Artifacts,
+		queue:     make(chan *Job, cfg.QueueDepth),
+		results:   newLRU[*RepairResult]("result", cfg.ResultCacheSize, cfg.Obs.Metrics),
+		artifacts: newLRU[*Artifact]("artifact", cfg.ArtifactCacheSize, cfg.Obs.Metrics),
 		inflight:  map[string]*Job{},
 		jobs:      map[string]*Job{},
 	}
-	if s.queue == nil {
-		s.queue = NewChanQueue(cfg.QueueDepth)
+	if cfg.ArtifactDir != "" {
+		cas, err := openCAS(cfg.ArtifactDir)
+		if err != nil {
+			return nil, err
+		}
+		s.cas = cas
 	}
-	if s.results == nil {
-		s.results = NewLRUResultStore(cfg.ResultCacheSize, s.metrics)
-	}
-	if s.artifacts == nil {
-		s.artifacts = NewLRUArtifactStore(cfg.ArtifactCacheSize, s.metrics)
+	var pending []*Request
+	if cfg.WALPath != "" {
+		w, p, err := openWAL(cfg.WALPath, s.metrics)
+		if err != nil {
+			return nil, err
+		}
+		s.wal, pending = w, p
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.repair = s.runRepair
@@ -186,29 +201,59 @@ func New(cfg Config) *Server {
 	if cfg.StallAfter > 0 {
 		go s.watchdog()
 	}
-	return s
+	if len(pending) > 0 {
+		s.setReady(false)
+		// Replay joins the worker group so Shutdown closes the log only
+		// after replay has stopped touching it.
+		s.workers.Add(1)
+		go func() {
+			defer s.workers.Done()
+			s.replay(pending)
+		}()
+	}
+	return s, nil
 }
 
 // Submit validates and admits a repair request. The returned job may
 // already be terminal (result-cache hit) or shared with concurrent
-// identical submissions (singleflight dedup). Errors: validation
+// identical submissions (singleflight dedup). With a write-ahead log,
+// the job is durable before Submit returns. Errors: validation
 // failures satisfy IsBadRequest; ErrQueueFull and ErrDraining report
-// admission-control rejections.
+// admission-control rejections; anything else is a log write failure.
 func (s *Server) Submit(req *Request) (*Job, error) {
 	parsed, err := parseRequest(req)
 	if err != nil {
 		s.metrics.Add("serve.jobs.invalid", 1)
 		return nil, &badRequestError{err}
 	}
-	key := req.resultKey()
+	job, seq, err := s.admit(parsed, false)
+	if err != nil {
+		return nil, err
+	}
+	// Wait outside the admission lock so concurrent submissions share
+	// one fsync (group commit).
+	if seq > 0 {
+		if err := s.wal.waitSynced(seq); err != nil {
+			return nil, err
+		}
+	}
+	return job, nil
+}
 
+// admit runs admission control under the server lock. A job it queues
+// is logged to the write-ahead log first — unless it is being replayed
+// from that log — and seq is the log record the caller must wait on
+// before acknowledging (0: nothing to wait for). Cache hits, dedups and
+// rejections write nothing.
+func (s *Server) admit(parsed *parsedRequest, replay bool) (*Job, uint64, error) {
+	key := parsed.req.resultKey()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		s.metrics.Add("serve.jobs.rejected_draining", 1)
-		return nil, ErrDraining
+		return nil, 0, ErrDraining
 	}
-	if rr, ok := s.results.GetResult(key); ok {
+	if rr, ok := s.cachedResult(key); ok {
 		job := newJob(key, parsed)
 		job.finish(rr, true)
 		s.jobs[job.ID] = job
@@ -217,25 +262,68 @@ func (s *Server) Submit(req *Request) (*Job, error) {
 			obs.Str("design", parsed.top.Name), obs.Int("cached", 1))
 		s.rec.Emit(obs.EvQueue, "job.done", job.ID, 0,
 			obs.Str("status", rr.Status), obs.Int("cached", 1))
-		return job, nil
+		if replay {
+			// Finished before the crash; only its done record was lost.
+			_ = s.wal.done(key)
+		}
+		return job, 0, nil
 	}
 	if job, ok := s.inflight[key]; ok {
 		s.metrics.Add("serve.jobs.deduped", 1)
 		s.rec.Emit(obs.EvQueue, "job.dedup", job.ID, 0)
-		return job, nil
+		return job, job.walSeq, nil
+	}
+	// Only admission pushes, and it holds s.mu: a queue with room now
+	// still has room after the log append below.
+	if len(s.queue) == cap(s.queue) {
+		s.metrics.Add("serve.jobs.rejected_queue_full", 1)
+		return nil, 0, ErrQueueFull
 	}
 	job := newJob(key, parsed)
-	if !s.queue.Push(job) {
-		s.metrics.Add("serve.jobs.rejected_queue_full", 1)
-		return nil, ErrQueueFull
+	if s.wal != nil && !replay {
+		seq, err := s.wal.accept(key, parsed.req)
+		if err != nil {
+			return nil, 0, err
+		}
+		job.walSeq = seq
 	}
+	s.queue <- job
 	s.inflight[key] = job
 	s.jobs[job.ID] = job
 	s.metrics.Add("serve.jobs.accepted", 1)
-	s.metrics.SetGauge("serve.queue.depth", float64(s.queue.Len()))
+	s.metrics.SetGauge("serve.queue.depth", float64(len(s.queue)))
 	s.rec.Emit(obs.EvQueue, "job.admit", job.ID, 0,
-		obs.Str("design", parsed.top.Name), obs.Int("queue_depth", int64(s.queue.Len())))
-	return job, nil
+		obs.Str("design", parsed.top.Name), obs.Int("queue_depth", int64(len(s.queue))))
+	return job, job.walSeq, nil
+}
+
+// replay re-admits the write-ahead log's pending jobs in their original
+// order. A full queue is retried with backoff — these jobs survived a
+// crash, they are not dropped for transient backpressure. A job that no
+// longer validates is marked done and counted as dropped; a drain stops
+// replay and leaves the rest in the log. Readiness returns once every
+// pending job is re-admitted.
+func (s *Server) replay(pending []*Request) {
+	defer s.setReady(true)
+	for _, req := range pending {
+		parsed, err := parseRequest(req)
+		if err != nil {
+			_ = s.wal.done(req.resultKey())
+			s.metrics.Add("serve.wal.replay_dropped", 1)
+			continue
+		}
+		for {
+			_, _, err = s.admit(parsed, true)
+			if !errors.Is(err, ErrQueueFull) {
+				break
+			}
+			time.Sleep(replayRetry)
+		}
+		if err != nil {
+			return
+		}
+		s.metrics.Add("serve.wal.replayed", 1)
+	}
 }
 
 // Job looks up a job by id (nil when unknown).
@@ -246,9 +334,8 @@ func (s *Server) Job(id string) *Job {
 }
 
 // Stats is the health snapshot for /healthz. Ready is false while the
-// server is draining or replaying its write-ahead log — routers and
-// external load balancers stop sending traffic, but already-accepted
-// jobs still run.
+// server is draining or replaying its write-ahead log — load balancers
+// stop sending traffic, but already-accepted jobs still run.
 type Stats struct {
 	Draining   bool `json:"draining"`
 	Ready      bool `json:"ready"`
@@ -266,18 +353,18 @@ func (s *Server) Snapshot() Stats {
 	return Stats{
 		Draining:   s.draining,
 		Ready:      !s.draining && !s.notReady.Load(),
-		QueueDepth: s.queue.Len(),
-		QueueCap:   s.queue.Cap(),
+		QueueDepth: len(s.queue),
+		QueueCap:   cap(s.queue),
 		Slots:      s.cfg.Slots,
 		Jobs:       len(s.jobs),
 		Inflight:   len(s.inflight),
 	}
 }
 
-// SetReady flips the readiness signal (it does not gate admission;
-// fleet nodes submit replayed jobs while not ready). Draining always
-// reads as not ready regardless of this flag.
-func (s *Server) SetReady(ready bool) { s.notReady.Store(!ready) }
+// setReady flips the readiness signal (it does not gate admission;
+// replay admits jobs while not ready). Draining always reads as not
+// ready regardless of this flag.
+func (s *Server) setReady(ready bool) { s.notReady.Store(!ready) }
 
 // RetryAfterSeconds estimates how long a rejected client should back
 // off before the queue has drained: current depth times the mean job
@@ -285,7 +372,7 @@ func (s *Server) SetReady(ready bool) { s.notReady.Store(!ready) }
 // (no mean yet) it falls back to 1s; the estimate is clamped to
 // [1s, 300s] so a pathological backlog cannot park clients forever.
 func (s *Server) RetryAfterSeconds() int {
-	depth := s.queue.Len() + 1 // the rejected job would queue behind these
+	depth := len(s.queue) + 1 // the rejected job would queue behind these
 	completed := s.metrics.Counter("serve.jobs.completed")
 	if completed == 0 {
 		return 1
@@ -308,8 +395,9 @@ func (s *Server) Metrics() *obs.Registry { return s.metrics }
 // ErrDraining, queued jobs still run, and the call returns once every
 // accepted job has reached a terminal state. If ctx expires first, the
 // running and still-queued jobs are cancelled — they finish promptly
-// with a timeout status, so even then no accepted job is lost. Safe to
-// call once.
+// with a timeout status, so even then no accepted job is lost, and with
+// a write-ahead log they stay pending there for the next start. The log
+// is closed last. Safe to call once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {
@@ -319,7 +407,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining = true
 	// Submits enqueue while holding s.mu and check draining first, so
 	// closing the queue here cannot race a push.
-	s.queue.Close()
+	close(s.queue)
 	s.mu.Unlock()
 
 	done := make(chan struct{})
@@ -338,13 +426,18 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		err = ctx.Err()
 	}
 	s.baseCancel()
+	if s.wal != nil {
+		if werr := s.wal.close(); err == nil {
+			err = werr
+		}
+	}
 	return err
 }
 
 // worker pulls jobs until the queue is closed and drained.
 func (s *Server) worker() {
 	defer s.workers.Done()
-	for job := range s.queue.Jobs() {
+	for job := range s.queue {
 		s.runJob(job)
 	}
 }
@@ -352,12 +445,13 @@ func (s *Server) worker() {
 func (s *Server) runJob(job *Job) {
 	wait := job.markRunning()
 	s.metrics.Observe("serve.queue_wait_ms", float64(wait.Milliseconds()))
-	s.metrics.SetGauge("serve.queue.depth", float64(s.queue.Len()))
+	s.metrics.SetGauge("serve.queue.depth", float64(len(s.queue)))
 	s.rec.Emit(obs.EvQueue, "job.start", job.ID, 0,
 		obs.Int("time_wait_us", wait.Microseconds()))
 
 	var rr *RepairResult
-	if s.cfg.QueueTimeout > 0 && wait > s.cfg.QueueTimeout {
+	queueTimedOut := s.cfg.QueueTimeout > 0 && wait > s.cfg.QueueTimeout
+	if queueTimedOut {
 		s.metrics.Add("serve.jobs.queue_timeout", 1)
 		rr = &RepairResult{Status: core.StatusTimeout.String(),
 			Reason: "queue-wait deadline exceeded", FirstFailure: -1}
@@ -365,14 +459,21 @@ func (s *Server) runJob(job *Job) {
 		ctx, cancel := context.WithTimeout(s.baseCtx, s.jobTimeout(job))
 		rr = s.repair(ctx, job)
 		cancel()
-		// Only organic results are worth caching: a queue-timeout verdict
-		// says nothing about the design.
-		s.results.PutResult(job.Key, rr)
+	}
+	// A job cut short by a forced shutdown says nothing about its design:
+	// it is neither cached nor logged done, so the next start re-runs it.
+	// Neither is a queue-timeout verdict cached, but it is final.
+	interrupted := s.baseCtx.Err() != nil
+	if !interrupted && !queueTimedOut {
+		s.storeResult(job.Key, rr)
 	}
 
 	s.mu.Lock()
 	delete(s.inflight, job.Key)
 	s.mu.Unlock()
+	if s.wal != nil && !interrupted {
+		_ = s.wal.done(job.Key)
+	}
 	job.finish(rr, false)
 	s.metrics.Add("serve.jobs.completed", 1)
 	s.metrics.Add("serve.jobs.status."+rr.Status, 1)
@@ -396,28 +497,25 @@ func (s *Server) jobTimeout(job *Job) time.Duration {
 	return d
 }
 
-// artifactFor returns the cached frontend for the job's design,
-// building and caching it on a miss. Concurrent misses on the same key
-// may build twice; both builds produce identical artifacts and the
-// cache keeps the last, so this only costs duplicate work, never
-// correctness. When the artifact tier is layered over a shared blob
-// store, a local miss first tries the cross-process warm path.
+// artifactFor returns the cached frontend for the job's design — from
+// memory, else rehydrated from disk — building and caching it on a
+// miss. Concurrent misses on the same key may build twice; both builds
+// produce identical artifacts and the cache keeps the last, so this
+// only costs duplicate work, never correctness.
 func (s *Server) artifactFor(job *Job) *Artifact {
 	key := job.parsed.req.artifactKey()
-	if art, ok := s.artifacts.GetArtifact(key); ok {
+	if art, ok := s.artifacts.Get(key); ok {
 		return art
 	}
 	parsed := job.parsed
-	if shared, ok := s.artifacts.(*sharedArtifacts); ok {
-		if art, ok := shared.getWarm(key, parsed); ok {
-			return art
-		}
+	if art, ok := s.diskArtifact(key, parsed); ok {
+		return art
 	}
 	art := &Artifact{
 		parsed: parsed,
 		FE:     core.NewFrontend(parsed.top, parsed.lib, parsed.req.Options.NoPreprocess),
 	}
-	s.artifacts.PutArtifact(key, art)
+	s.storeArtifact(key, art)
 	return art
 }
 

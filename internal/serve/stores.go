@@ -3,68 +3,18 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
 
 	"rtlrepair/internal/core"
 	"rtlrepair/internal/lint"
-	"rtlrepair/internal/obs"
 	"rtlrepair/internal/verilog"
 )
 
-// The queue/worker/cache layers of the server are seams, not
-// hard-wired structures: a Config may replace any of them. The
-// in-process defaults (bounded channel queue, LRU tiers) reproduce the
-// single-node behaviour; internal/fleet composes the same server with
-// a write-ahead-logged queue front and stores backed by a shared
-// content-addressed filesystem, which is how one process becomes a
-// cluster node. See DESIGN.md "Fleet".
-
-// JobQueue buffers accepted-but-not-running jobs between admission
-// (Submit) and the worker pool. Push is called under the server's
-// admission lock; Jobs feeds the workers and must be closed exactly
-// once by Close, after which Push must return false.
-type JobQueue interface {
-	// Push enqueues a job; false means the queue is at capacity and the
-	// submission is rejected with ErrQueueFull.
-	Push(j *Job) bool
-	// Jobs is the worker feed. The channel is closed by Close.
-	Jobs() <-chan *Job
-	// Len and Cap report current depth and capacity.
-	Len() int
-	Cap() int
-	// Close stops the queue: workers drain what remains and exit.
-	Close()
-}
-
-// chanQueue is the default in-process JobQueue: a bounded channel.
-type chanQueue struct{ ch chan *Job }
-
-// NewChanQueue returns the default bounded-channel job queue.
-func NewChanQueue(depth int) JobQueue {
-	return &chanQueue{ch: make(chan *Job, depth)}
-}
-
-func (q *chanQueue) Push(j *Job) bool {
-	select {
-	case q.ch <- j:
-		return true
-	default:
-		return false
-	}
-}
-
-func (q *chanQueue) Jobs() <-chan *Job { return q.ch }
-func (q *chanQueue) Len() int          { return len(q.ch) }
-func (q *chanQueue) Cap() int          { return cap(q.ch) }
-func (q *chanQueue) Close()            { close(q.ch) }
-
-// ResultStore is the exact-request result tier: terminal RepairResults
-// keyed by the SHA-256 result key. Implementations must be safe for
-// concurrent use; stored results are immutable and shared by pointer.
-type ResultStore interface {
-	GetResult(key string) (*RepairResult, bool)
-	PutResult(key string, rr *RepairResult)
-}
+// The two cache tiers are in-memory LRUs; with Config.ArtifactDir set,
+// each reads through to the on-disk CAS on a miss (warming the LRU) and
+// writes through to it on a put, so a restarted server comes back warm.
+// CAS failures only cost cache hits: decode and write errors count
+// under serve.cas.<tier>.{decode_errors,put_errors} and are otherwise
+// ignored.
 
 // Artifact is one cached frontend: the parsed request plus its
 // preprocess+elaborate result, shared read-only across jobs.
@@ -75,68 +25,15 @@ type Artifact struct {
 	FE *core.Frontend
 }
 
-// ArtifactStore is the frontend-artifact tier: process-local Frontend
-// values keyed by the SHA-256 artifact key.
-type ArtifactStore interface {
-	GetArtifact(key string) (*Artifact, bool)
-	PutArtifact(key string, a *Artifact)
-}
-
-// BlobStore is a content-addressed byte store shared across processes
-// (internal/fleet's filesystem CAS implements it). Keys are the same
-// SHA-256 hex strings the in-memory tiers use; values are immutable
-// once written.
-type BlobStore interface {
-	GetBlob(key string) ([]byte, bool)
-	PutBlob(key string, blob []byte) error
-}
-
-// lruResults adapts the in-memory LRU to ResultStore.
-type lruResults struct{ c *lruCache[*RepairResult] }
-
-// NewLRUResultStore returns the default in-memory result tier
-// (max <= 0 disables it).
-func NewLRUResultStore(max int, metrics *obs.Registry) ResultStore {
-	return &lruResults{c: newLRU[*RepairResult]("result", max, metrics)}
-}
-
-func (s *lruResults) GetResult(key string) (*RepairResult, bool) { return s.c.Get(key) }
-func (s *lruResults) PutResult(key string, rr *RepairResult)     { s.c.Put(key, rr) }
-
-// lruArtifacts adapts the in-memory LRU to ArtifactStore.
-type lruArtifacts struct{ c *lruCache[*Artifact] }
-
-// NewLRUArtifactStore returns the default in-memory artifact tier
-// (max <= 0 disables it).
-func NewLRUArtifactStore(max int, metrics *obs.Registry) ArtifactStore {
-	return &lruArtifacts{c: newLRU[*Artifact]("artifact", max, metrics)}
-}
-
-func (s *lruArtifacts) GetArtifact(key string) (*Artifact, bool) { return s.c.Get(key) }
-func (s *lruArtifacts) PutArtifact(key string, a *Artifact)      { s.c.Put(key, a) }
-
-// sharedResults layers a cross-process blob store under the in-memory
-// tier: gets read through to the CAS on a local miss (warming the LRU),
-// puts write through, so every node in a fleet sees every node's
-// results — and a restarted node comes back warm.
-type sharedResults struct {
-	mem     ResultStore
-	blobs   BlobStore
-	metrics *obs.Registry
-}
-
-// NewSharedResultStore composes the in-memory tier with a shared blob
-// store. CAS write failures are counted (serve.cas.result.put_errors),
-// not fatal: the in-memory tier still serves this process.
-func NewSharedResultStore(mem ResultStore, blobs BlobStore, metrics *obs.Registry) ResultStore {
-	return &sharedResults{mem: mem, blobs: blobs, metrics: metrics}
-}
-
-func (s *sharedResults) GetResult(key string) (*RepairResult, bool) {
-	if rr, ok := s.mem.GetResult(key); ok {
+// cachedResult looks a result key up in memory, then on disk.
+func (s *Server) cachedResult(key string) (*RepairResult, bool) {
+	if rr, ok := s.results.Get(key); ok {
 		return rr, true
 	}
-	blob, ok := s.blobs.GetBlob(key)
+	if s.cas == nil {
+		return nil, false
+	}
+	blob, ok := s.cas.get(key)
 	if !ok {
 		return nil, false
 	}
@@ -146,26 +43,64 @@ func (s *sharedResults) GetResult(key string) (*RepairResult, bool) {
 		return nil, false
 	}
 	s.metrics.Add("serve.cas.result.hits", 1)
-	s.mem.PutResult(key, &rr)
+	s.results.Put(key, &rr)
 	return &rr, true
 }
 
-func (s *sharedResults) PutResult(key string, rr *RepairResult) {
-	s.mem.PutResult(key, rr)
-	blob, err := json.Marshal(rr)
+// storeResult caches a terminal result in memory and on disk.
+func (s *Server) storeResult(key string, rr *RepairResult) {
+	s.results.Put(key, rr)
+	if s.cas != nil {
+		blob, err := json.Marshal(rr)
+		s.publish("result", key, blob, err)
+	}
+}
+
+// diskArtifact rehydrates a frontend from the CAS, rebinding the
+// requester's own library; false on a miss or an undecodable blob.
+func (s *Server) diskArtifact(key string, parsed *parsedRequest) (*Artifact, bool) {
+	if s.cas == nil {
+		return nil, false
+	}
+	blob, ok := s.cas.get(key)
+	if !ok {
+		return nil, false
+	}
+	a, err := decodeArtifact(blob, parsed)
+	if err != nil {
+		s.metrics.Add("serve.cas.artifact.decode_errors", 1)
+		return nil, false
+	}
+	s.metrics.Add("serve.cas.artifact.hits", 1)
+	s.artifacts.Put(key, a)
+	return a, true
+}
+
+// storeArtifact caches a freshly built frontend in memory and on disk.
+func (s *Server) storeArtifact(key string, a *Artifact) {
+	s.artifacts.Put(key, a)
+	if s.cas != nil {
+		blob, err := encodeArtifact(a)
+		s.publish("artifact", key, blob, err)
+	}
+}
+
+// publish writes one encoded blob to the CAS, counting (not returning)
+// failures: the in-memory tier still serves this process.
+func (s *Server) publish(tier, key string, blob []byte, err error) {
 	if err == nil {
-		err = s.blobs.PutBlob(key, blob)
+		err = s.cas.put(key, blob)
 	}
 	if err != nil {
-		s.metrics.Add("serve.cas.result.put_errors", 1)
+		s.metrics.Add("serve.cas."+tier+".put_errors", 1)
 	}
 }
 
 // artifactDoc is the serialized form of a frontend artifact in the
-// shared blob store. The module source is the *preprocessed* design
-// (printed), so a warm node skips the lint transform; the fix list and
-// failure reason are carried verbatim because they are inputs to the
-// repair verdict, and the analysis report plus elaboration are
+// on-disk store. The module source is the *preprocessed* design
+// (printed), so a warm server skips the lint transform; the fix list
+// and failure reason are carried verbatim because they are inputs to
+// the repair verdict, and the analysis report plus elaboration are
 // recomputed on rehydration — both are pure functions of the
 // preprocessed module, so a warm frontend is byte-for-byte equivalent
 // to a cold one (pinned by TestSharedArtifactWarmEqualsCold).
@@ -186,9 +121,9 @@ type docFix struct {
 
 const artifactDocVersion = 1
 
-// encodeArtifact renders the shareable half of an artifact. The
-// elaborated system itself is a process-local term DAG and never
-// crosses the wire.
+// encodeArtifact renders the persistable half of an artifact. The
+// elaborated system itself is a process-local term DAG and is never
+// written out.
 func encodeArtifact(a *Artifact) ([]byte, error) {
 	doc := artifactDoc{Version: artifactDocVersion, Reason: a.FE.Reason}
 	if a.FE.Fixed != nil {
@@ -203,9 +138,9 @@ func encodeArtifact(a *Artifact) ([]byte, error) {
 	return json.Marshal(doc)
 }
 
-// decodeArtifact rebuilds a frontend from a shared artifact doc plus
-// the requester's own parsed request (which supplies the library and
-// trace — preprocessing never rewrites library modules).
+// decodeArtifact rebuilds a frontend from an artifact doc plus the
+// requester's own parsed request (which supplies the library and trace
+// — preprocessing never rewrites library modules).
 func decodeArtifact(blob []byte, parsed *parsedRequest) (*Artifact, error) {
 	var doc artifactDoc
 	if err := json.Unmarshal(blob, &doc); err != nil {
@@ -232,85 +167,3 @@ func decodeArtifact(blob []byte, parsed *parsedRequest) (*Artifact, error) {
 	fe := core.RehydrateFrontend(fixed, parsed.lib, fixes, doc.Reason)
 	return &Artifact{parsed: parsed, FE: fe}, nil
 }
-
-// sharedArtifacts layers the blob store under the in-memory artifact
-// tier. Because a Frontend is a process-local object graph, the CAS
-// holds its serializable inputs (preprocessed source, fixes, reason)
-// and a warm get re-elaborates locally — skipping the lint transform
-// and, more importantly, surviving restarts and crossing nodes.
-type sharedArtifacts struct {
-	mem     ArtifactStore
-	blobs   BlobStore
-	metrics *obs.Registry
-}
-
-// NewSharedArtifactStore composes the in-memory artifact tier with a
-// shared blob store.
-func NewSharedArtifactStore(mem ArtifactStore, blobs BlobStore, metrics *obs.Registry) ArtifactStore {
-	return &sharedArtifacts{mem: mem, blobs: blobs, metrics: metrics}
-}
-
-func (s *sharedArtifacts) GetArtifact(key string) (*Artifact, bool) {
-	if a, ok := s.mem.GetArtifact(key); ok {
-		return a, true
-	}
-	return nil, false
-}
-
-// getWarm is the CAS read path; it needs the requester's parsed request
-// to rebind the library, so the server calls it from artifactFor rather
-// than through the narrow ArtifactStore interface.
-func (s *sharedArtifacts) getWarm(key string, parsed *parsedRequest) (*Artifact, bool) {
-	blob, ok := s.blobs.GetBlob(key)
-	if !ok {
-		return nil, false
-	}
-	a, err := decodeArtifact(blob, parsed)
-	if err != nil {
-		s.metrics.Add("serve.cas.artifact.decode_errors", 1)
-		return nil, false
-	}
-	s.metrics.Add("serve.cas.artifact.hits", 1)
-	s.mem.PutArtifact(key, a)
-	return a, true
-}
-
-func (s *sharedArtifacts) PutArtifact(key string, a *Artifact) {
-	s.mem.PutArtifact(key, a)
-	blob, err := encodeArtifact(a)
-	if err == nil {
-		err = s.blobs.PutBlob(key, blob)
-	}
-	if err != nil {
-		s.metrics.Add("serve.cas.artifact.put_errors", 1)
-	}
-}
-
-// ResultKey returns the content address of a full request: identical
-// (source, trace, options) triples — and only those — share a key.
-// Tenant and priority are routing metadata and deliberately excluded,
-// so the same design submitted by two tenants shares cache entries.
-// This is also the fleet shard key: internal/fleet's router rendezvous-
-// hashes it across nodes.
-func ResultKey(r *Request) string { return r.resultKey() }
-
-// ArtifactKey returns the content address of a request's frontend
-// artifact (trace-independent).
-func ArtifactKey(r *Request) string { return r.artifactKey() }
-
-// ValidPriority reports whether p names a known priority class.
-func ValidPriority(p string) bool {
-	switch strings.ToLower(p) {
-	case "", PriorityInteractive, PriorityBatch:
-		return true
-	}
-	return false
-}
-
-// Priority classes. Interactive (the default) is admitted until the
-// queue is hard-full; batch is shed earlier (see fleet's admission
-// controller), keeping latency headroom for interactive traffic.
-const (
-	PriorityInteractive = "interactive"
-	PriorityBatch       = "batch"
-)

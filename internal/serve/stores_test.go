@@ -17,8 +17,8 @@ import (
 
 // counterWithBlockingSrc is the buggy counter written with blocking
 // assignments in its clocked process, so preprocessing produces a
-// non-empty fix list — the warm==cold pin must carry fixes across the
-// blob store, not just sources.
+// non-empty fix list — the warm==cold pin must carry fixes through the
+// on-disk store, not just sources.
 const counterWithBlockingSrc = `
 module first_counter(input clock, input reset, input enable,
                      output reg [3:0] count, output reg overflow);
@@ -34,8 +34,8 @@ always @(posedge clock) begin
 end
 endmodule`
 
-// TestSharedArtifactWarmEqualsCold pins the fleet's cross-node
-// artifact contract: a frontend rehydrated from the shared blob store
+// TestSharedArtifactWarmEqualsCold pins the on-disk cache's artifact
+// contract: a frontend rehydrated from the artifact directory
 // is byte-for-byte equivalent to one built cold — same preprocessed
 // source, same fixes, same diagnostics, and (decisively) the same
 // repair verdict when driven through the full pipeline.
