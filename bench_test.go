@@ -187,6 +187,7 @@ func BenchmarkCycleSim(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := sim.RunTrace(sys, tr, sim.RunOptions{Policy: sim.Zero})

@@ -47,6 +47,20 @@ func Ones(width int) BV {
 	return b
 }
 
+// Mask returns the width-wide vector with ones in bits [lo, hi), built a
+// word at a time. The range is clamped to [0, width]; an empty range
+// gives zero.
+func Mask(width, lo, hi int) BV {
+	lo, hi = max(lo, 0), min(hi, width)
+	b := Zero(width)
+	for i := lo; i < hi; {
+		n := min(hi-i, wordBits-i%wordBits) // bits left in this word
+		b.words[i/wordBits] |= (^uint64(0) >> (wordBits - n)) << (uint(i) % wordBits)
+		i += n
+	}
+	return b
+}
+
 // One returns the vector of the given width holding the value 1.
 func One(width int) BV { return New(width, 1) }
 

@@ -314,3 +314,48 @@ func TestXBVConcatExtract(t *testing.T) {
 		t.Fatalf("extract = %q", got)
 	}
 }
+
+// bitMask is the bit-loop definition of Mask.
+func bitMask(width, lo, hi int) BV {
+	m := Zero(width)
+	for i := max(lo, 0); i < min(hi, width); i++ {
+		m = m.WithBit(i, true)
+	}
+	return m
+}
+
+func TestMaskMatchesBitLoop(t *testing.T) {
+	for w := 0; w <= 300; w++ {
+		for from := 0; from <= w+1; from++ {
+			if got, want := highMask(w, from), bitMask(w, from, w); !got.Eq(want) {
+				t.Fatalf("highMask(%d, %d) = %v, want %v", w, from, got, want)
+			}
+			if got, want := Mask(w, 0, from), bitMask(w, 0, from); !got.Eq(want) {
+				t.Fatalf("Mask(%d, 0, %d) = %v, want %v", w, from, got, want)
+			}
+		}
+	}
+	if !Mask(70, 40, 10).IsZero() || !Mask(70, -5, 0).IsZero() {
+		t.Fatal("empty range must give zero")
+	}
+}
+
+func TestXWordAndMatchesX(t *testing.T) {
+	x := XWord(4, 0xff, 0x0c)
+	if x.Width() != 4 || x.Val.Uint64() != 0xf || x.Known.Uint64() != 0xc {
+		t.Fatalf("XWord = %v / %v", x.Val, x.Known)
+	}
+	if XWord(0, 1, 1).Width() != 0 {
+		t.Fatal("XWord(0) width")
+	}
+	exp, _ := ParseX("1x0x")
+	for _, tc := range []struct {
+		got  string
+		want bool
+	}{{"1x0x", true}, {"1101", true}, {"x10x", false}, {"0x0x", false}, {"1x1x", false}} {
+		got, _ := ParseX(tc.got)
+		if MatchesX(exp, got) != tc.want {
+			t.Errorf("MatchesX(%v, %v) = %v", exp, got, !tc.want)
+		}
+	}
+}

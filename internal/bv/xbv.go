@@ -15,6 +15,21 @@ type XBV struct {
 	Known BV
 }
 
+// XWord builds a 4-state value of at most 64 bits from its value and
+// known words, with one allocation shared by both halves. Bits at and
+// above width are cleared.
+func XWord(width int, val, known uint64) XBV {
+	if width > wordBits {
+		panic(fmt.Sprintf("bv: XWord width %d exceeds one word", width))
+	}
+	if width == 0 {
+		return X(0)
+	}
+	m := ^uint64(0) >> (wordBits - width)
+	w := []uint64{val & m, known & m}
+	return XBV{Val: BV{width: width, words: w[0:1:1]}, Known: BV{width: width, words: w[1:2:2]}}
+}
+
 // X returns an all-unknown value of the given width.
 func X(width int) XBV { return XBV{Val: Zero(width), Known: Zero(width)} }
 
@@ -57,6 +72,18 @@ func (x XBV) Resolve(fill BV) BV {
 // with the (fully known) actual value. Unknown bits in exp are don't-cares.
 func MatchesKnown(exp XBV, actual BV) bool {
 	return exp.Val.And(exp.Known).Eq(actual.And(exp.Known))
+}
+
+// MatchesX reports whether got is known and equal to exp on every bit
+// exp knows. Both must have the same width. It does not allocate.
+func MatchesX(exp, got XBV) bool {
+	exp.Known.checkSameWidth(got.Known, "matchesx")
+	for i, c := range exp.Known.words {
+		if got.Known.words[i]&c != c || (exp.Val.words[i]^got.Val.words[i])&c != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Not returns the 4-state complement: known bits invert, X stays X.
@@ -163,13 +190,7 @@ func (x XBV) Resize(width int) XBV {
 }
 
 // highMask returns a width-wide mask with ones above bit from.
-func highMask(width, from int) BV {
-	m := Zero(width)
-	for i := from; i < width; i++ {
-		m = m.WithBit(i, true)
-	}
-	return m
-}
+func highMask(width, from int) BV { return Mask(width, from, width) }
 
 // ReduceOr returns 1 if any known 1 bit, 0 if all bits known 0, else X.
 func (x XBV) ReduceOr() XBV {

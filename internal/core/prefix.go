@@ -68,7 +68,7 @@ func (p *PrefixCache) StateAt(cycles int) (map[string]bv.XBV, int) {
 	defer p.mu.Unlock()
 	simulated := 0
 	for len(p.snaps) <= cycles {
-		p.sim.Step(p.inputsAt(len(p.snaps) - 1))
+		p.sim.StepTrace(p.tr, len(p.snaps)-1)
 		p.snaps = append(p.snaps, p.sim.Snapshot())
 		simulated++
 	}
@@ -77,14 +77,6 @@ func (p *PrefixCache) StateAt(cycles int) (map[string]bv.XBV, int) {
 	}
 	p.simulated += int64(simulated)
 	return p.snaps[cycles], simulated
-}
-
-func (p *PrefixCache) inputsAt(cycle int) map[string]bv.XBV {
-	in := map[string]bv.XBV{}
-	for i, sig := range p.tr.Inputs {
-		in[sig.Name] = p.tr.InputRows[cycle][i]
-	}
-	return in
 }
 
 // Covers reports whether the cache's snapshots are valid start states

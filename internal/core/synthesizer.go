@@ -182,6 +182,10 @@ type Synthesizer struct {
 	snaps   []map[string]bv.XBV
 	snapSim *sim.CycleSim
 
+	// prog is sys compiled for simulation, shared by validation, the
+	// robustness fills and the prefix simulator (nil until first use).
+	prog *sim.Program
+
 	// Stats folded in from window solvers that were rebuilt away; the
 	// live solver's counters are added on top after every check.
 	retiredSAT    sat.Statistics
@@ -318,34 +322,30 @@ func (s *Synthesizer) prefixState(cycles int) map[string]bv.XBV {
 		s.snaps = append(s.snaps, s.snapSim.Snapshot())
 	}
 	for len(s.snaps) <= cycles {
-		s.snapSim.Step(s.inputsAt(len(s.snaps) - 1))
+		s.snapSim.StepTrace(s.tr, len(s.snaps)-1)
 		s.snaps = append(s.snaps, s.snapSim.Snapshot())
 		s.Stats.PrefixCycles++
 	}
 	return s.snaps[cycles]
 }
 
+// program returns the synthesizer's compiled system.
+func (s *Synthesizer) program() *sim.Program {
+	if s.prog == nil {
+		s.prog = sim.Compile(s.sys)
+	}
+	return s.prog
+}
+
 // newSim builds a cycle simulator seeded with the concrete initial state
 // and the given synthesis-variable assignment.
 func (s *Synthesizer) newSim(a Assignment) *sim.CycleSim {
-	cs := sim.NewCycleSim(s.sys, sim.Zero, s.opts.Seed)
+	cs := sim.NewSim(s.program(), sim.Zero, s.opts.Seed)
 	for name, v := range s.init {
 		cs.SetState(name, v)
 	}
-	params := map[string]bv.BV{}
-	for name, v := range a {
-		params[name] = v
-	}
-	cs.SetParams(params)
+	cs.SetParams(a)
 	return cs
-}
-
-func (s *Synthesizer) inputsAt(cycle int) map[string]bv.XBV {
-	in := map[string]bv.XBV{}
-	for i, sig := range s.tr.Inputs {
-		in[sig.Name] = s.tr.InputRows[cycle][i]
-	}
-	return in
 }
 
 // Validate runs the full trace under an assignment.
@@ -376,7 +376,7 @@ func (s *Synthesizer) robust(a Assignment) bool {
 		})
 	}
 	for _, fill := range fills {
-		cs := sim.NewCycleSim(s.sys, sim.Zero, 0)
+		cs := sim.NewSim(s.program(), sim.Zero, 0)
 		for _, st := range s.sys.States {
 			if st.Init != nil {
 				cs.SetState(st.Var.Name, bv.K(st.Init.Val))
@@ -384,11 +384,7 @@ func (s *Synthesizer) robust(a Assignment) bool {
 				cs.SetState(st.Var.Name, bv.K(fill(st.Var.Width)))
 			}
 		}
-		params := map[string]bv.BV{}
-		for name, v := range a {
-			params[name] = v
-		}
-		cs.SetParams(params)
+		cs.SetParams(a)
 		if !sim.RunTraceFrom(cs, s.tr, 0, sim.RunOptions{Policy: sim.Zero}).Passed() {
 			return false
 		}

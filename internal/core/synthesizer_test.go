@@ -113,7 +113,11 @@ func TestPrefixStateMatchesSimulation(t *testing.T) {
 	snap := s.prefixState(3)
 	cs := s.newSim(zeroAssignment(s))
 	for c := 0; c < 3; c++ {
-		cs.Step(s.inputsAt(c))
+		in := map[string]bv.XBV{}
+		for i, sig := range s.tr.Inputs {
+			in[sig.Name] = s.tr.InputRows[c][i]
+		}
+		cs.Step(in)
 	}
 	for name, v := range cs.Snapshot() {
 		if !snap[name].SameAs(v) {

@@ -184,9 +184,10 @@ func ChooseSeed(b *bench.Benchmark, base int64) int64 {
 	if err != nil {
 		return base
 	}
+	prog := sim.Compile(sys)
 	for seed := base; seed < base+8; seed++ {
 		init, ctr := core.Concretize(sys, tr, sim.Randomize, seed)
-		cs := sim.NewCycleSim(sys, sim.Zero, 0)
+		cs := sim.NewSim(prog, sim.Zero, 0)
 		for name, v := range init {
 			cs.SetState(name, v)
 		}

@@ -8,10 +8,10 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 
 	"rtlrepair/internal/bv"
-	"rtlrepair/internal/smt"
 	"rtlrepair/internal/trace"
 	"rtlrepair/internal/tsys"
 )
@@ -31,141 +31,260 @@ const (
 )
 
 // CycleSim simulates a transition system cycle by cycle with 4-state
-// values.
+// values, evaluating its compiled Program. Each cycle evaluates the
+// outputs and then the next-state functions on demand, in smt.EvalX's
+// order, through one memo shared by all roots of the cycle.
 type CycleSim struct {
-	sys    *tsys.System
-	state  map[string]bv.XBV
-	params map[string]bv.BV
+	p      *Program
 	policy UnknownPolicy
-	rng    *rand.Rand
+	rng    *rand.Rand // nil unless policy is Randomize
+
+	reg  []word   // register values of at most 64 bits, by sys.States index
+	regX []bv.XBV // wider register values
+	par  []bv.BV  // synthesis constants, by free index
+	set  []bool   // par[f] is set
+	cols []int32  // trace input column of each free variable, or -1
+
+	// The inputs of the cycle being evaluated: a name-keyed map (Step,
+	// Peek) or a trace row read through cols.
+	byName bool
+	inMap  map[string]bv.XBV
+	inRow  []bv.XBV
+	bound  *trace.Trace // the trace cols was built for
+
+	// The memo of the current cycle: slot i holds its value for this
+	// cycle iff stamp[i] == epoch.
+	epoch uint32
+	stamp []uint32
+	memo  []word
+	memoX []bv.XBV // by node.wide
 }
 
-// NewCycleSim returns a simulator in the power-on state: registers take
-// their init value or, per policy, X / random / zero.
+// word is a 4-state value of at most 64 bits: its value and known bits.
+type word struct{ v, k uint64 }
+
+// NewCycleSim compiles sys and returns a simulator in the power-on state.
+// Callers that simulate one system repeatedly should Compile it once and
+// use NewSim.
 func NewCycleSim(sys *tsys.System, policy UnknownPolicy, seed int64) *CycleSim {
+	return NewSim(Compile(sys), policy, seed)
+}
+
+// NewSim returns a simulator of p in the power-on state: registers take
+// their init value or, per policy, X / random / zero.
+func NewSim(p *Program, policy UnknownPolicy, seed int64) *CycleSim {
+	n, nf := len(p.nodes), len(p.free)
 	s := &CycleSim{
-		sys:    sys,
-		params: map[string]bv.BV{},
+		p:      p,
 		policy: policy,
-		rng:    rand.New(rand.NewSource(seed)),
+		reg:    make([]word, len(p.sys.States)),
+		regX:   make([]bv.XBV, len(p.sys.States)),
+		par:    make([]bv.BV, nf),
+		set:    make([]bool, nf),
+		cols:   make([]int32, nf),
+		stamp:  make([]uint32, n),
+		memo:   make([]word, n),
+		memoX:  make([]bv.XBV, p.nwide),
 	}
-	s.Reset()
+	if policy == Randomize {
+		s.rng = rand.New(rand.NewSource(seed))
+	}
+	for i, st := range p.sys.States {
+		if st.Init != nil {
+			s.setReg(i, bv.K(st.Init.Val))
+		} else {
+			s.setReg(i, s.unknown(st.Var.Width))
+		}
+	}
 	return s
 }
 
-// Reset returns every register to its power-on value.
-func (s *CycleSim) Reset() {
-	s.state = map[string]bv.XBV{}
-	for _, st := range s.sys.States {
-		if st.Init != nil {
-			s.state[st.Var.Name] = bv.K(st.Init.Val)
-			continue
+// fill draws the words that concretize one unknown value: four random
+// words under Randomize (wider values keep zeros above bit 256), none
+// otherwise.
+func (s *CycleSim) fill() (w [4]uint64) {
+	if s.policy == Randomize {
+		for i := range w {
+			w[i] = s.rng.Uint64()
 		}
-		s.state[st.Var.Name] = s.unknown(st.Var.Width)
 	}
+	return w
 }
 
 func (s *CycleSim) unknown(width int) bv.XBV {
-	switch s.policy {
-	case Randomize:
-		return bv.K(bv.FromWords(width, []uint64{s.rng.Uint64(), s.rng.Uint64(), s.rng.Uint64(), s.rng.Uint64()}))
-	case Zero:
-		return bv.K(bv.Zero(width))
-	default:
+	if s.policy == KeepX {
 		return bv.X(width)
 	}
+	w := s.fill()
+	return bv.K(bv.FromWords(width, w[:]))
 }
 
 // SetParams fixes the synthesis constants (φ/α) for instrumented designs.
+// A constant shadows a same-named input; one on a register name is never
+// read.
 func (s *CycleSim) SetParams(vals map[string]bv.BV) {
 	for k, v := range vals {
-		s.params[k] = v
+		if f, ok := s.p.freeOf[k]; ok {
+			s.par[f], s.set[f] = v, true
+		}
 	}
 }
 
 // SetState overrides one register value (used to seed the adaptive
-// window's concrete prefix and the OSDD co-simulation).
-func (s *CycleSim) SetState(name string, v bv.XBV) { s.state[name] = v }
+// window's concrete prefix and the OSDD co-simulation). It panics if
+// name is not a register of the system or v has another width.
+func (s *CycleSim) SetState(name string, v bv.XBV) {
+	r, ok := s.p.regOf[name]
+	if !ok {
+		panic(fmt.Sprintf("sim: SetState of %q, which is not a register", name))
+	}
+	if w := s.p.sys.States[r].Var.Width; v.Width() != w {
+		panic(fmt.Sprintf("sim: SetState of %q with width %d (want %d)", name, v.Width(), w))
+	}
+	s.setReg(int(r), v)
+}
+
+func (s *CycleSim) setReg(r int, v bv.XBV) {
+	if s.p.wideReg(r) {
+		s.regX[r] = v
+	} else {
+		s.reg[r] = word{v.Val.Uint64(), v.Known.Uint64()}
+	}
+}
+
+func (s *CycleSim) regValue(r int) bv.XBV {
+	if s.p.wideReg(r) {
+		return s.regX[r]
+	}
+	return bv.XWord(s.p.sys.States[r].Var.Width, s.reg[r].v, s.reg[r].k)
+}
 
 // State reads one register value.
-func (s *CycleSim) State(name string) bv.XBV { return s.state[name] }
-
-// StateNames returns the register names in system order.
-func (s *CycleSim) StateNames() []string {
-	out := make([]string, len(s.sys.States))
-	for i, st := range s.sys.States {
-		out[i] = st.Var.Name
+func (s *CycleSim) State(name string) bv.XBV {
+	r, ok := s.p.regOf[name]
+	if !ok {
+		return bv.XBV{}
 	}
-	return out
+	return s.regValue(int(r))
 }
 
-// Snapshot copies the full register state.
+// Snapshot copies the full register state. SetState of each entry
+// restores it.
 func (s *CycleSim) Snapshot() map[string]bv.XBV {
-	out := make(map[string]bv.XBV, len(s.state))
-	for k, v := range s.state {
-		out[k] = v
+	out := make(map[string]bv.XBV, len(s.reg))
+	for r, st := range s.p.sys.States {
+		out[st.Var.Name] = s.regValue(r)
 	}
 	return out
-}
-
-// Restore replaces the register state with a snapshot.
-func (s *CycleSim) Restore(snap map[string]bv.XBV) {
-	s.state = map[string]bv.XBV{}
-	for k, v := range snap {
-		s.state[k] = v
-	}
 }
 
 // Step evaluates outputs for the current cycle under the given inputs and
 // then advances the registers. Unknown input bits are concretized per
 // policy.
 func (s *CycleSim) Step(inputs map[string]bv.XBV) map[string]bv.XBV {
-	env := s.env(inputs)
-	outs := map[string]bv.XBV{}
-	for _, o := range s.sys.Outputs {
-		outs[o.Name] = smt.EvalX(o.Expr, env)
-	}
-	next := map[string]bv.XBV{}
-	for _, st := range s.sys.States {
-		next[st.Var.Name] = smt.EvalX(st.Next, env)
-	}
-	s.state = next
-	return outs
+	s.byName, s.inMap = true, inputs
+	s.tick()
+	s.inMap = nil
+	return s.outputMap()
+}
+
+// StepTrace advances the registers by one cycle under the inputs of the
+// given trace row, exactly as RunTraceFrom's cycle would.
+func (s *CycleSim) StepTrace(tr *trace.Trace, cycle int) {
+	s.bind(tr)
+	s.inRow = tr.InputRows[cycle]
+	s.tick()
 }
 
 // Peek evaluates the outputs without advancing the state.
 func (s *CycleSim) Peek(inputs map[string]bv.XBV) map[string]bv.XBV {
-	env := s.env(inputs)
-	outs := map[string]bv.XBV{}
-	for _, o := range s.sys.Outputs {
-		outs[o.Name] = smt.EvalX(o.Expr, env)
+	s.byName, s.inMap = true, inputs
+	s.begin()
+	for _, r := range s.p.outs {
+		s.force(r)
+	}
+	s.inMap = nil
+	return s.outputMap()
+}
+
+func (s *CycleSim) outputMap() map[string]bv.XBV {
+	outs := make(map[string]bv.XBV, len(s.p.outs))
+	for i, o := range s.p.sys.Outputs {
+		outs[o.Name] = s.x(s.p.outs[i])
 	}
 	return outs
 }
 
-func (s *CycleSim) env(inputs map[string]bv.XBV) func(*smt.Term) bv.XBV {
-	resolved := map[string]bv.XBV{}
-	return func(v *smt.Term) bv.XBV {
-		if val, ok := s.state[v.Name]; ok {
-			return val
-		}
-		if val, ok := s.params[v.Name]; ok {
-			return bv.K(val)
-		}
-		if val, ok := resolved[v.Name]; ok {
-			return val
-		}
-		val, ok := inputs[v.Name]
-		if !ok {
-			val = bv.X(v.Width)
-		}
-		if val.HasUnknown() && s.policy != KeepX {
-			fill := s.unknown(v.Width)
-			val = bv.XBV{Val: val.Resolve(fill.Val), Known: bv.Ones(v.Width)}
-		}
-		resolved[v.Name] = val
-		return val
+// bind maps each free variable to its column of tr's inputs (the last
+// column of that name) for row-driven cycles.
+func (s *CycleSim) bind(tr *trace.Trace) {
+	s.byName = false
+	if s.bound == tr {
+		return
 	}
+	col := make(map[string]int32, len(tr.Inputs))
+	for i, sig := range tr.Inputs {
+		col[sig.Name] = int32(i)
+	}
+	for f, v := range s.p.free {
+		c, ok := col[v.Name]
+		if !ok {
+			c = -1
+		}
+		s.cols[f] = c
+	}
+	s.bound = tr
+}
+
+// begin opens a new cycle: every memo entry becomes stale.
+func (s *CycleSim) begin() {
+	s.epoch++
+	if s.epoch == 0 {
+		clear(s.stamp)
+		s.epoch = 1
+	}
+}
+
+// tick evaluates the outputs and then the next-state functions, and
+// commits the next state.
+func (s *CycleSim) tick() {
+	s.begin()
+	for _, r := range s.p.outs {
+		s.force(r)
+	}
+	for _, r := range s.p.next {
+		s.force(r)
+	}
+	for i, r := range s.p.next {
+		if n := &s.p.nodes[r]; n.wide >= 0 {
+			s.regX[i] = s.memoX[n.wide]
+		} else {
+			s.reg[i] = s.memo[r]
+		}
+	}
+}
+
+func (s *CycleSim) force(i int32) {
+	if s.stamp[i] != s.epoch {
+		s.eval(i)
+	}
+}
+
+// get returns the value of narrow slot i this cycle.
+func (s *CycleSim) get(i int32) (v, k uint64) {
+	s.force(i)
+	w := s.memo[i]
+	return w.v, w.k
+}
+
+// x returns the value of slot i this cycle as a bv.XBV.
+func (s *CycleSim) x(i int32) bv.XBV {
+	s.force(i)
+	n := &s.p.nodes[i]
+	if n.wide >= 0 {
+		return s.memoX[n.wide]
+	}
+	return bv.XWord(n.width, s.memo[i].v, s.memo[i].k)
 }
 
 // RunResult is the outcome of running a trace against a design.
@@ -214,30 +333,22 @@ func RunTrace(sys *tsys.System, tr *trace.Trace, opts RunOptions) *RunResult {
 // RunTraceFrom continues a prepared simulator from the given trace cycle.
 func RunTraceFrom(sim *CycleSim, tr *trace.Trace, start int, opts RunOptions) *RunResult {
 	res := &RunResult{FirstFailure: -1}
+	outs := sim.p.outputSlots(tr.Outputs)
 	for cycle := start; cycle < tr.Len(); cycle++ {
-		inputs := map[string]bv.XBV{}
-		for i, sig := range tr.Inputs {
-			inputs[sig.Name] = tr.InputRows[cycle][i]
-		}
 		if opts.RecordStates {
-			row := make([]bv.XBV, len(sim.sys.States))
-			for i, st := range sim.sys.States {
-				row[i] = sim.state[st.Var.Name]
+			row := make([]bv.XBV, len(sim.reg))
+			for r := range row {
+				row[r] = sim.regValue(r)
 			}
 			res.States = append(res.States, row)
 		}
-		outs := sim.Step(inputs)
-		row := make([]bv.XBV, len(tr.Outputs))
-		for i, sig := range tr.Outputs {
-			row[i] = outs[sig.Name]
-		}
+		sim.StepTrace(tr, cycle)
+		row := sim.outputRow(outs)
 		res.Outputs = append(res.Outputs, row)
 		res.Cycles++
 		if res.FirstFailure < 0 {
 			for i, sig := range tr.Outputs {
-				exp := tr.OutputRows[cycle][i]
-				got := outs[sig.Name]
-				if !outputMatches(exp, got) {
+				if !outputMatches(tr.OutputRows[cycle][i], row[i]) {
 					res.FirstFailure = cycle
 					res.FailedSignal = sig.Name
 					break
@@ -251,6 +362,31 @@ func RunTraceFrom(sim *CycleSim, tr *trace.Trace, start int, opts RunOptions) *R
 	return res
 }
 
+// outputSlots maps trace output columns to root slots, -1 for a column
+// the system does not drive.
+func (p *Program) outputSlots(sigs []trace.Signal) []int32 {
+	out := make([]int32, len(sigs))
+	for i, sig := range sigs {
+		out[i] = -1
+		if o, ok := p.outOf[sig.Name]; ok {
+			out[i] = p.outs[o]
+		}
+	}
+	return out
+}
+
+// outputRow reads this cycle's outputs in trace column order; a column
+// the system does not drive reads as the zero-width value.
+func (s *CycleSim) outputRow(slots []int32) []bv.XBV {
+	row := make([]bv.XBV, len(slots))
+	for i, r := range slots {
+		if r >= 0 {
+			row[i] = s.x(r)
+		}
+	}
+	return row
+}
+
 // outputMatches checks a 4-state simulation value against a 4-state
 // expectation: every known expected bit must be known and equal. A
 // width mismatch (e.g. a bug that narrows an output port) fails any
@@ -262,12 +398,7 @@ func outputMatches(exp, got bv.XBV) bool {
 		}
 		return false
 	}
-	// bits to check
-	check := exp.Known
-	if !got.Known.And(check).Eq(check) {
-		return false // an X reached a checked bit
-	}
-	return exp.Val.And(check).Eq(got.Val.And(check))
+	return bv.MatchesX(exp, got)
 }
 
 // OutputMatches is the exported form of the trace output check, used by

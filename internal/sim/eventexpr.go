@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rtlrepair/internal/bv"
+	"rtlrepair/internal/smt"
 	"rtlrepair/internal/verilog"
 )
 
@@ -513,26 +514,6 @@ func (s *EventSim) evalBinary(x *verilog.Binary, w int) (bv.XBV, error) {
 	}
 }
 
-func lowMask(w int, amt bv.BV) bv.BV {
-	n := int(amt.Resize(64).Uint64())
-	if n > w {
-		n = w
-	}
-	m := bv.Zero(w)
-	for i := 0; i < n; i++ {
-		m = m.WithBit(i, true)
-	}
-	return m
-}
+func lowMask(w int, amt bv.BV) bv.BV { return bv.Mask(w, 0, smt.ShiftFill(w, amt)) }
 
-func highMask(w int, amt bv.BV) bv.BV {
-	n := int(amt.Resize(64).Uint64())
-	if n > w {
-		n = w
-	}
-	m := bv.Zero(w)
-	for i := w - n; i < w; i++ {
-		m = m.WithBit(i, true)
-	}
-	return m
-}
+func highMask(w int, amt bv.BV) bv.BV { return bv.Mask(w, w-smt.ShiftFill(w, amt), w) }

@@ -70,17 +70,12 @@ func RunEventTrace(es *EventSim, tr *trace.Trace, opts RunOptions) *RunResult {
 // as described in §6.1.
 func RecordTrace(sim *CycleSim, inputs []trace.Signal, outputs []trace.Signal, rows [][]bv.XBV) *trace.Trace {
 	tr := trace.New(inputs, outputs)
+	sim.bind(tr)
+	outs := sim.p.outputSlots(outputs)
 	for _, row := range rows {
-		in := map[string]bv.XBV{}
-		for i, sig := range inputs {
-			in[sig.Name] = row[i]
-		}
-		outs := sim.Step(in)
-		outRow := make([]bv.XBV, len(outputs))
-		for i, sig := range outputs {
-			outRow[i] = outs[sig.Name]
-		}
-		tr.AddRow(append([]bv.XBV{}, row...), outRow)
+		sim.inRow = row
+		sim.tick()
+		tr.AddRow(append([]bv.XBV{}, row...), sim.outputRow(outs))
 	}
 	return tr
 }

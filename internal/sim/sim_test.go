@@ -113,9 +113,33 @@ func TestCycleSimSnapshotRestore(t *testing.T) {
 		t.Fatalf("count = %v", snap["count"])
 	}
 	s.Step(map[string]bv.XBV{"reset": bv.KU(1, 0), "enable": bv.KU(1, 1)})
-	s.Restore(snap)
+	for name, v := range snap {
+		s.SetState(name, v)
+	}
 	if s.State("count").Val.Uint64() != 1 {
 		t.Fatal("restore failed")
+	}
+}
+
+func TestSetStateRejectsNonRegister(t *testing.T) {
+	sys := elaborate(t, goodCounter)
+	s := NewCycleSim(sys, Zero, 0)
+	for _, tc := range []struct {
+		name string
+		v    bv.XBV
+	}{
+		{"enable", bv.KU(1, 1)}, // an input: would shadow it
+		{"nosuch", bv.KU(1, 1)},
+		{"count", bv.KU(3, 1)}, // a register at the wrong width
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetState(%q, %v) did not panic", tc.name, tc.v)
+				}
+			}()
+			s.SetState(tc.name, tc.v)
+		}()
 	}
 }
 

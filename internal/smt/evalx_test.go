@@ -119,3 +119,43 @@ func TestEvalXIteMerge(t *testing.T) {
 		t.Fatalf("merge val = %v", got.Val)
 	}
 }
+
+// TestShiftMasksMatchBitLoop pins the word-at-a-time shift-fill masks to
+// their bit-loop definition: the low 64 bits of the amount, capped at
+// the width, and nothing for an amount whose low word is 2^63 or more
+// (it converts to a negative count).
+func TestShiftMasksMatchBitLoop(t *testing.T) {
+	loop := func(width int, amt bv.BV, high bool) bv.BV {
+		n := int(amt.Uint64())
+		if n > width {
+			n = width
+		}
+		m := bv.Zero(width)
+		for i := 0; i < n; i++ {
+			if high {
+				m = m.WithBit(width-1-i, true)
+			} else {
+				m = m.WithBit(i, true)
+			}
+		}
+		return m
+	}
+	for w := 0; w <= 300; w++ {
+		var amts []bv.BV
+		aw := max(w, 65)
+		for a := 0; a <= w+1; a++ {
+			amts = append(amts, bv.New(aw, uint64(a)))
+		}
+		amts = append(amts,
+			bv.New(aw, 1<<63), bv.New(aw, 1<<63+uint64(w)), bv.Ones(aw), // negative counts
+			bv.FromWords(aw, []uint64{2, 1})) // only the low word counts
+		for _, amt := range amts {
+			if got, want := lowKnown(w, amt), loop(w, amt, false); !got.Eq(want) {
+				t.Fatalf("lowKnown(%d, %v) = %v, want %v", w, amt, got, want)
+			}
+			if got, want := highKnown(w, amt), loop(w, amt, true); !got.Eq(want) {
+				t.Fatalf("highKnown(%d, %v) = %v, want %v", w, amt, got, want)
+			}
+		}
+	}
+}
