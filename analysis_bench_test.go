@@ -153,14 +153,22 @@ func TestLocalizationPrunesSites(t *testing.T) {
 			}
 
 			// Compare instrumentation-site counts per template. Pruning may
-			// never add sites, and must remove some on these designs.
+			// never add sites, and must remove some on these designs. A
+			// skipped attempt never instrumented (a sibling's repair
+			// cancelled it first under a multi-worker portfolio), so its
+			// zero site count is not a measurement on either side.
 			full := map[string]int{}
 			for _, pt := range noloc.PerTemplate {
-				full[pt.Template] = pt.Sites
+				if pt.State != core.AttemptSkipped {
+					full[pt.Template] = pt.Sites
+				}
 			}
 			for _, pt := range loc.PerTemplate {
 				if !pt.Localized {
 					continue // unpruned retry pass
+				}
+				if pt.State == core.AttemptSkipped {
+					continue
 				}
 				fullSites, ok := full[pt.Template]
 				if !ok {

@@ -8,11 +8,11 @@
 //
 // Checks:
 //
-//   - obs-span-leak: every observability span opened with
-//     Tracer.Start/StartKeyed or Scope.Start/StartKeyed and bound to a
-//     local variable must have a matching <var>.End() call (directly,
-//     deferred, or inside a function literal) in the same function. A
-//     span without End never flushes and skews every ancestor's
+//   - obs-span-leak: every observability span opened with Scope.Start
+//     and bound to a local variable must have a matching <var>.End(...)
+//     call (directly, deferred, or inside a function literal) in the
+//     same function. A span without End never emits its span_end event,
+//     stays in the live span table forever, and skews every ancestor's
 //     self-time. Spans stored into struct fields are exempt — their
 //     lifecycle crosses function boundaries by design.
 //
@@ -108,16 +108,26 @@ func main() {
 // lintFile runs every check over one parsed file.
 func lintFile(fset *token.FileSet, path string, f *ast.File) []string {
 	var out []string
-	out = append(out, checkSpanLeaks(fset, f)...)
-	out = append(out, checkRecorderLeaks(fset, f)...)
+	out = append(out, checkPairing(fset, f)...)
 	if strings.Contains(filepath.ToSlash(path), "internal/smt/") && !strings.HasSuffix(path, "_test.go") {
 		out = append(out, checkFrozenCtxWrites(fset, f)...)
 	}
 	return out
 }
 
-// checkSpanLeaks enforces Start/End pairing per function.
-func checkSpanLeaks(fset *token.FileSet, f *ast.File) []string {
+// pairedOpeners maps each open-resource constructor to the method that
+// must release it in the same function and the rule a leak reports.
+var pairedOpeners = map[string]struct{ closer, rule string }{
+	"Start":          {"End", "obs-span-leak"},
+	"BeginSpan":      {"End", "rec-begin-leak"},
+	"RegisterSolver": {"Close", "rec-begin-leak"},
+}
+
+// checkPairing enforces Scope.Start/End, BeginSpan/End and
+// RegisterSolver/Close pairing per function. The closing call may take
+// arguments (End accepts trailing attrs); an opener without arguments
+// (exec.Cmd.Start) is not an observability resource.
+func checkPairing(fset *token.FileSet, f *ast.File) []string {
 	var out []string
 	for _, decl := range f.Decls {
 		fn, ok := decl.(*ast.FuncDecl)
@@ -125,10 +135,10 @@ func checkSpanLeaks(fset *token.FileSet, f *ast.File) []string {
 			continue
 		}
 		type opened struct {
-			name string
-			pos  token.Pos
+			name, closer, rule string
+			pos                token.Pos
 		}
-		var spans []opened
+		var open []opened
 		ast.Inspect(fn.Body, func(n ast.Node) bool {
 			as, ok := n.(*ast.AssignStmt)
 			if !ok || len(as.Rhs) != 1 || len(as.Lhs) != 1 {
@@ -143,82 +153,11 @@ func checkSpanLeaks(fset *token.FileSet, f *ast.File) []string {
 				return true
 			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || (sel.Sel.Name != "Start" && sel.Sel.Name != "StartKeyed") {
-				return true
-			}
-			spans = append(spans, opened{id.Name, as.Pos()})
-			return true
-		})
-		if len(spans) == 0 {
-			continue
-		}
-		ended := map[string]bool{}
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) != 0 {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != "End" {
-				return true
-			}
-			if id, ok := sel.X.(*ast.Ident); ok {
-				ended[id.Name] = true
-			}
-			return true
-		})
-		for _, sp := range spans {
-			if !ended[sp.name] {
-				out = append(out, fmt.Sprintf("%s: obs-span-leak: span %q opened here has no %s.End() in this function",
-					fset.Position(sp.pos), sp.name, sp.name))
-			}
-		}
-	}
-	return out
-}
-
-// recorderOpeners maps the recorder's open-resource constructors to the
-// method that must release them in the same function.
-var recorderOpeners = map[string]string{
-	"BeginSpan":      "End",
-	"RegisterSolver": "Close",
-}
-
-// checkRecorderLeaks enforces BeginSpan/End and RegisterSolver/Close
-// pairing per function. Unlike obs-span-leak, the closing call may take
-// arguments (Handle.End accepts trailing attrs).
-func checkRecorderLeaks(fset *token.FileSet, f *ast.File) []string {
-	var out []string
-	for _, decl := range f.Decls {
-		fn, ok := decl.(*ast.FuncDecl)
-		if !ok || fn.Body == nil {
-			continue
-		}
-		type opened struct {
-			name   string
-			closer string
-			pos    token.Pos
-		}
-		var open []opened
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Rhs) != 1 || len(as.Lhs) != 1 {
-				return true
-			}
-			id, ok := as.Lhs[0].(*ast.Ident)
-			if !ok || id.Name == "_" {
-				return true // field/index targets cross function boundaries
-			}
-			call, ok := as.Rhs[0].(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if closer, ok := recorderOpeners[sel.Sel.Name]; ok {
-				open = append(open, opened{id.Name, closer, as.Pos()})
+			if p, ok := pairedOpeners[sel.Sel.Name]; ok {
+				open = append(open, opened{id.Name, p.closer, p.rule, as.Pos()})
 			}
 			return true
 		})
@@ -242,8 +181,8 @@ func checkRecorderLeaks(fset *token.FileSet, f *ast.File) []string {
 		})
 		for _, o := range open {
 			if !closed[o.name+"."+o.closer] {
-				out = append(out, fmt.Sprintf("%s: rec-begin-leak: %q opened here has no %s.%s(...) in this function",
-					fset.Position(o.pos), o.name, o.name, o.closer))
+				out = append(out, fmt.Sprintf("%s: %s: %q opened here has no %s.%s(...) in this function",
+					fset.Position(o.pos), o.rule, o.name, o.name, o.closer))
 			}
 		}
 	}

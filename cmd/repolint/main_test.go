@@ -21,8 +21,8 @@ func TestSpanLeakDetected(t *testing.T) {
 	got := lintSrc(t, "a/b.go", `
 package x
 func leaky(sc Scope) {
-	span := sc.Tracer.Start(sc.Span, "work")
-	span.SetInt("n", 1)
+	span := sc.Start("work")
+	span.Event("progress", "n")
 }`)
 	if len(got) != 1 || !strings.Contains(got[0], "obs-span-leak") {
 		t.Fatalf("got %v, want one obs-span-leak finding", got)
@@ -33,17 +33,17 @@ func TestSpanPairedVariants(t *testing.T) {
 	got := lintSrc(t, "a/b.go", `
 package x
 func ok(sc Scope) {
-	a := sc.Tracer.Start(sc.Span, "direct")
+	a := sc.Start("direct")
 	a.End()
-	b := sc.Tracer.Start(sc.Span, "deferred")
+	b := sc.Start("deferred")
 	defer b.End()
 	c := sc.Start("scoped")
 	defer func() { c.End() }()
-	if d := sc.Tracer.Start(sc.Span, "cond"); d != nil {
+	if d := sc.Start("cond"); d.Rec != nil {
 		defer d.End()
 	}
-	e := sc.Tracer.StartKeyed(sc.Span, "keyed", "k")
-	e.End()
+	e := sc.Start("attrs")
+	e.End(obs.Int("n", 1))
 }`)
 	if len(got) != 0 {
 		t.Fatalf("false positives: %v", got)

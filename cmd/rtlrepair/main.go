@@ -121,10 +121,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "  total certify: %d models validated, %d unsat proofs checked in %s\n",
 				ct.ModelsValidated, ct.UnsatsCertified, ct.CheckTime.Round(time.Millisecond))
 		}
-		if ocli.Tracer != nil {
-			fmt.Fprintln(os.Stderr, "  --- phase summary ---")
-			ocli.Tracer.WriteSummary(os.Stderr)
+		fmt.Fprintln(os.Stderr, "  --- phase summary ---")
+		if n := ocli.Rec.Dropped(); n > 0 {
+			fmt.Fprintf(os.Stderr, "  (the flight-recorder ring wrapped: %d early events are missing; -trace-out keeps them all)\n", n)
 		}
+		obs.WriteSummary(os.Stderr, ocli.Rec.Events())
 	}
 	switch res.Status {
 	case core.StatusRepaired, core.StatusPreprocessed:

@@ -1,20 +1,22 @@
 // Command tracediff attributes performance movement between two repair
-// runs. It reads two scrubbed artifacts — BENCH_repair.json snapshots,
-// JSONL span journals (-trace-out), or flight-recorder ring dumps
-// (GET /debugz/ring) — and reports wall-clock, CNF, and solver-conflict
-// deltas broken down by (design, phase, domain), with a configurable
-// noise floor so CI regressions point at the phase that moved instead
-// of a bare total.
+// runs. It reads two flight-recorder ring dumps — rtlrepair/evaluate
+// -trace-out files or GET /debugz/ring captures — and reports
+// wall-clock, CNF, and solver-conflict deltas broken down by design and
+// phase, with a configurable noise floor so CI regressions point at the
+// phase that moved instead of a bare total.
 //
-//	tracediff testdata/tracediff/BENCH_repair_base.json BENCH_repair.json
+//	rtlrepair -design buggy.v -trace tb.csv -trace-out head.jsonl
 //	tracediff -floor-ms 0.5 -floor-pct 2 base.jsonl head.jsonl
 //	curl -s node:8081/debugz/ring > head_ring.jsonl && tracediff base_ring.jsonl head_ring.jsonl
 //
-// Ring dumps aggregate span_end events into per-design wall time and
-// heartbeat events into per-solver conflict totals. Scopes are the
-// recorder's hierarchical labels (job-id/design/pN:template/wS-E); the
-// 16-hex job-id component is stripped so two runs of the same design
-// line up even though every job gets a fresh id.
+// span_end events aggregate into per-design phase wall time, and the
+// repair span's status attr into the design's verdict; sat.solve
+// span_end events also carry the solver's CNF size, whose peaks per
+// solver scope sum into the design's CNF; heartbeat events give
+// per-solver conflict totals. Scopes are the recorder's hierarchical labels
+// (job-id/design/pN:template/wS-E); the 16-hex job-id component is
+// stripped so two runs of the same design line up even though every
+// job gets a fresh id.
 //
 // Deltas are head-minus-base. A wall delta is reported when it clears
 // both -floor-ms and -floor-pct (new/removed phases always report); a
@@ -38,7 +40,7 @@ import (
 	"strings"
 )
 
-// cnfStats is one CNF size measurement (overall or per ablated domain).
+// cnfStats is one CNF size measurement.
 type cnfStats struct {
 	Vars    int64
 	Clauses int64
@@ -46,143 +48,18 @@ type cnfStats struct {
 
 // designStats is everything tracediff attributes for one design.
 type designStats struct {
-	status    string
+	status    string             // the repair span's verdict
 	wallMS    map[string]float64 // phase → total milliseconds
 	cnf       map[string]cnfStats
-	conflicts map[string]float64 // solver scope remainder → total conflicts (ring dumps)
+	conflicts map[string]float64 // solver scope remainder → total conflicts
 }
 
-// snapshot is one parsed artifact.
-type snapshot struct {
-	kind    string // "bench" | "journal"
-	designs map[string]*designStats
-}
+// snapshot is one parsed ring dump, by design.
+type snapshot map[string]*designStats
 
-// benchFile mirrors the BENCH_repair.json fields tracediff consumes;
-// unknown fields are ignored so the tool tolerates schema growth.
-type benchFile struct {
-	Designs []struct {
-		Name         string             `json:"name"`
-		Status       string             `json:"status"`
-		SequentialMS float64            `json:"sequential_ms"`
-		ParallelMS   float64            `json:"parallel_ms"`
-		CNFVars      int64              `json:"cnf_vars"`
-		CNFClauses   int64              `json:"cnf_clauses"`
-		PhaseMS      map[string]float64 `json:"phase_ms"`
-		DomainCNF    map[string]struct {
-			Vars    int64 `json:"vars"`
-			Clauses int64 `json:"clauses"`
-		} `json:"domain_cnf"`
-	} `json:"designs"`
-}
-
-func parseBench(data []byte) (*snapshot, error) {
-	var bf benchFile
-	if err := json.Unmarshal(data, &bf); err != nil {
-		return nil, err
-	}
-	if len(bf.Designs) == 0 {
-		return nil, fmt.Errorf("no designs")
-	}
-	snap := &snapshot{kind: "bench", designs: map[string]*designStats{}}
-	for _, d := range bf.Designs {
-		ds := &designStats{status: d.Status, wallMS: map[string]float64{}, cnf: map[string]cnfStats{}}
-		for phase, ms := range d.PhaseMS {
-			ds.wallMS[phase] = ms
-		}
-		ds.wallMS["sequential"] = d.SequentialMS
-		ds.wallMS["parallel"] = d.ParallelMS
-		if d.CNFVars > 0 {
-			ds.cnf["overall"] = cnfStats{Vars: d.CNFVars, Clauses: d.CNFClauses}
-		}
-		for dom, c := range d.DomainCNF {
-			ds.cnf[dom] = cnfStats{Vars: c.Vars, Clauses: c.Clauses}
-		}
-		snap.designs[d.Name] = ds
-	}
-	return snap, nil
-}
-
-// journal line shapes (internal/obs WriteJSONL).
-type journalHeader struct {
-	Type    string `json:"type"`
-	Version int    `json:"version"`
-}
-
-type journalSpan struct {
-	Type  string         `json:"type"`
-	Name  string         `json:"name"`
-	Path  string         `json:"path"`
-	DurUS int64          `json:"dur_us"`
-	Attrs map[string]any `json:"attrs"`
-}
-
-// parseJournal aggregates a span journal by (design, phase): each
-// "repair" root names a design (its design attr), every span under it
-// adds its duration to that design's phase bucket. Spans outside any
-// repair root land under design "(none)".
-func parseJournal(data []byte) (*snapshot, error) {
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("empty journal")
-	}
-	var hdr journalHeader
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil || hdr.Type != "trace" {
-		return nil, fmt.Errorf("not a trace journal header: %s", sc.Text())
-	}
-	var spans []journalSpan
-	for sc.Scan() {
-		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-			continue
-		}
-		var sp journalSpan
-		if err := json.Unmarshal(sc.Bytes(), &sp); err != nil {
-			return nil, fmt.Errorf("journal line: %v", err)
-		}
-		if sp.Type == "span" {
-			spans = append(spans, sp)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	// Root "repair" spans carry the design name; longest-prefix match
-	// assigns every span to its enclosing repair.
-	roots := map[string]string{} // repair span path → design
-	for _, sp := range spans {
-		if sp.Name != "repair" {
-			continue
-		}
-		design := "(unnamed)"
-		if v, ok := sp.Attrs["design"].(string); ok && v != "" {
-			design = v
-		}
-		roots[sp.Path] = design
-	}
-	designFor := func(path string) string {
-		best, name := -1, "(none)"
-		for rp, d := range roots {
-			if (path == rp || strings.HasPrefix(path, rp+"/")) && len(rp) > best {
-				best, name = len(rp), d
-			}
-		}
-		return name
-	}
-	snap := &snapshot{kind: "journal", designs: map[string]*designStats{}}
-	for _, sp := range spans {
-		design := designFor(sp.Path)
-		ds := snap.designs[design]
-		if ds == nil {
-			ds = &designStats{wallMS: map[string]float64{}, cnf: map[string]cnfStats{}}
-			snap.designs[design] = ds
-		}
-		ds.wallMS[sp.Name] += float64(sp.DurUS) / 1000
-	}
-	if len(snap.designs) == 0 {
-		return nil, fmt.Errorf("journal has no spans")
-	}
-	return snap, nil
+// ringHeader is the first line of a ring dump.
+type ringHeader struct {
+	Type string `json:"type"`
 }
 
 // ringEvent mirrors one event line of a /debugz/ring dump
@@ -222,26 +99,27 @@ func numAttr(attrs map[string]any, key string) (float64, bool) {
 }
 
 // parseRing aggregates a flight-recorder ring dump: span_end events add
-// their duration to the enclosing design's phase bucket, and heartbeat
-// events contribute solver conflicts. Heartbeat counters are cumulative
-// per solver cell, so only each (scope, worker) peak counts.
-func parseRing(data []byte) (*snapshot, error) {
+// their duration to the enclosing design's phase bucket, sat.solve
+// span_end events contribute CNF size, and heartbeat events solver
+// conflicts. CNF size and heartbeat counters are cumulative per solver,
+// so only each (scope, worker) peak counts.
+func parseRing(data []byte) (snapshot, error) {
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	if !sc.Scan() {
 		return nil, fmt.Errorf("empty ring dump")
 	}
-	var hdr journalHeader
+	var hdr ringHeader
 	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil || hdr.Type != "ring" {
 		return nil, fmt.Errorf("not a ring header: %s", sc.Text())
 	}
-	snap := &snapshot{kind: "ring", designs: map[string]*designStats{}}
+	snap := snapshot{}
 	ensure := func(design string) *designStats {
-		ds := snap.designs[design]
+		ds := snap[design]
 		if ds == nil {
 			ds = &designStats{wallMS: map[string]float64{},
 				cnf: map[string]cnfStats{}, conflicts: map[string]float64{}}
-			snap.designs[design] = ds
+			snap[design] = ds
 		}
 		return ds
 	}
@@ -250,6 +128,7 @@ func parseRing(data []byte) (*snapshot, error) {
 		worker int
 	}
 	peak := map[cell]float64{}
+	cnfPeak := map[cell]cnfStats{}
 	events := 0
 	for sc.Scan() {
 		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
@@ -268,6 +147,17 @@ func parseRing(data []byte) (*snapshot, error) {
 			if us, ok := numAttr(ev.Attrs, "time_dur_us"); ok {
 				design, _ := splitScope(ev.Scope)
 				ensure(design).wallMS[ev.Name] += us / 1000
+			}
+			if st, ok := ev.Attrs["status"].(string); ok && ev.Name == "repair" {
+				design, _ := splitScope(ev.Scope)
+				ensure(design).status = st
+			}
+			if ev.Name == "sat.solve" {
+				vars, _ := numAttr(ev.Attrs, "cnf_vars")
+				clauses, _ := numAttr(ev.Attrs, "cnf_clauses")
+				k := cell{ev.Scope, ev.Worker}
+				p := cnfPeak[k]
+				cnfPeak[k] = cnfStats{max(p.Vars, int64(vars)), max(p.Clauses, int64(clauses))}
 			}
 		case "heartbeat":
 			if c, ok := numAttr(ev.Attrs, "conflicts"); ok {
@@ -288,48 +178,27 @@ func parseRing(data []byte) (*snapshot, error) {
 		}
 		ensure(design).conflicts[rest] += c
 	}
+	for k, c := range cnfPeak {
+		design, _ := splitScope(k.scope)
+		ds := ensure(design)
+		all := ds.cnf["overall"]
+		ds.cnf["overall"] = cnfStats{all.Vars + c.Vars, all.Clauses + c.Clauses}
+	}
 	if events == 0 {
 		return nil, fmt.Errorf("ring dump has no events")
 	}
-	if len(snap.designs) == 0 {
+	if len(snap) == 0 {
 		return nil, fmt.Errorf("ring dump has no attributable events")
 	}
 	return snap, nil
 }
 
-func parseFile(path string) (*snapshot, error) {
+func parseFile(path string) (snapshot, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	trimmed := bytes.TrimSpace(data)
-	if len(trimmed) == 0 {
-		return nil, fmt.Errorf("%s: empty", path)
-	}
-	// A journal is JSONL whose first line is a trace header; a bench
-	// snapshot is one indented JSON document.
-	first := trimmed
-	if i := bytes.IndexByte(trimmed, '\n'); i >= 0 {
-		first = trimmed[:i]
-	}
-	var hdr journalHeader
-	if json.Unmarshal(first, &hdr) == nil {
-		switch hdr.Type {
-		case "trace":
-			snap, err := parseJournal(trimmed)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %v", path, err)
-			}
-			return snap, nil
-		case "ring":
-			snap, err := parseRing(trimmed)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %v", path, err)
-			}
-			return snap, nil
-		}
-	}
-	snap, err := parseBench(trimmed)
+	snap, err := parseRing(bytes.TrimSpace(data))
 	if err != nil {
 		return nil, fmt.Errorf("%s: %v", path, err)
 	}
@@ -389,15 +258,14 @@ func run(w io.Writer, basePath, headPath string, floorMS, floorPct float64) erro
 	}
 	// Base names only: the report must not depend on where the tool was
 	// invoked from (the golden test runs from a different directory).
-	fmt.Fprintf(w, "tracediff: %s (%s) -> %s (%s)\n",
-		filepath.Base(basePath), base.kind, filepath.Base(headPath), head.kind)
+	fmt.Fprintf(w, "tracediff: %s -> %s\n", filepath.Base(basePath), filepath.Base(headPath))
 	fmt.Fprintf(w, "noise floor: %.2fms and %.1f%% (wall), %.1f%% (cnf)\n", floorMS, floorPct, floorPct)
 
 	names := map[string]bool{}
-	for n := range base.designs {
+	for n := range base {
 		names[n] = true
 	}
-	for n := range head.designs {
+	for n := range head {
 		names[n] = true
 	}
 
@@ -405,7 +273,7 @@ func run(w io.Writer, basePath, headPath string, floorMS, floorPct float64) erro
 	suppressed := 0
 	var wallTotal float64
 	for _, name := range sortedKeys(names) {
-		b, h := base.designs[name], head.designs[name]
+		b, h := base[name], head[name]
 		if b == nil {
 			fmt.Fprintf(w, "design %s: only in head\n", name)
 			continue

@@ -9,19 +9,26 @@ import (
 )
 
 const (
-	baseSnapshot = "../../testdata/tracediff/BENCH_repair_base.json"
-	headSnapshot = "../../BENCH_repair.json"
-	goldenReport = "../../testdata/tracediff/report.golden"
+	baseTrace    = "../../testdata/tracediff/trace_base.jsonl"
+	headTrace    = "../../testdata/tracediff/trace_head.jsonl"
+	goldenReport = "../../testdata/tracediff/trace_report.golden"
 )
 
-// TestDiffGolden pins the attribution report over the two committed
-// BENCH_repair.json snapshots byte-for-byte. Regenerate with:
+// TestDiffGolden pins the attribution report over two committed
+// -trace-out dumps of the smoke design byte-for-byte. The base run has
+// the abstract-interpretation simplifier off, so the report attributes
+// CNF deltas (from the sat.solve span attrs) next to the per-phase wall
+// deltas. Regenerate with:
 //
-//	go run ./cmd/tracediff -out testdata/tracediff/report.golden \
-//	    testdata/tracediff/BENCH_repair_base.json BENCH_repair.json
+//	rtlrepair -design testdata/smoke/counter_buggy.v -trace testdata/smoke/counter_tb.csv \
+//	    -workers 1 -no-absint -trace-out testdata/tracediff/trace_base.jsonl -out /dev/null
+//	rtlrepair -design testdata/smoke/counter_buggy.v -trace testdata/smoke/counter_tb.csv \
+//	    -workers 1 -trace-out testdata/tracediff/trace_head.jsonl -out /dev/null
+//	go run ./cmd/tracediff -out testdata/tracediff/trace_report.golden \
+//	    testdata/tracediff/trace_base.jsonl testdata/tracediff/trace_head.jsonl
 func TestDiffGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, baseSnapshot, headSnapshot, 1.0, 5.0); err != nil {
+	if err := run(&buf, baseTrace, headTrace, 1.0, 5.0); err != nil {
 		t.Fatal(err)
 	}
 	want, err := os.ReadFile(goldenReport)
@@ -32,11 +39,16 @@ func TestDiffGolden(t *testing.T) {
 		t.Fatalf("report drifted from golden.\n--- got ---\n%s\n--- want ---\n%s",
 			buf.String(), want)
 	}
+	for _, dim := range []string{"cnf-vars    overall", "cnf-clauses overall"} {
+		if !strings.Contains(buf.String(), dim) {
+			t.Fatalf("report lost the %s delta:\n%s", dim, buf.String())
+		}
+	}
 	// The report must be stable across repeated runs (map iteration must
 	// never leak into the output order).
 	for i := 0; i < 5; i++ {
 		var again bytes.Buffer
-		if err := run(&again, baseSnapshot, headSnapshot, 1.0, 5.0); err != nil {
+		if err := run(&again, baseTrace, headTrace, 1.0, 5.0); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf.Bytes(), again.Bytes()) {
@@ -48,7 +60,7 @@ func TestDiffGolden(t *testing.T) {
 // TestSelfDiffZero: an artifact diffed against itself attributes
 // nothing — the invariant CI checks on every run.
 func TestSelfDiffZero(t *testing.T) {
-	for _, path := range []string{baseSnapshot, headSnapshot} {
+	for _, path := range []string{baseTrace, headTrace} {
 		var buf bytes.Buffer
 		if err := run(&buf, path, path, 1.0, 5.0); err != nil {
 			t.Fatal(err)
@@ -67,65 +79,17 @@ func TestSelfDiffZero(t *testing.T) {
 // wall delta; dropping them to zero reports strictly more.
 func TestFloorSuppression(t *testing.T) {
 	var high, low bytes.Buffer
-	if err := run(&high, baseSnapshot, headSnapshot, 1e9, 1e9); err != nil {
+	if err := run(&high, baseTrace, headTrace, 1e9, 1e9); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(high.String(), " wall  ") {
 		t.Fatalf("wall deltas survived an enormous floor:\n%s", high.String())
 	}
-	if err := run(&low, baseSnapshot, headSnapshot, 0, 0); err != nil {
+	if err := run(&low, baseTrace, headTrace, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if len(strings.Split(low.String(), "\n")) <= len(strings.Split(high.String(), "\n")) {
 		t.Fatal("zero floor reported no more than the enormous floor")
-	}
-}
-
-const baseJournal = `{"type":"trace","version":1,"spans":3}
-{"type":"span","id":1,"parent":0,"name":"repair","path":"/repair#0000","dur_us":10000,"attrs":{"design":"fsm_w1"}}
-{"type":"span","id":2,"parent":1,"name":"window","path":"/repair#0000/window#0000","dur_us":8000}
-{"type":"span","id":3,"parent":1,"name":"validate","path":"/repair#0000/validate#0000","dur_us":1000}
-`
-
-const headJournal = `{"type":"trace","version":1,"spans":3}
-{"type":"span","id":1,"parent":0,"name":"repair","path":"/repair#0000","dur_us":20000,"attrs":{"design":"fsm_w1"}}
-{"type":"span","id":2,"parent":1,"name":"window","path":"/repair#0000/window#0000","dur_us":17500}
-{"type":"span","id":3,"parent":1,"name":"validate","path":"/repair#0000/validate#0000","dur_us":1050}
-`
-
-// TestJournalDiff: JSONL span journals aggregate by (design, phase) and
-// diff with the same floor semantics as bench snapshots.
-func TestJournalDiff(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "base.jsonl")
-	head := filepath.Join(dir, "head.jsonl")
-	if err := os.WriteFile(base, []byte(baseJournal), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(head, []byte(headJournal), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := run(&buf, base, head, 1.0, 5.0); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"fsm_w1       wall  repair",
-		"fsm_w1       wall  window",
-		"+10.000 (+100.0%)",
-		"+9.500 (+118.8%)",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("journal diff missing %q:\n%s", want, out)
-		}
-	}
-	// validate moved 0.05ms (+5%) — below the 1ms floor, so suppressed.
-	if strings.Contains(out, "wall  validate") {
-		t.Fatalf("sub-floor validate delta reported:\n%s", out)
-	}
-	if !strings.Contains(out, "1 below floor") {
-		t.Fatalf("suppression count missing:\n%s", out)
 	}
 }
 
@@ -154,7 +118,7 @@ func TestRingDiffGolden(t *testing.T) {
 		t.Fatalf("ring report drifted from golden.\n--- got ---\n%s\n--- want ---\n%s",
 			buf.String(), want)
 	}
-	// Self-diff of a ring dump attributes nothing, like the other formats.
+	// Self-diff of a ring dump attributes nothing.
 	var self bytes.Buffer
 	if err := run(&self, baseRing, baseRing, 1.0, 5.0); err != nil {
 		t.Fatal(err)
@@ -222,17 +186,18 @@ func TestRingConflictsDiff(t *testing.T) {
 func TestParseErrors(t *testing.T) {
 	dir := t.TempDir()
 	for name, content := range map[string]string{
-		"empty.json":   "",
-		"garbage.json": "not json at all",
-		"nodesign":     `{"designs":[]}`,
-		"badline":      "{\"type\":\"trace\",\"version\":1}\nnot json\n",
+		"empty.jsonl":   "",
+		"garbage.jsonl": "not json at all",
+		"not a ring":    `{"designs":[]}`,
+		"no events":     "{\"type\":\"ring\",\"version\":1,\"events\":0}\n",
+		"badline":       "{\"type\":\"ring\",\"version\":1}\nnot json\n",
 	} {
 		path := filepath.Join(dir, name)
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := run(&buf, path, headSnapshot, 1, 5); err == nil {
+		if err := run(&buf, path, headTrace, 1, 5); err == nil {
 			t.Errorf("%s: parsed without error", name)
 		}
 	}

@@ -9,18 +9,18 @@ import (
 	"rtlrepair/internal/obs"
 )
 
-// TestPortfolioTracingRace runs a 4-worker portfolio repair with tracing
-// and metrics fully enabled. Its job is to put concurrent span starts,
-// attribute writes and registry updates from the worker goroutines in
-// front of the race detector (the CI race job matches TestPortfolio*),
-// and to check the resulting trace still validates and the registry saw
-// the portfolio counters.
+// TestPortfolioTracingRace runs a 4-worker portfolio repair with a
+// private flight recorder and metrics enabled. Its job is to put
+// concurrent span begin/end, attribute lists and registry updates from
+// the worker goroutines in front of the race detector (the CI race job
+// matches TestPortfolio*), and to check the resulting stream still
+// validates and the registry saw the portfolio counters.
 func TestPortfolioTracingRace(t *testing.T) {
 	ins, outs := counterIO()
 	tr := recordGolden(t, goodCounter, ins, outs, counterRows())
-	tracer := obs.New()
+	rec := obs.NewRecorder(0)
 	reg := obs.NewRegistry()
-	ctx := obs.NewContext(context.Background(), obs.Scope{Tracer: tracer, Metrics: reg})
+	ctx := obs.NewContext(context.Background(), obs.Scope{Rec: rec, Metrics: reg})
 
 	opts := repairOpts()
 	opts.Workers = 4
@@ -33,11 +33,11 @@ func TestPortfolioTracingRace(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := tracer.WriteJSONL(&buf); err != nil {
+	if err := rec.WriteRingJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.ValidateJSONL(buf.Bytes()); err != nil {
-		t.Fatalf("trace from 4-worker run does not validate: %v\n%s", err, buf.String())
+	if err := obs.ValidateRingJSONL(buf.Bytes()); err != nil {
+		t.Fatalf("stream from 4-worker run does not validate: %v\n%s", err, buf.String())
 	}
 	if got := reg.Counter("portfolio.attempts"); got == 0 {
 		t.Fatal("portfolio.attempts counter not recorded")

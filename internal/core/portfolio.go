@@ -122,11 +122,11 @@ func runPortfolio(ctx context.Context, res *Result, fe *Frontend,
 		workers = len(p.attempts)
 	}
 	p.obs = sc.Start("portfolio")
-	if sp := p.obs.Span; sp != nil {
-		sp.SetInt("workers", int64(workers))
-		sp.SetInt("attempts", int64(len(p.attempts)))
-	}
-	defer p.obs.End()
+	var steals int64
+	defer func() {
+		p.obs.End(obs.Int("workers", int64(workers)), obs.Int("attempts", int64(len(p.attempts))),
+			obs.Int("steals", steals))
+	}()
 
 	// Mirror context cancellation onto every attempt's stop flag: the
 	// SAT loops poll the flags, so cancellation is immediate rather than
@@ -146,7 +146,6 @@ func runPortfolio(ctx context.Context, res *Result, fe *Frontend,
 	}
 
 	wallStart := time.Now()
-	var steals int64
 	if workers <= 1 {
 		// Sequential engine: attempts run in declaration order on this
 		// goroutine. Cancellation still applies — an acceptable repair
@@ -192,7 +191,7 @@ func runPortfolio(ctx context.Context, res *Result, fe *Frontend,
 	// Scheduler health metrics: steals, the shared-prefix cache's work,
 	// and worker utilization (busy attempt time over workers × wall).
 	// These land in the run's metrics registry, so serve-mode exposes
-	// them on /metricsz without any tracing enabled.
+	// them on /metricsz.
 	p.obs.Metrics.Add("portfolio.steals", steals)
 	sim, hits := p.prefix.Counters()
 	p.obs.Metrics.Add("portfolio.prefix.cycles", sim)
@@ -200,9 +199,6 @@ func runPortfolio(ctx context.Context, res *Result, fe *Frontend,
 	if wall > 0 && workers > 0 {
 		util := 100 * float64(busy) / (float64(wall) * float64(workers))
 		p.obs.Metrics.SetGauge("portfolio.utilization_pct", util)
-	}
-	if sp := p.obs.Span; sp != nil {
-		sp.SetInt("steals", steals)
 	}
 
 	// Deterministic selection, mirroring the sequential engine: within a
@@ -273,26 +269,19 @@ func (p *portfolio) runAttempt(at *attempt, worker int, stolen bool) {
 	at.tres = TemplateResult{Template: at.tmpl.Name(), Localized: at.loc != nil,
 		Worker: worker, Stolen: stolen, State: AttemptRan}
 	start := time.Now()
-	// The attempt span is keyed by (pass, template) — stable across
+	// The attempt scope is labelled by (pass, template) — stable across
 	// worker counts and scheduling — and carries the worker lane. Worker
 	// busy time accumulates on a per-worker counter so the registry shows
-	// the portfolio's load balance without any tracing enabled.
+	// the portfolio's load balance.
 	key := fmt.Sprintf("p%d:%s", at.pass, at.tmpl.Name())
 	psc := p.obs.WithLabel(key)
 	psc.Worker = worker
-	asc := psc.StartKeyed("attempt", key)
-	asc.Span.SetWorker(worker)
+	asc := psc.Start("attempt")
 	defer func() {
 		at.tres.Duration = time.Since(start)
-		if sp := asc.Span; sp != nil {
-			sp.SetStr("template", at.tmpl.Name())
-			sp.SetInt("pass", int64(at.pass))
-			sp.SetInt("sites", int64(at.tres.Sites))
-			sp.SetBool("found", at.tres.Found)
-			sp.SetBool("cancelled", at.tres.Cancelled)
-			sp.SetStr("state", at.tres.State)
-		}
-		asc.End()
+		asc.End(obs.Str("template", at.tmpl.Name()), obs.Int("pass", int64(at.pass)),
+			obs.Int("sites", int64(at.tres.Sites)), obs.Bool("found", at.tres.Found),
+			obs.Bool("cancelled", at.tres.Cancelled), obs.Str("state", at.tres.State))
 		p.obs.Metrics.Add(fmt.Sprintf("portfolio.worker.%d.busy_us", worker),
 			at.tres.Duration.Microseconds())
 		p.obs.Metrics.Add("portfolio.attempts", 1)
@@ -321,12 +310,9 @@ func (p *portfolio) runAttempt(at *attempt, worker int, stolen bool) {
 	counter := 0
 	vars := NewVarTable(&counter)
 	env := &Env{Info: p.fe.Info, Lib: p.opts.Lib, Frozen: p.opts.frozenSet(), Loc: at.loc}
-	ispan := asc.Tracer.Start(asc.Span, "instrument")
+	ispan := asc.Start("instrument")
 	instr, err := at.tmpl.Instrument(p.fe.Fixed, env, vars)
-	if ispan != nil {
-		ispan.SetInt("sites", int64(len(vars.Phis)))
-		ispan.End()
-	}
+	ispan.End(obs.Int("sites", int64(len(vars.Phis))))
 	if err != nil {
 		at.tres.Err = err
 		return
@@ -335,7 +321,7 @@ func (p *portfolio) runAttempt(at *attempt, worker int, stolen bool) {
 	if vars.Empty() {
 		return
 	}
-	espan := asc.Tracer.Start(asc.Span, "elaborate")
+	espan := asc.Start("elaborate")
 	isys, _, err := synth.Elaborate(ctx, instr, synth.Options{Lib: p.opts.Lib})
 	espan.End()
 	if err != nil {

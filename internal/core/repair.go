@@ -266,13 +266,10 @@ func newFrontend(sc obs.Scope, m *verilog.Module, lib map[string]*verilog.Module
 
 	// 1. Static-analysis preprocessing (§4.1).
 	if !noPreprocess {
-		span := sc.Tracer.Start(sc.Span, "preprocess")
+		span := sc.Start("preprocess")
 		var err error
 		fe.Fixed, fe.Fixes, fe.Diagnostics, err = lint.PreprocessWithReport(m, lib)
-		if span != nil {
-			span.SetInt("fixes", int64(len(fe.Fixes)))
-			span.End()
-		}
+		span.End(obs.Int("fixes", int64(len(fe.Fixes))))
 		if err != nil {
 			fe.Reason = "preprocessing failed: " + err.Error()
 			return fe
@@ -283,14 +280,12 @@ func newFrontend(sc obs.Scope, m *verilog.Module, lib map[string]*verilog.Module
 	// authority on synthesizability; the analysis report only explains
 	// the failure in more detail (it sees all problems at once where
 	// elaboration stops at the first).
-	span := sc.Tracer.Start(sc.Span, "elaborate")
+	span := sc.Start("elaborate")
 	sctx := smt.NewContext()
 	sys, info, err := synth.Elaborate(sctx, fe.Fixed, synth.Options{Lib: lib})
-	if span != nil {
-		if err == nil {
-			span.SetInt("states", int64(len(sys.States)))
-			span.SetInt("outputs", int64(len(sys.Outputs)))
-		}
+	if err == nil {
+		span.End(obs.Int("states", int64(len(sys.States))), obs.Int("outputs", int64(len(sys.Outputs))))
+	} else {
 		span.End()
 	}
 	if err != nil {
@@ -389,10 +384,10 @@ func watchCancel(ctx context.Context, flag *atomic.Bool) (release func()) {
 // effective deadline is the earlier of ctx's deadline and
 // opts.Timeout. Second, observability (see obs.NewContext): each
 // pipeline phase — preprocess, elaborate, concretize, localize,
-// portfolio — records a span under a per-call "repair" root, and the
-// repair outcome and aggregate solver counters land in the scope's
-// metrics registry. A context without a scope (or
-// context.Background()) runs with observability fully disabled.
+// portfolio — records a span under a per-call "repair" root in the
+// scope's flight recorder, and the repair outcome and aggregate solver
+// counters land in the scope's metrics registry. A context without a
+// recorder (or context.Background()) records into obs.Default().
 func RepairCtx(ctx context.Context, m *verilog.Module, tr *trace.Trace, opts Options) *Result {
 	sc := obs.FromContext(ctx)
 	if sc.Rec == nil {
@@ -418,19 +413,15 @@ func RepairCtx(ctx context.Context, m *verilog.Module, tr *trace.Trace, opts Opt
 	res := &Result{FirstFailure: -1}
 	finish := func() *Result {
 		res.Duration = time.Since(startTime)
-		if sp := sc.Span; sp != nil {
-			sp.SetStr("design", m.Name)
-			sp.SetStr("status", res.Status.String())
-			sp.SetInt("changes", int64(res.Changes))
-			if res.Template != "" {
-				sp.SetStr("template", res.Template)
-			}
+		attrs := []obs.Attr{obs.Str("design", m.Name), obs.Str("status", res.Status.String()),
+			obs.Int("changes", int64(res.Changes))}
+		if res.Template != "" {
+			attrs = append(attrs, obs.Str("template", res.Template))
 		}
-		sc.End()
+		sc.End(attrs...)
 		recordRepairMetrics(sc.Metrics, res)
 		return res
 	}
-	phase := func(name string) *obs.Span { return sc.Tracer.Start(sc.Span, name) }
 
 	// 1+2. Frontend: static-analysis preprocessing (§4.1) plus
 	// elaboration, possibly served from a shared pre-built artifact (the
@@ -453,14 +444,10 @@ func RepairCtx(ctx context.Context, m *verilog.Module, tr *trace.Trace, opts Opt
 	}
 
 	// 3. Concretize unknowns and check the current behaviour.
-	span := phase("concretize")
+	span := sc.Start("concretize")
 	init, ctr := Concretize(sys, tr, opts.Policy, opts.Seed)
 	baseRun := runConcrete(sys, ctr, init)
-	if span != nil {
-		span.SetInt("cycles", int64(ctr.Len()))
-		span.SetInt("first_failure", int64(baseRun.FirstFailure))
-		span.End()
-	}
+	span.End(obs.Int("cycles", int64(ctr.Len())), obs.Int("first_failure", int64(baseRun.FirstFailure)))
 	if baseRun.Passed() {
 		if len(res.Fixes) > 0 {
 			res.Status = StatusPreprocessed
@@ -491,14 +478,12 @@ func RepairCtx(ctx context.Context, m *verilog.Module, tr *trace.Trace, opts Opt
 	// pruned search fails, a second unpruned pass runs, so localization
 	// can shrink the SMT problem but never lose a repair.
 	if !opts.NoLocalize {
-		span = phase("localize")
+		span := sc.Start("localize")
 		res.Localization = analysis.Localize(fixed, opts.Lib,
 			failingOutputs(baseRun, ctr), res.Diagnostics)
-		if span != nil {
-			if res.Localization != nil {
-				span.SetInt("cone", int64(len(res.Localization.Cone)))
-				span.SetInt("flagged", int64(len(res.Localization.Flagged)))
-			}
+		if loc := res.Localization; loc != nil {
+			span.End(obs.Int("cone", int64(len(loc.Cone))), obs.Int("flagged", int64(len(loc.Flagged))))
+		} else {
 			span.End()
 		}
 	}

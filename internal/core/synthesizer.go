@@ -55,7 +55,7 @@ type SynthOptions struct {
 	// to every window solver. The shadow blasts the identical assert
 	// stream but never solves, so its CNF statistics measure the
 	// no-absint encoding size along the exact search path the live run
-	// takes (cmd/benchrepair A/B columns and the corpus never-worse test).
+	// takes (the corpus never-worse test, TestAbsintNeverWorse).
 	ShadowCNF bool
 	// SharedPrefix, when non-nil, serves window start states from a
 	// portfolio-wide snapshot cache instead of this synthesizer's
@@ -73,8 +73,8 @@ type SynthOptions struct {
 	ShareNS string
 	// Obs positions the synthesizer in the observability layer: every
 	// window solve, incremental extension, and validation batch records a
-	// span under Obs.Span, and the underlying solvers inherit the scope.
-	// The zero Scope (the default) disables all of it.
+	// span under Obs, and the underlying solvers inherit the scope. The
+	// zero Scope (the default) disables all of it.
 	Obs obs.Scope
 }
 
@@ -408,10 +408,9 @@ func (s *Synthesizer) encodeWindow(start, end int, startState map[string]bv.XBV,
 		w.u.SetObs(sc)
 		w.solver.SetObs(sc)
 		w.u.Extend(s.ctx, end-from)
-		span := sc.Tracer.Start(sc.Span, "encode")
-		span.SetInt("cycles", int64(end-from))
+		span := sc.Start("encode")
 		s.assertCycles(w, from, end)
-		span.End()
+		span.End(obs.Int("cycles", int64(end-from)))
 		s.Stats.ExtendedCycles += end - from
 		sc.Metrics.Add("synth.extended_cycles", int64(end-from))
 		w.end = end
@@ -429,9 +428,7 @@ func (s *Synthesizer) encodeWindow(start, end int, startState map[string]bv.XBV,
 	if s.win != nil {
 		s.retireWindowStats(s.win.solver)
 	}
-	span := sc.Tracer.Start(sc.Span, "encode")
-	span.SetInt("cycles", int64(steps))
-	span.SetBool("rebuild", true)
+	span := sc.Start("encode")
 	u := tsys.Unroll(s.ctx, s.sys, steps, init)
 	u.SetObs(sc)
 	u.SetFactCache(s.facts)
@@ -455,7 +452,7 @@ func (s *Synthesizer) encodeWindow(start, end int, startState map[string]bv.XBV,
 	}
 	w := &winEnc{solver: solver, u: u, start: start, end: end}
 	s.assertCycles(w, start, end)
-	span.End()
+	span.End(obs.Int("cycles", int64(steps)), obs.Bool("rebuild", true))
 	s.Stats.SolverBuilds++
 	sc.Metrics.Add("synth.solver_builds", 1)
 	s.win = w
@@ -545,14 +542,11 @@ func (s *Synthesizer) check(solver *smt.Solver, assumptions ...*smt.Term) (sat.S
 func (s *Synthesizer) solveWindow(start, end int, startState map[string]bv.XBV) (sols []*Solution, err error) {
 	s.Stats.Unrollings++
 	wsc := s.opts.Obs.WithLabel(fmt.Sprintf("w%d-%d", start, end)).Start("window")
-	wsc.Span.SetInt("start", int64(start))
-	wsc.Span.SetInt("end", int64(end))
 	wsc.Event(obs.EvProgress, "window.solve",
 		obs.Int("cycle_start", int64(start)), obs.Int("cycle_end", int64(end)))
 	defer func() {
-		wsc.Span.SetInt("solutions", int64(len(sols)))
 		wsc.Event(obs.EvProgress, "window.done", obs.Int("solutions", int64(len(sols))))
-		wsc.End()
+		wsc.End(obs.Int("solutions", int64(len(sols))))
 	}()
 	s.sampling = samplingState{}
 	w, err := s.encodeWindow(start, end, startState, wsc)
@@ -636,9 +630,8 @@ func (s *Synthesizer) moreSamples() (sols []*Solution, err error) {
 	}
 	xsc := s.opts.Obs.WithLabel(fmt.Sprintf("w%d-%d", s.win.start, s.win.end)).Start("window-extra")
 	defer func() {
-		xsc.Span.SetInt("solutions", int64(len(sols)))
 		xsc.Event(obs.EvProgress, "window.extra", obs.Int("solutions", int64(len(sols))))
-		xsc.End()
+		xsc.End(obs.Int("solutions", int64(len(sols))))
 	}()
 	solver := s.win.solver
 	solver.SetObs(xsc)
@@ -733,11 +726,9 @@ func (s *Synthesizer) Basic() (*Solution, error) {
 // fallback, whether every sample passed the trace, and the updated
 // latest post-window failure cycle.
 func (s *Synthesizer) validateBatch(sols []*Solution, firstFailure int, fragile *Solution, latestFuture int) (robustSol, fragileOut *Solution, allPassed bool, latestOut int) {
-	span := s.opts.Obs.Tracer.Start(s.opts.Obs.Span, "validate")
-	span.SetInt("samples", int64(len(sols)))
+	span := s.opts.Obs.Start("validate")
 	defer func() {
-		span.SetBool("robust_found", robustSol != nil)
-		span.End()
+		span.End(obs.Int("samples", int64(len(sols))), obs.Bool("robust_found", robustSol != nil))
 	}()
 	fragileOut, latestOut, allPassed = fragile, latestFuture, true
 	for _, sol := range sols {

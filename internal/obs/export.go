@@ -11,33 +11,12 @@ import (
 	"time"
 )
 
-// The exporters all work off the same sorted snapshot: spans ordered by
-// hierarchical path, ids re-assigned 1..n in that order. Because paths
-// are deterministic (sequence numbers for sequential children, caller
-// keys for concurrent ones), two runs doing the same work export the
-// same bytes once Scrub* removes timestamps and worker ids — regardless
-// of goroutine scheduling or worker count.
-
-// jsonlHeader is the first line of a JSONL trace.
-type jsonlHeader struct {
-	Type    string `json:"type"`
-	Version int    `json:"version"`
-	Spans   int    `json:"spans"`
-}
-
-// jsonlSpan is one span line of a JSONL trace.
-type jsonlSpan struct {
-	Type    string         `json:"type"`
-	ID      int            `json:"id"`
-	Parent  int            `json:"parent"` // 0 for root spans
-	Name    string         `json:"name"`
-	Path    string         `json:"path"`
-	Worker  int            `json:"worker"`
-	StartUS int64          `json:"start_us"`
-	DurUS   int64          `json:"dur_us"`
-	Open    bool           `json:"open,omitempty"` // true when never End()ed
-	Attrs   map[string]any `json:"attrs,omitempty"`
-}
+// Every exporter is a pure function of recorder events: the ring dump
+// writes them as JSONL, the Chrome trace and the phase summary fold the
+// span_end events (each carries its duration as time_dur_us). Because
+// events are keyed by scope labels and progress counters rather than
+// goroutine identity, ScrubRingJSONL turns two runs doing the same work
+// into the same bytes regardless of scheduling or worker count.
 
 // AttrMap renders attributes as a JSON-friendly map (nil when empty).
 // Serving layers use it to encode ring events without re-implementing
@@ -59,37 +38,14 @@ func attrMap(attrs []Attr) map[string]any {
 	return m
 }
 
-// WriteJSONL writes the trace as a JSON-lines event journal: one header
-// line, then one line per span in path order.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	spans := t.snapshot()
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(jsonlHeader{Type: "trace", Version: 1, Spans: len(spans)}); err != nil {
-		return err
-	}
-	ids := make(map[string]int, len(spans))
-	for i, ss := range spans {
-		ids[ss.path] = i + 1
-	}
-	for i, ss := range spans {
-		line := jsonlSpan{
-			Type:    "span",
-			ID:      i + 1,
-			Parent:  ids[ss.parent],
-			Name:    ss.name,
-			Path:    ss.path,
-			Worker:  ss.worker,
-			StartUS: ss.start.Microseconds(),
-			DurUS:   ss.dur.Microseconds(),
-			Open:    !ss.closed,
-			Attrs:   attrMap(ss.attrs),
-		}
-		if err := enc.Encode(line); err != nil {
-			return err
+// spanDur returns a span_end event's duration (its time_dur_us attr).
+func spanDur(ev Event) time.Duration {
+	for _, a := range ev.Attrs {
+		if a.Key == "time_dur_us" && !a.IsStr {
+			return time.Duration(a.Int) * time.Microsecond
 		}
 	}
-	return bw.Flush()
+	return 0
 }
 
 // chromeEvent is one Chrome trace_event entry ("X" complete events plus
@@ -106,53 +62,81 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// WriteChromeTrace writes the trace in Chrome trace_event JSON (an array
-// of complete events). Load it via chrome://tracing or ui.perfetto.dev.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	spans := t.snapshot()
+// WriteChromeTrace writes the span_end events as Chrome trace_event
+// JSON: one "X" complete event per span, starting at t_us − time_dur_us
+// on the lane of its worker, with the span's scope and attributes as
+// args. Load it via chrome://tracing or ui.perfetto.dev.
+func WriteChromeTrace(w io.Writer, events []Event) error {
 	workers := map[int]bool{}
-	for _, ss := range spans {
-		workers[ss.worker] = true
+	var spans []chromeEvent
+	for _, ev := range events {
+		if ev.Kind != EvSpanEnd {
+			continue
+		}
+		dur := spanDur(ev)
+		args := attrMap(ev.Attrs)
+		if args == nil {
+			args = map[string]any{}
+		}
+		delete(args, "time_dur_us")
+		args["scope"] = ev.Scope
+		workers[ev.Worker] = true
+		spans = append(spans, chromeEvent{
+			Name: ev.Name,
+			Cat:  "obs",
+			Ph:   "X",
+			TS:   (ev.T - dur).Microseconds(),
+			Dur:  dur.Microseconds(),
+			PID:  1,
+			TID:  ev.Worker,
+			Args: args,
+		})
 	}
 	wids := make([]int, 0, len(workers))
 	for id := range workers {
 		wids = append(wids, id)
 	}
 	sort.Ints(wids)
-	events := make([]chromeEvent, 0, len(spans)+len(wids))
+	out := make([]chromeEvent, 0, len(wids)+len(spans))
 	for _, id := range wids {
-		events = append(events, chromeEvent{
+		out = append(out, chromeEvent{
 			Name: "thread_name", Ph: "M", PID: 1, TID: id,
 			Args: map[string]any{"name": fmt.Sprintf("worker %d", id)},
 		})
 	}
-	for _, ss := range spans {
-		args := attrMap(ss.attrs)
-		if args == nil {
-			args = map[string]any{}
-		}
-		args["path"] = ss.path
-		events = append(events, chromeEvent{
-			Name: ss.name,
-			Cat:  "obs",
-			Ph:   "X",
-			TS:   ss.start.Microseconds(),
-			Dur:  ss.dur.Microseconds(),
-			PID:  1,
-			TID:  ss.worker,
-			Args: args,
-		})
-	}
+	out = append(out, spans...)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
-	return enc.Encode(events)
+	return enc.Encode(out)
 }
 
-// WriteSummary writes a plain-text per-phase table: spans aggregated by
-// name, sorted by total time descending. This replaces the ad-hoc -v
-// dumps as the human-readable view of where a run spent its time.
-func (t *Tracer) WriteSummary(w io.Writer) error {
-	totals := t.PhaseTotals()
+// PhaseStat aggregates all spans sharing one name.
+type PhaseStat struct {
+	Count int
+	Total time.Duration
+}
+
+// PhaseTotals aggregates the span_end events by name. Nested spans with
+// distinct names each contribute their full duration, so totals across
+// different names overlap; totals within one name do not.
+func PhaseTotals(events []Event) map[string]PhaseStat {
+	out := map[string]PhaseStat{}
+	for _, ev := range events {
+		if ev.Kind != EvSpanEnd {
+			continue
+		}
+		ps := out[ev.Name]
+		ps.Count++
+		ps.Total += spanDur(ev)
+		out[ev.Name] = ps
+	}
+	return out
+}
+
+// WriteSummary writes a plain-text per-phase table: span_end events
+// aggregated by name, sorted by total time descending.
+func WriteSummary(w io.Writer, events []Event) error {
+	totals := PhaseTotals(events)
 	names := make([]string, 0, len(totals))
 	for name := range totals {
 		names = append(names, name)
@@ -168,23 +152,21 @@ func (t *Tracer) WriteSummary(w io.Writer) error {
 	fmt.Fprintf(bw, "%-24s %8s %12s %12s\n", "phase", "count", "total", "mean")
 	for _, name := range names {
 		ps := totals[name]
-		mean := ps.Total
-		if ps.Count > 0 {
-			mean = ps.Total / time.Duration(ps.Count)
-		}
+		mean := ps.Total / time.Duration(ps.Count)
 		fmt.Fprintf(bw, "%-24s %8d %12s %12s\n", name, ps.Count, ps.Total.Round(time.Microsecond), mean.Round(time.Microsecond))
 	}
 	return bw.Flush()
 }
 
-// volatileTopLevel are the keys Scrub* removes: wall-clock values and
+// volatileTopLevel are the keys ScrubRingJSONL removes: wall-clock values and
 // anything that legitimately varies with worker placement or count.
 var volatileTopLevel = map[string]bool{
-	"start_us": true, "dur_us": true, "worker": true, // JSONL
-	"ts": true, "dur": true, "tid": true, // Chrome
+	"worker":  true, // ring events: worker placement
 	"workers": true, // portfolio span attr: the configured worker count
 	"steals":  true, // portfolio span attr: scheduler steals vary with timing
 	"seq":     true, // ring events: global emission order varies with scheduling
+	"span":    true, // span events: recorder span ids follow begin order
+	"parent":  true, // ... and so do their parents'
 	"t_us":    true, // ring events: wall clock
 	"dropped": true, // ring header: wrap count varies with run length
 }
@@ -213,55 +195,6 @@ func scrubValue(v any) any {
 	return v
 }
 
-// ScrubJSONL removes timestamps and worker ids from a JSONL trace,
-// returning a deterministic form suitable for byte comparison across
-// runs and worker counts. Map re-marshalling sorts keys, so the result
-// is canonical.
-func ScrubJSONL(data []byte) ([]byte, error) {
-	var out bytes.Buffer
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var v map[string]any
-		if err := json.Unmarshal(line, &v); err != nil {
-			return nil, fmt.Errorf("obs: scrub: %w", err)
-		}
-		b, err := json.Marshal(scrubValue(v))
-		if err != nil {
-			return nil, err
-		}
-		out.Write(b)
-		out.WriteByte('\n')
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out.Bytes(), nil
-}
-
-// ScrubChromeTrace removes timestamps and thread ids from a Chrome
-// trace_event export, for the same byte-comparison purpose. Thread-name
-// metadata events are dropped wholesale: they enumerate worker lanes,
-// which legitimately vary with the worker count.
-func ScrubChromeTrace(data []byte) ([]byte, error) {
-	var v []any
-	if err := json.Unmarshal(data, &v); err != nil {
-		return nil, fmt.Errorf("obs: scrub: %w", err)
-	}
-	kept := v[:0]
-	for _, ev := range v {
-		if m, ok := ev.(map[string]any); ok && m["ph"] == "M" {
-			continue
-		}
-		kept = append(kept, ev)
-	}
-	return json.Marshal(scrubValue(any(kept)))
-}
-
 // ringHeader is the first line of a flight-recorder ring dump.
 type ringHeader struct {
 	Type    string `json:"type"`
@@ -279,6 +212,8 @@ type ringEvent struct {
 	Name   string         `json:"name"`
 	Scope  string         `json:"scope,omitempty"`
 	Worker int            `json:"worker,omitempty"`
+	Span   uint64         `json:"span,omitempty"`
+	Parent uint64         `json:"parent,omitempty"`
 	Attrs  map[string]any `json:"attrs,omitempty"`
 }
 
@@ -290,8 +225,8 @@ var ringKinds = map[string]bool{
 
 // WriteRingJSONL dumps the flight-recorder ring as a JSONL journal: one
 // header line, then one line per event, oldest first. This is the
-// /debugz/ring wire format and the input format cmd/tracediff accepts
-// alongside trace journals.
+// /debugz/ring wire format, the -trace-out format, and cmd/tracediff's
+// input format.
 func (r *Recorder) WriteRingJSONL(w io.Writer) error {
 	events := r.Events()
 	bw := bufio.NewWriter(w)
@@ -308,6 +243,8 @@ func (r *Recorder) WriteRingJSONL(w io.Writer) error {
 			Name:   ev.Name,
 			Scope:  ev.Scope,
 			Worker: ev.Worker,
+			Span:   ev.Span,
+			Parent: ev.Parent,
 			Attrs:  attrMap(ev.Attrs),
 		}
 		if err := enc.Encode(line); err != nil {
@@ -319,8 +256,9 @@ func (r *Recorder) WriteRingJSONL(w io.Writer) error {
 
 // ValidateRingJSONL schema-checks a ring dump: a well-formed header
 // whose event count matches, strictly increasing sequence numbers,
-// known event kinds, named events, and non-negative times. Heartbeat
-// events must carry their counter attrs (conflicts, propagations).
+// known event kinds, named events, and non-negative times. Span events
+// must carry a span id whose parent (if any) was opened before it, and
+// heartbeat events their counter attrs (conflicts, propagations).
 func ValidateRingJSONL(data []byte) error {
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
@@ -362,6 +300,14 @@ func ValidateRingJSONL(data []byte) error {
 		if ev.TUS < 0 {
 			return fmt.Errorf("obs: ring line %d: negative time", n)
 		}
+		if ev.Kind == EvSpanBegin || ev.Kind == EvSpanEnd {
+			if ev.Span == 0 {
+				return fmt.Errorf("obs: ring line %d: %s without a span id", n, ev.Kind)
+			}
+			if ev.Parent >= ev.Span {
+				return fmt.Errorf("obs: ring line %d: parent %d not opened before span %d", n, ev.Parent, ev.Span)
+			}
+		}
 		if ev.Kind == EvHeartbeat {
 			for _, key := range []string{"conflicts", "propagations"} {
 				if _, ok := ev.Attrs[key]; !ok {
@@ -380,8 +326,8 @@ func ValidateRingJSONL(data []byte) error {
 }
 
 // ScrubRingJSONL canonicalizes a ring dump for byte comparison across
-// runs and worker counts: volatile fields (seq, t_us, worker, time_*
-// attrs, the header's drop count) are removed, and event lines are
+// runs and worker counts: volatile fields (seq, span and parent ids,
+// t_us, worker, time_* attrs, the header's drop count) are removed, and event lines are
 // sorted lexicographically — emission order is schedule-dependent, but
 // the scrubbed multiset of events is not, so the sorted form is the
 // deterministic export the cross-worker golden tests diff.
@@ -424,73 +370,4 @@ func ScrubRingJSONL(data []byte) ([]byte, error) {
 		out.WriteByte('\n')
 	}
 	return out.Bytes(), nil
-}
-
-// ValidateJSONL schema-checks a JSONL trace export: a well-formed
-// header, dense ids in path order, parents that precede their children
-// with prefix-consistent paths, and no span left open.
-func ValidateJSONL(data []byte) error {
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	if !sc.Scan() {
-		return fmt.Errorf("obs: empty trace")
-	}
-	var hdr jsonlHeader
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		return fmt.Errorf("obs: header: %w", err)
-	}
-	if hdr.Type != "trace" || hdr.Version != 1 {
-		return fmt.Errorf("obs: bad header %+v", hdr)
-	}
-	paths := map[int]string{}
-	n := 0
-	lastPath := ""
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var sp jsonlSpan
-		if err := json.Unmarshal(line, &sp); err != nil {
-			return fmt.Errorf("obs: span line %d: %w", n+1, err)
-		}
-		n++
-		if sp.Type != "span" {
-			return fmt.Errorf("obs: line %d: type %q", n, sp.Type)
-		}
-		if sp.ID != n {
-			return fmt.Errorf("obs: line %d: id %d, want %d", n, sp.ID, n)
-		}
-		if sp.Path <= lastPath {
-			return fmt.Errorf("obs: span %d: path %q not strictly after %q", sp.ID, sp.Path, lastPath)
-		}
-		lastPath = sp.Path
-		if sp.Open {
-			return fmt.Errorf("obs: span %d (%s) left open", sp.ID, sp.Path)
-		}
-		if sp.DurUS < 0 || sp.StartUS < 0 {
-			return fmt.Errorf("obs: span %d (%s): negative time", sp.ID, sp.Path)
-		}
-		if sp.Parent == 0 {
-			if strings.Count(sp.Path, "/") != 1 {
-				return fmt.Errorf("obs: span %d (%s): root span with nested path", sp.ID, sp.Path)
-			}
-		} else {
-			pp, ok := paths[sp.Parent]
-			if !ok || sp.Parent >= sp.ID {
-				return fmt.Errorf("obs: span %d (%s): parent %d not seen before it", sp.ID, sp.Path, sp.Parent)
-			}
-			if !strings.HasPrefix(sp.Path, pp+"/") {
-				return fmt.Errorf("obs: span %d: path %q not nested under parent %q", sp.ID, sp.Path, pp)
-			}
-		}
-		paths[sp.ID] = sp.Path
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	if n != hdr.Spans {
-		return fmt.Errorf("obs: header says %d spans, found %d", hdr.Spans, n)
-	}
-	return nil
 }

@@ -1,36 +1,34 @@
-// Package obs is the pipeline-wide observability layer: span-based
-// tracing, a metrics registry, an always-on flight recorder (see
-// recorder.go), and deterministic exporters (JSONL event journal,
-// Chrome trace_event, ring dump, plain-text summary).
+// Package obs is the pipeline-wide observability layer: one span and
+// event stream (the flight recorder, see recorder.go), a metrics
+// registry, and exporters that are pure functions of the recorded
+// events (ring dump, Chrome trace_event, plain-text phase summary).
 //
 // The package is zero-dependency (standard library only) so every layer
 // of the repair pipeline — core, smt, sat, tsys, eval, the CLIs — can
 // import it without cycles. Two properties shape the design:
 //
-//   - Off by default, allocation-free when off. A nil *Tracer is the
-//     disabled tracer: Start on a nil tracer returns a nil *Span, and
-//     every Span/Tracer/Registry method is nil-safe, so instrumented hot
-//     paths pay exactly one nil check per site. BenchmarkNilTracer in
-//     internal/sat pins this cost against the solver hot loop.
+//   - One stream, always on. Every pipeline phase opens its span with
+//     Scope.Start and closes it with Scope.End(attrs...), which lands a
+//     span_begin/span_end pair in the recorder ring together with the
+//     phase's attributes. /debugz, SSE, ring dumps, -trace-out,
+//     -chrome-out and the rtlrepair -v phase table all read that one
+//     stream. A zero Scope (no recorder) disables everything and costs
+//     one nil check per site.
 //
-//   - Deterministic output modulo timestamps. Spans are identified by a
-//     hierarchical path (parent path + name + per-parent sequence, or a
-//     caller-supplied key for concurrent siblings such as portfolio
-//     attempts), and exporters sort by path and re-number ids after the
-//     fact. Two runs that do the same work produce byte-identical
-//     exports once timestamps and worker ids are scrubbed (see Scrub*),
-//     which is what lets golden tests diff traces across worker counts.
+//   - Deterministic output modulo timestamps. Events carry hierarchical
+//     scope labels (design, attempt, window) and counters keyed on
+//     search progress, never on wall clock. ScrubRingJSONL removes the
+//     volatile fields (sequence numbers, span ids, times, worker lanes)
+//     and sorts the lines, so two runs doing the same work produce
+//     byte-identical scrubbed dumps — which is what lets golden tests
+//     diff the stream across worker counts.
 package obs
 
 import (
 	"context"
-	"fmt"
-	"sort"
-	"sync"
-	"time"
 )
 
-// Attr is one typed span attribute.
+// Attr is one typed span or event attribute.
 type Attr struct {
 	Key   string
 	Str   string // used when IsStr
@@ -38,246 +36,24 @@ type Attr struct {
 	IsStr bool
 }
 
-// Span is one timed region of the pipeline. A nil *Span is the disabled
-// span: every method no-ops, so instrumentation sites need no guards.
-type Span struct {
-	t      *Tracer
-	parent *Span
-	name   string // aggregation name ("window", "attempt", ...)
-	path   string // unique hierarchical identity
-	start  time.Duration
-	dur    time.Duration
-	worker int
-	closed bool
-	attrs  []Attr
-	kidSeq map[string]int // next per-name child sequence (guarded by t.mu)
-}
-
-// Tracer records spans. The zero value is not usable; call New. A nil
-// *Tracer is the disabled tracer (the fast path): Start returns nil.
-type Tracer struct {
-	mu      sync.Mutex
-	base    time.Time
-	spans   []*Span
-	rootSeq map[string]int
-}
-
-// New returns an enabled tracer whose clock starts now.
-func New() *Tracer {
-	return &Tracer{base: time.Now(), rootSeq: map[string]int{}}
-}
-
-// Enabled reports whether the tracer records spans (i.e. is non-nil).
-func (t *Tracer) Enabled() bool { return t != nil }
-
-func (t *Tracer) now() time.Duration { return time.Since(t.base) }
-
-// Start opens a span under parent (nil parent = a root span). The span's
-// path gets a per-parent sequence number, so Start is deterministic only
-// when the parent's children are opened in a deterministic order; for
-// concurrent siblings use StartKeyed.
-func (t *Tracer) Start(parent *Span, name string) *Span {
-	if t == nil {
-		return nil
-	}
-	return t.start(parent, name, "")
-}
-
-// StartKeyed opens a span whose path component is name[key] instead of a
-// sequence number. The caller must ensure key is unique among the
-// parent's same-named children; in exchange the path — and therefore the
-// exported output — is deterministic even when siblings start
-// concurrently (e.g. portfolio attempts racing on worker goroutines).
-func (t *Tracer) StartKeyed(parent *Span, name, key string) *Span {
-	if t == nil {
-		return nil
-	}
-	return t.start(parent, name, key)
-}
-
-func (t *Tracer) start(parent *Span, name, key string) *Span {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var component, base string
-	worker := 0
-	if parent != nil {
-		base = parent.path
-		worker = parent.worker
-	}
-	if key != "" {
-		component = name + "[" + key + "]"
-	} else {
-		seq := t.rootSeq
-		if parent != nil {
-			if parent.kidSeq == nil {
-				parent.kidSeq = map[string]int{}
-			}
-			seq = parent.kidSeq
-		}
-		n := seq[name]
-		seq[name] = n + 1
-		component = fmt.Sprintf("%s#%04d", name, n)
-	}
-	sp := &Span{
-		t:      t,
-		parent: parent,
-		name:   name,
-		path:   base + "/" + component,
-		start:  t.now(),
-		worker: worker,
-	}
-	t.spans = append(t.spans, sp)
-	return sp
-}
-
-// End closes the span. Ending an already-ended span is a no-op.
-func (s *Span) End() {
-	if s == nil {
-		return
-	}
-	s.t.mu.Lock()
-	if !s.closed {
-		s.dur = s.t.now() - s.start
-		s.closed = true
-	}
-	s.t.mu.Unlock()
-}
-
-// SetInt attaches an integer attribute.
-func (s *Span) SetInt(key string, v int64) {
-	if s == nil {
-		return
-	}
-	s.t.mu.Lock()
-	s.attrs = append(s.attrs, Attr{Key: key, Int: v})
-	s.t.mu.Unlock()
-}
-
-// SetBool attaches a boolean attribute (encoded as 0/1).
-func (s *Span) SetBool(key string, v bool) {
-	var i int64
-	if v {
-		i = 1
-	}
-	s.SetInt(key, i)
-}
-
-// SetStr attaches a string attribute.
-func (s *Span) SetStr(key, v string) {
-	if s == nil {
-		return
-	}
-	s.t.mu.Lock()
-	s.attrs = append(s.attrs, Attr{Key: key, Str: v, IsStr: true})
-	s.t.mu.Unlock()
-}
-
-// SetWorker tags the span (and, by inheritance, its future children)
-// with a portfolio worker id. Exporters map it to the Chrome trace tid,
-// so Perfetto shows one lane per worker.
-func (s *Span) SetWorker(w int) {
-	if s == nil {
-		return
-	}
-	s.t.mu.Lock()
-	s.worker = w
-	s.t.mu.Unlock()
-}
-
-// Name returns the span's aggregation name ("" for nil).
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
-// spanSnapshot is an immutable copy used by exporters.
-type spanSnapshot struct {
-	name   string
-	path   string
-	parent string // parent path, "" for roots
-	start  time.Duration
-	dur    time.Duration
-	worker int
-	closed bool
-	attrs  []Attr
-}
-
-// snapshot copies all spans sorted by path (parents sort before their
-// children because a parent's path is a strict prefix + "/").
-func (t *Tracer) snapshot() []spanSnapshot {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	out := make([]spanSnapshot, 0, len(t.spans))
-	for _, sp := range t.spans {
-		ss := spanSnapshot{
-			name:   sp.name,
-			path:   sp.path,
-			start:  sp.start,
-			dur:    sp.dur,
-			worker: sp.worker,
-			closed: sp.closed,
-			attrs:  append([]Attr(nil), sp.attrs...),
-		}
-		if sp.parent != nil {
-			ss.parent = sp.parent.path
-		}
-		out = append(out, ss)
-	}
-	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].path < out[j].path })
-	return out
-}
-
-// PhaseStat aggregates all spans sharing one name.
-type PhaseStat struct {
-	Count int
-	Total time.Duration
-}
-
-// PhaseTotals aggregates spans by name. Nested spans with distinct names
-// each contribute their full duration, so totals across different names
-// overlap; totals within one name do not.
-func (t *Tracer) PhaseTotals() map[string]PhaseStat {
-	out := map[string]PhaseStat{}
-	for _, ss := range t.snapshot() {
-		ps := out[ss.name]
-		ps.Count++
-		ps.Total += ss.dur
-		out[ss.name] = ps
-	}
-	return out
-}
-
-// Scope bundles a tracer position (tracer + current span), a metrics
-// registry, and a flight-recorder position (recorder + current recorder
-// span + hierarchical label), so one value threads the whole
-// observability layer through the pipeline. The zero Scope is fully
-// disabled and free to pass around. Tracer and Recorder are
-// independent: production runs typically have a nil Tracer (tracing is
-// opt-in) but a live Recorder (the flight recorder is always on).
+// Scope bundles a metrics registry and a flight-recorder position
+// (recorder + current recorder span + hierarchical label), so one value
+// threads the whole observability layer through the pipeline. The zero
+// Scope is fully disabled and free to pass around.
 type Scope struct {
-	Tracer  *Tracer
-	Span    *Span
 	Metrics *Registry
 
-	// Rec is the flight recorder; Scope.Start/End mirror their spans
-	// into it as span_begin/span_end events plus live-span-table
-	// entries. Label is the scope's hierarchical position (job id,
-	// design, attempt, window — grown with WithLabel) and becomes the
-	// events' Scope field; Worker tags events with a portfolio worker
-	// lane. Rh is the recorder span opened by the last Start.
+	// Rec is the flight recorder; Start/End record their spans into it
+	// as span_begin/span_end events plus live-span-table entries. Label
+	// is the scope's hierarchical position (job id, design, attempt,
+	// window — grown with WithLabel) and becomes the events' Scope field;
+	// Worker tags events with a portfolio worker lane. Rh is the
+	// recorder span opened by the last Start.
 	Rec    *Recorder
 	Rh     Handle
 	Label  string
 	Worker int
 }
-
-// Enabled reports whether the scope records spans.
-func (sc Scope) Enabled() bool { return sc.Tracer != nil }
 
 // WithLabel returns the scope with part appended to its hierarchical
 // label ("a" + "b" → "a/b"). Labels scope flight-recorder events, so
@@ -296,26 +72,17 @@ func (sc Scope) WithLabel(part string) Scope {
 }
 
 // Start opens a child span and returns the scope positioned on it.
+// Every Start must be paired with End on the returned scope —
+// cmd/repolint's obs-span-leak check enforces the pairing at vet time.
 func (sc Scope) Start(name string) Scope {
-	out := sc
-	out.Span = sc.Tracer.Start(sc.Span, name)
-	out.Rh = sc.Rec.BeginSpan(sc.Rh, name, sc.Label, sc.Worker)
-	return out
+	sc.Rh = sc.Rec.BeginSpan(sc.Rh, name, sc.Label, sc.Worker)
+	return sc
 }
 
-// StartKeyed opens a keyed child span (see Tracer.StartKeyed).
-func (sc Scope) StartKeyed(name, key string) Scope {
-	out := sc
-	out.Span = sc.Tracer.StartKeyed(sc.Span, name, key)
-	out.Rh = sc.Rec.BeginSpan(sc.Rh, name, sc.Label, sc.Worker)
-	return out
-}
-
-// End closes the scope's span (tracer and recorder sides).
-func (sc Scope) End() {
-	sc.Span.End()
-	sc.Rh.End()
-}
+// End closes the scope's span; attrs ride on its span_end event.
+// Callers building attrs on a hot path should test Rec first, since a
+// variadic slice that reaches the ring escapes to the heap.
+func (sc Scope) End(attrs ...Attr) { sc.Rh.End(attrs...) }
 
 // Event emits a flight-recorder event at the scope's position. A scope
 // without a recorder no-ops, so progress markers are free when the

@@ -3,36 +3,17 @@ package obs
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
 	"time"
 )
 
-// TestNilSafety drives the entire disabled surface: nil tracer, nil
-// span, nil registry, zero scope. Any panic fails the test.
+// TestNilSafety drives the entire disabled surface: zero scope, nil
+// recorder, nil registry. Any panic fails the test.
 func TestNilSafety(t *testing.T) {
-	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer reports enabled")
-	}
-	sp := tr.Start(nil, "x")
-	if sp != nil {
-		t.Fatal("nil tracer returned a span")
-	}
-	sp.SetInt("k", 1)
-	sp.SetStr("k", "v")
-	sp.SetBool("k", true)
-	sp.SetWorker(3)
-	sp.End()
-	if sp.Name() != "" {
-		t.Fatal("nil span has a name")
-	}
-	tr.StartKeyed(nil, "x", "k").End()
-	if got := tr.PhaseTotals(); len(got) != 0 {
-		t.Fatalf("nil tracer has phases: %v", got)
-	}
-
 	var r *Registry
 	if r.Enabled() {
 		t.Fatal("nil registry reports enabled")
@@ -47,123 +28,118 @@ func TestNilSafety(t *testing.T) {
 	}
 
 	var sc Scope
-	if sc.Enabled() {
-		t.Fatal("zero scope reports enabled")
+	child := sc.Start("a").Start("b")
+	if child.Rh.Valid() {
+		t.Fatal("zero scope opened a recorder span")
 	}
-	child := sc.Start("a").StartKeyed("b", "k")
-	child.End()
+	child.End(Int("k", 1), Str("k", "v"), Bool("k", true))
+	sc.Event(EvProgress, "noop")
 
-	ctx := NewContext(context.Background(), sc)
-	if FromContext(ctx).Enabled() {
-		t.Fatal("zero scope round-tripped as enabled")
+	ctx := NewContext(context.Background(), Scope{Label: "x"})
+	if FromContext(ctx).Label != "x" {
+		t.Fatal("scope did not round-trip through the context")
 	}
-	if FromContext(context.Background()).Enabled() || FromContext(nil).Enabled() {
-		t.Fatal("absent scope reports enabled")
+	if FromContext(context.Background()) != (Scope{}) || FromContext(nil) != (Scope{}) {
+		t.Fatal("absent scope is not the zero scope")
+	}
+	if got := PhaseTotals(nil); len(got) != 0 {
+		t.Fatalf("no events but phases: %v", got)
 	}
 }
 
-// buildTrace records a small deterministic span tree, optionally with
-// different sleep amounts so two builds have different timestamps.
-func buildTrace(pause time.Duration) *Tracer {
-	tr := New()
-	root := tr.Start(nil, "repair")
-	root.SetStr("design", "counter")
-	pre := tr.Start(root, "preprocess")
+// buildEvents records a small deterministic span tree into a recorder
+// that never wraps, optionally with a pause so two builds have
+// different timestamps.
+func buildEvents(pause time.Duration) *Recorder {
+	rec := NewRecorder(0)
+	root := Scope{Rec: rec}.WithLabel("counter").Start("repair")
+	pre := root.Start("preprocess")
 	time.Sleep(pause)
-	pre.End()
-	for i := 0; i < 2; i++ {
-		at := tr.StartKeyed(root, "attempt", []string{"p0:guard", "p0:literal"}[i])
-		at.SetWorker(i)
-		win := tr.Start(at, "window")
-		win.SetInt("start", int64(i))
-		win.SetInt("time_wall", time.Now().UnixNano()) // must be scrubbed
-		win.End()
-		at.End()
+	pre.End(Int("fixes", 0))
+	for i, key := range []string{"p0:guard", "p0:literal"} {
+		asc := root.WithLabel(key)
+		asc.Worker = i
+		at := asc.Start("attempt")
+		win := at.WithLabel(fmt.Sprintf("w%d-%d", i, i+2)).Start("window")
+		win.End(Int("solutions", int64(i)), Int("time_wall", time.Now().UnixNano())) // time_* must be scrubbed
+		at.End(Str("template", key), Bool("found", false))
 	}
-	root.End()
-	return tr
+	root.End(Str("design", "counter"), Str("status", "cannot-repair"))
+	return rec
 }
 
+// TestJSONLExportValidates checks the -trace-out export: a recorder
+// built with capacity 0 never wraps, so its ring dump holds every event
+// of the run and passes the ring schema.
 func TestJSONLExportValidates(t *testing.T) {
+	rec := buildEvents(0)
+	for i := 0; i < DefaultRingCapacity; i++ {
+		rec.Emit(EvProgress, "tick", "counter", 0)
+	}
+	if rec.Dropped() != 0 || len(rec.Events()) != DefaultRingCapacity+12 {
+		t.Fatalf("unbounded recorder wrapped: %d events, %d dropped", len(rec.Events()), rec.Dropped())
+	}
 	var buf bytes.Buffer
-	if err := buildTrace(0).WriteJSONL(&buf); err != nil {
+	if err := rec.WriteRingJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateJSONL(buf.Bytes()); err != nil {
+	if err := ValidateRingJSONL(buf.Bytes()); err != nil {
 		t.Fatalf("exported trace does not validate: %v", err)
 	}
 }
 
-func TestValidateJSONLRejectsOpenSpan(t *testing.T) {
-	tr := New()
-	tr.Start(nil, "repair") // never ended
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateJSONL(buf.Bytes()); err == nil || !strings.Contains(err.Error(), "open") {
-		t.Fatalf("open span not rejected: %v", err)
-	}
-}
-
+// TestValidateJSONLRejectsGarbage checks that the -trace-out validator
+// refuses files that are not a ring dump at all: nothing, non-JSON, and
+// a ring header of an unknown version.
 func TestValidateJSONLRejectsGarbage(t *testing.T) {
-	for _, data := range []string{"", "not json\n", `{"type":"trace","version":9,"spans":0}` + "\n"} {
-		if err := ValidateJSONL([]byte(data)); err == nil {
+	for _, data := range []string{"", "not json\n", `{"type":"ring","version":9,"events":0}` + "\n"} {
+		if err := ValidateRingJSONL([]byte(data)); err == nil {
 			t.Fatalf("garbage %q validated", data)
 		}
 	}
 }
 
 // TestScrubbedExportsDeterministic builds the same span tree twice with
-// different real timings and checks both exporters agree byte-for-byte
-// after scrubbing — the property the cross-worker golden test relies on.
+// different real timings and checks the ring dumps agree byte-for-byte
+// after scrubbing — the property the cross-worker golden test relies
+// on — while the raw dumps still carry the span tree.
 func TestScrubbedExportsDeterministic(t *testing.T) {
-	a, b := buildTrace(0), buildTrace(2*time.Millisecond)
-	var ja, jb, ca, cb bytes.Buffer
-	if err := a.WriteJSONL(&ja); err != nil {
-		t.Fatal(err)
+	dump := func(rec *Recorder) []byte {
+		var buf bytes.Buffer
+		if err := rec.WriteRingJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	if err := b.WriteJSONL(&jb); err != nil {
-		t.Fatal(err)
+	ra, rb := dump(buildEvents(0)), dump(buildEvents(2*time.Millisecond))
+	if !bytes.Contains(ra, []byte(`"span":2,"parent":1`)) {
+		t.Fatalf("raw dump lost the span and parent ids:\n%s", ra)
 	}
-	sa, err := ScrubJSONL(ja.Bytes())
+	sa, err := ScrubRingJSONL(ra)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := ScrubJSONL(jb.Bytes())
+	sb, err := ScrubRingJSONL(rb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(sa, sb) {
-		t.Fatalf("scrubbed JSONL differs:\n%s\n--- vs ---\n%s", sa, sb)
+		t.Fatalf("scrubbed dumps differ:\n%s\n--- vs ---\n%s", sa, sb)
 	}
-	if strings.Contains(string(sa), "time_wall") || strings.Contains(string(sa), "start_us") {
-		t.Fatalf("volatile keys survived scrubbing:\n%s", sa)
-	}
-	if err := a.WriteChromeTrace(&ca); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.WriteChromeTrace(&cb); err != nil {
-		t.Fatal(err)
-	}
-	ga, err := ScrubChromeTrace(ca.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	gb, err := ScrubChromeTrace(cb.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ga, gb) {
-		t.Fatalf("scrubbed Chrome trace differs:\n%s\n--- vs ---\n%s", ga, gb)
+	for _, key := range []string{"time_wall", "time_dur_us", "t_us", `"span"`, `"parent"`} {
+		if bytes.Contains(sa, []byte(key)) {
+			t.Fatalf("volatile key %s survived scrubbing:\n%s", key, sa)
+		}
 	}
 }
 
 // TestChromeTraceShape checks the trace_event specifics Perfetto needs:
-// a thread_name metadata event per worker and "X" complete events.
+// a thread_name metadata event per worker, and one "X" complete event
+// per span_end that starts at t_us − time_dur_us on its worker's lane.
 func TestChromeTraceShape(t *testing.T) {
+	events := buildEvents(time.Millisecond).Events()
 	var buf bytes.Buffer
-	if err := buildTrace(0).WriteChromeTrace(&buf); err != nil {
+	if err := WriteChromeTrace(&buf, events); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -172,19 +148,47 @@ func TestChromeTraceShape(t *testing.T) {
 			t.Fatalf("Chrome trace missing %s:\n%s", want, out)
 		}
 	}
+	var got []chromeEvent
+	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	var ends []Event
+	for _, ev := range events {
+		if ev.Kind == EvSpanEnd {
+			ends = append(ends, ev)
+		}
+	}
+	xs := got[2:] // two workers → two metadata events first
+	if len(xs) != len(ends) {
+		t.Fatalf("%d X events for %d span_end events", len(xs), len(ends))
+	}
+	for i, x := range xs {
+		ev := ends[i]
+		dur := spanDur(ev)
+		if x.Ph != "X" || x.Name != ev.Name || x.TID != ev.Worker ||
+			x.TS != (ev.T-dur).Microseconds() || x.Dur != dur.Microseconds() || x.Args["scope"] != ev.Scope {
+			t.Fatalf("X event %d = %+v, want span_end %+v", i, x, ev)
+		}
+		if _, ok := x.Args["time_dur_us"]; ok {
+			t.Fatalf("X event %d repeats the duration attr: %+v", i, x.Args)
+		}
+	}
+	if pre := xs[0]; pre.Name != "preprocess" || pre.Dur < 1000 || pre.Args["fixes"] != float64(0) {
+		t.Fatalf("preprocess X event = %+v", pre)
+	}
 }
 
 func TestPhaseTotalsAndSummary(t *testing.T) {
-	tr := buildTrace(0)
-	totals := tr.PhaseTotals()
+	events := buildEvents(0).Events()
+	totals := PhaseTotals(events)
 	if totals["attempt"].Count != 2 {
 		t.Fatalf("attempt count = %d, want 2", totals["attempt"].Count)
 	}
-	if totals["repair"].Count != 1 || totals["window"].Count != 2 {
+	if totals["repair"].Count != 1 || totals["window"].Count != 2 || len(totals) != 4 {
 		t.Fatalf("unexpected totals: %v", totals)
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteSummary(&buf); err != nil {
+	if err := WriteSummary(&buf, events); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "attempt") || !strings.Contains(buf.String(), "phase") {
@@ -228,7 +232,7 @@ func TestRegistryDeterministicJSON(t *testing.T) {
 	}
 }
 
-// TestTraceSchemaFile validates an externally produced JSONL trace when
+// TestTraceSchemaFile validates an externally produced trace when
 // RTLREPAIR_TRACE_SCHEMA_FILE is set. The CI obs-smoke job runs the
 // rtlrepair CLI with -trace-out and then points this test at the output.
 func TestTraceSchemaFile(t *testing.T) {
@@ -240,10 +244,10 @@ func TestTraceSchemaFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateJSONL(data); err != nil {
+	if err := ValidateRingJSONL(data); err != nil {
 		t.Fatalf("%s: %v", path, err)
 	}
-	if _, err := ScrubJSONL(data); err != nil {
+	if _, err := ScrubRingJSONL(data); err != nil {
 		t.Fatalf("%s: scrub: %v", path, err)
 	}
 	t.Logf("%s: schema ok (%d bytes)", path, len(data))

@@ -7,20 +7,21 @@ import (
 	"time"
 )
 
-// The flight recorder is the always-on half of the observability layer.
-// Where the Tracer is off by default and exists for post-mortem exports,
-// the Recorder runs in production: a bounded ring of recent structured
-// events (span begin/end, solver heartbeats, queue transitions, window
-// progress) plus two live tables — the open-span tree and the registry
-// of currently-solving SAT searches. Together they answer "what is this
-// process doing right now?" (served by /debugz/* in internal/serve) and
-// "what happened in the last N seconds before it hung?" (the ring dump).
+// The flight recorder is the observability layer's one span and event
+// stream. It runs in production: a ring of recent structured events
+// (span begin/end with their attributes, solver heartbeats, queue
+// transitions, window progress) plus two live tables — the open-span
+// tree and the registry of currently-solving SAT searches. Together
+// they answer "what is this process doing right now?" (served by
+// /debugz/* in internal/serve), "what happened in the last N seconds
+// before it hung?" (the ring dump) and "where did this run's time go,
+// by phase?" (-trace-out, -chrome-out and the phase summary, all
+// derived from the events).
 //
-// Cost discipline mirrors the tracer's: ring appends take one short
-// mutex hold and reuse slot memory; solver heartbeats (SolverCell.Beat)
-// are atomics only, so the SAT hot loop never takes a lock. The pinned
-// budget — recorder on, ≤2% of solve time — lives in internal/sat's
-// TestRecorderOverheadBudget next to the nil-tracer budget.
+// Cost discipline: ring appends take one short mutex hold and reuse
+// slot memory; solver heartbeats (SolverCell.Beat) are atomics only, so
+// the SAT hot loop never takes a lock. The pinned budget — recorder on,
+// ≤2% of solve time — lives in internal/sat's TestRecorderOverheadBudget.
 
 // Event kinds recorded in the ring.
 const (
@@ -36,6 +37,8 @@ const (
 // from the recorder's epoch. Scope is the hierarchical label of the
 // emitting pipeline position (job id, design, attempt, window — see
 // Scope.WithLabel); Name is the event's own name within that scope.
+// Span events carry the recorder's span id and its parent's (0 for a
+// root), so consumers can rebuild the span tree from the stream.
 type Event struct {
 	Seq    uint64
 	T      time.Duration
@@ -43,11 +46,21 @@ type Event struct {
 	Name   string
 	Scope  string
 	Worker int
+	Span   uint64
+	Parent uint64
 	Attrs  []Attr
 }
 
 // Int builds an integer event attribute.
 func Int(key string, v int64) Attr { return Attr{Key: key, Int: v} }
+
+// Bool builds a boolean event attribute (encoded as 0/1).
+func Bool(key string, v bool) Attr {
+	if v {
+		return Int(key, 1)
+	}
+	return Int(key, 0)
+}
 
 // Str builds a string event attribute.
 func Str(key, v string) Attr { return Attr{Key: key, Str: v, IsStr: true} }
@@ -159,10 +172,11 @@ type Recorder struct {
 	epoch time.Time
 
 	mu      sync.Mutex
-	ring    []Event // fixed-capacity circular buffer
-	head    int     // next write position
-	count   int     // valid entries (≤ cap)
-	seq     uint64  // total events ever emitted
+	ring    []Event // circular buffer; grows without bound when unbounded
+	bounded bool
+	head    int    // next write position
+	count   int    // valid entries (≤ len(ring))
+	seq     uint64 // total events ever emitted
 	spans   map[uint64]*liveSpan
 	spanSeq uint64
 	cells   map[uint64]*SolverCell
@@ -183,50 +197,56 @@ var defaultRecorder = NewRecorder(DefaultRingCapacity)
 // recorder on by default in production.
 func Default() *Recorder { return defaultRecorder }
 
-// NewRecorder returns a recorder with the given ring capacity
-// (minimum 16). Tests use private recorders for isolation.
+// NewRecorder returns a recorder with the given ring capacity (minimum
+// 16). Capacity 0 gives a recorder that never wraps: it keeps every
+// event of the run, which is what the -trace-out and -chrome-out
+// exports read. Tests use private recorders for isolation.
 func NewRecorder(capacity int) *Recorder {
-	if capacity < 16 {
-		capacity = 16
-	}
-	return &Recorder{
+	r := &Recorder{
 		epoch: time.Now(),
-		ring:  make([]Event, capacity),
 		spans: map[uint64]*liveSpan{},
 		cells: map[uint64]*SolverCell{},
 		subs:  map[uint64]*subscriber{},
 	}
+	if capacity > 0 {
+		r.ring = make([]Event, max(capacity, 16))
+		r.bounded = true
+	}
+	return r
 }
 
 // Enabled reports whether the recorder records events.
 func (r *Recorder) Enabled() bool { return r != nil }
 
 // Emit appends one event to the ring and fans it out to subscribers.
-// The ring overwrites its oldest entry when full; subscribers with full
-// buffers miss the event (their drop counter ticks) rather than block
-// the emitter.
+// A bounded ring overwrites its oldest entry when full; subscribers with
+// full buffers miss the event (their drop counter ticks) rather than
+// block the emitter.
 func (r *Recorder) Emit(kind, name, scope string, worker int, attrs ...Attr) {
 	if r == nil {
 		return
 	}
-	ev := Event{
-		T:      time.Since(r.epoch),
-		Kind:   kind,
-		Name:   name,
-		Scope:  scope,
-		Worker: worker,
-		Attrs:  attrs,
-	}
+	r.emit(Event{Kind: kind, Name: name, Scope: scope, Worker: worker, Attrs: attrs})
+}
+
+// emit stamps ev with its time and sequence number and records it.
+func (r *Recorder) emit(ev Event) {
+	ev.T = time.Since(r.epoch)
 	r.mu.Lock()
 	r.seq++
 	ev.Seq = r.seq
-	r.ring[r.head] = ev
-	r.head = (r.head + 1) % len(r.ring)
-	if r.count < len(r.ring) {
+	if r.bounded {
+		r.ring[r.head] = ev
+		r.head = (r.head + 1) % len(r.ring)
+		if r.count < len(r.ring) {
+			r.count++
+		}
+	} else {
+		r.ring = append(r.ring, ev)
 		r.count++
 	}
 	for _, sub := range r.subs {
-		if !sub.matches(scope) {
+		if !sub.matches(ev.Scope) {
 			continue
 		}
 		select {
@@ -273,13 +293,14 @@ func (r *Recorder) BeginSpan(parent Handle, name, scope string, worker int, attr
 	}
 	r.spans[id] = ls
 	r.mu.Unlock()
-	r.Emit(EvSpanBegin, name, scope, worker, attrs...)
+	r.emit(Event{Kind: EvSpanBegin, Name: name, Scope: scope, Worker: worker,
+		Span: id, Parent: ls.parent, Attrs: attrs})
 	return Handle{r: r, id: id}
 }
 
 // End closes a recorder span: removes it from the live table and emits
-// a span_end event carrying the duration (as time_dur_us, so scrubbed
-// exports stay deterministic) plus any extra attributes.
+// a span_end event carrying any extra attributes plus the duration (as
+// time_dur_us, so scrubbed exports stay deterministic).
 func (h Handle) End(attrs ...Attr) {
 	r := h.r
 	if r == nil {
@@ -292,11 +313,15 @@ func (h Handle) End(attrs ...Attr) {
 	}
 	r.mu.Unlock()
 	if !ok {
-		return // double End is a no-op, like Span.End
+		return // double End is a no-op
 	}
 	dur := time.Since(r.epoch) - ls.start
-	attrs = append(attrs, Int("time_dur_us", dur.Microseconds()))
-	r.Emit(EvSpanEnd, ls.name, ls.scope, ls.worker, attrs...)
+	// Sized exactly: the slice stays resident in its ring slot.
+	all := make([]Attr, len(attrs), len(attrs)+1)
+	copy(all, attrs)
+	all = append(all, Int("time_dur_us", dur.Microseconds()))
+	r.emit(Event{Kind: EvSpanEnd, Name: ls.name, Scope: ls.scope, Worker: ls.worker,
+		Span: h.id, Parent: ls.parent, Attrs: all})
 }
 
 // Events snapshots the ring, oldest first.

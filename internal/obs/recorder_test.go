@@ -299,6 +299,8 @@ func TestValidateRingJSONLRejects(t *testing.T) {
 		"unknown kind":       "{\"type\":\"ring\",\"version\":1,\"events\":1}\n{\"type\":\"event\",\"seq\":1,\"kind\":\"mystery\",\"name\":\"x\"}\n",
 		"heartbeat no attrs": "{\"type\":\"ring\",\"version\":1,\"events\":1}\n{\"type\":\"event\",\"seq\":1,\"kind\":\"heartbeat\",\"name\":\"x\"}\n",
 		"seq regress":        "{\"type\":\"ring\",\"version\":1,\"events\":2}\n{\"type\":\"event\",\"seq\":2,\"kind\":\"queue\",\"name\":\"a\"}\n{\"type\":\"event\",\"seq\":1,\"kind\":\"queue\",\"name\":\"b\"}\n",
+		"span without id":    "{\"type\":\"ring\",\"version\":1,\"events\":1}\n{\"type\":\"event\",\"seq\":1,\"kind\":\"span_begin\",\"name\":\"x\"}\n",
+		"parent after span":  "{\"type\":\"ring\",\"version\":1,\"events\":1}\n{\"type\":\"event\",\"seq\":1,\"kind\":\"span_end\",\"name\":\"x\",\"span\":2,\"parent\":3}\n",
 	} {
 		if err := ValidateRingJSONL([]byte(bad)); err == nil {
 			t.Errorf("%s: accepted", name)

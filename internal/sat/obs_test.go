@@ -7,79 +7,6 @@ import (
 	"rtlrepair/internal/obs"
 )
 
-// BenchmarkNilTracer prices the observability instrumentation in its
-// disabled (default) state. "calls" is the per-Solve instrumentation
-// sequence against a nil tracer; "solve" is a real CDCL search with the
-// zero Scope, i.e. exactly what every solver pays when no -trace-out is
-// given; "solve-traced" is the same search with tracing on, for
-// comparison.
-func BenchmarkNilTracer(b *testing.B) {
-	b.Run("calls", func(b *testing.B) {
-		var sc obs.Scope
-		for i := 0; i < b.N; i++ {
-			span := sc.Tracer.Start(sc.Span, "sat.solve")
-			span.SetInt("assumptions", 0)
-			sc.Metrics.Add("sat.restarts", 1)
-			span.End()
-		}
-	})
-	bench := func(b *testing.B, sc obs.Scope) {
-		for i := 0; i < b.N; i++ {
-			s := New()
-			s.Obs = sc
-			pigeonhole(s, 7, 6)
-			if st, err := s.Solve(); err != nil || st != Unsat {
-				b.Fatalf("solve = %v, %v", st, err)
-			}
-		}
-	}
-	b.Run("solve", func(b *testing.B) { bench(b, obs.Scope{}) })
-	b.Run("solve-traced", func(b *testing.B) {
-		bench(b, obs.Scope{Tracer: obs.New(), Metrics: obs.NewRegistry()})
-	})
-}
-
-// TestNilTracerOverheadBudget pins the disabled-instrumentation cost on
-// the solver hot path below 2% of solve time, with generous headroom:
-// the instrumentation adds one nil-tracer span sequence per Solve call
-// and one nil-registry Add per restart, so its total cost is
-// (restarts+1) × the measured per-call cost. On any plausible hardware
-// that is thousands of times under the budget; the assertion only
-// catches a regression that puts real work (allocation, locking) on the
-// disabled path.
-func TestNilTracerOverheadBudget(t *testing.T) {
-	s := New()
-	pigeonhole(s, 7, 6)
-	startSolve := time.Now()
-	st, err := s.Solve()
-	solveTime := time.Since(startSolve)
-	if err != nil || st != Unsat {
-		t.Fatalf("solve = %v, %v", st, err)
-	}
-	restarts := s.Statistics().Restarts
-
-	// Price one disabled instrumentation sequence (span start/attr/end +
-	// metrics add) against a nil tracer and registry.
-	var sc obs.Scope
-	const reps = 1_000_000
-	startCalls := time.Now()
-	for i := 0; i < reps; i++ {
-		span := sc.Tracer.Start(sc.Span, "sat.solve")
-		span.SetInt("assumptions", 0)
-		sc.Metrics.Add("sat.restarts", 1)
-		span.End()
-	}
-	perCall := time.Since(startCalls) / reps
-
-	overhead := time.Duration(restarts+1) * perCall
-	budget := solveTime / 50 // 2%
-	t.Logf("solve %v, %d restarts, per-call %v, modeled overhead %v (budget %v)",
-		solveTime, restarts, perCall, overhead, budget)
-	if overhead > budget {
-		t.Fatalf("disabled-tracer overhead %v exceeds 2%% of solve time %v", overhead, solveTime)
-	}
-}
-
 // TestSolverFlightRecorder drives a real search with the recorder
 // attached and checks the always-on story: a live cell exists during
 // the search, heartbeat ring events appear at exact conflict
@@ -163,11 +90,11 @@ func TestSolverFlightRecorder(t *testing.T) {
 }
 
 // TestRecorderOverheadBudget pins the always-on flight recorder's cost
-// on the solver hot path below 2% of solve time, the same budget
-// discipline as the nil-tracer test above. The recorder adds, per
-// Solve: one cell register+close (mutexed), one atomic Beat per 1024
-// loop iterations, and one ring Emit per 1024 conflicts. Each is priced
-// in isolation and multiplied by the real search's counts.
+// on the solver hot path below 2% of solve time. The recorder adds, per
+// Solve: one "sat.solve" span pair (BeginSpan plus End with its counter
+// attrs) and one cell register+close (all mutexed), one atomic Beat per
+// 1024 loop iterations, and one ring Emit per 1024 conflicts. Each is
+// priced in isolation and multiplied by the real search's counts.
 func TestRecorderOverheadBudget(t *testing.T) {
 	s := New()
 	pigeonhole(s, 7, 6)
@@ -194,6 +121,14 @@ func TestRecorderOverheadBudget(t *testing.T) {
 	}
 	perRegister := time.Since(startReg) / reps
 
+	startSpan := time.Now()
+	for i := 0; i < reps; i++ {
+		h := rec.BeginSpan(obs.Handle{}, "sat.solve", "bench", 0)
+		h.End(obs.Str("result", "UNSAT"), obs.Int("conflicts", int64(i)), obs.Int("decisions", 0),
+			obs.Int("propagations", 0), obs.Int("cnf_vars", 0), obs.Int("cnf_clauses", 0))
+	}
+	perSpan := time.Since(startSpan) / reps
+
 	c := rec.RegisterSolver("bench", 0)
 	startBeat := time.Now()
 	for i := 0; i < reps; i++ {
@@ -210,10 +145,10 @@ func TestRecorderOverheadBudget(t *testing.T) {
 	perEmit := time.Since(startEmit) / reps
 	c.Close()
 
-	overhead := perRegister + time.Duration(beats)*perBeat + time.Duration(emits)*perEmit
+	overhead := perSpan + perRegister + time.Duration(beats)*perBeat + time.Duration(emits)*perEmit
 	budget := solveTime / 50 // 2%
-	t.Logf("solve %v; %d beats × %v + %d emits × %v + register %v = %v (budget %v)",
-		solveTime, beats, perBeat, emits, perEmit, perRegister, overhead, budget)
+	t.Logf("solve %v; span %v + register %v + %d beats × %v + %d emits × %v = %v (budget %v)",
+		solveTime, perSpan, perRegister, beats, perBeat, emits, perEmit, overhead, budget)
 	if overhead > budget {
 		t.Fatalf("flight-recorder overhead %v exceeds 2%% of solve time %v", overhead, solveTime)
 	}
@@ -221,8 +156,8 @@ func TestRecorderOverheadBudget(t *testing.T) {
 
 // BenchmarkRecorder prices the recorder primitives the solver hot path
 // touches: the per-poll Beat (atomics only), the per-milestone Emit
-// (mutexed ring append), and a full recorder-attached solve vs the
-// detached baseline in BenchmarkNilTracer.
+// (mutexed ring append), the per-Solve span pair, and a full
+// recorder-attached solve vs the detached baseline (the zero Scope).
 func BenchmarkRecorder(b *testing.B) {
 	b.Run("beat", func(b *testing.B) {
 		rec := obs.NewRecorder(1024)
@@ -238,15 +173,26 @@ func BenchmarkRecorder(b *testing.B) {
 			rec.Emit(obs.EvHeartbeat, "sat.solve", "bench", 0, obs.Int("conflicts", int64(i)))
 		}
 	})
-	b.Run("solve-recorded", func(b *testing.B) {
-		rec := obs.NewRecorder(obs.DefaultRingCapacity)
+	b.Run("span", func(b *testing.B) {
+		rec := obs.NewRecorder(1024)
+		for i := 0; i < b.N; i++ {
+			h := rec.BeginSpan(obs.Handle{}, "sat.solve", "bench", 0)
+			h.End(obs.Str("result", "UNSAT"), obs.Int("conflicts", int64(i)), obs.Int("decisions", 0),
+				obs.Int("propagations", 0), obs.Int("cnf_vars", 0), obs.Int("cnf_clauses", 0))
+		}
+	})
+	solve := func(b *testing.B, sc obs.Scope) {
 		for i := 0; i < b.N; i++ {
 			s := New()
-			s.Obs = obs.Scope{Rec: rec, Label: "bench"}
+			s.Obs = sc
 			pigeonhole(s, 7, 6)
 			if st, err := s.Solve(); err != nil || st != Unsat {
 				b.Fatalf("solve = %v, %v", st, err)
 			}
 		}
+	}
+	b.Run("solve", func(b *testing.B) { solve(b, obs.Scope{}) })
+	b.Run("solve-recorded", func(b *testing.B) {
+		solve(b, obs.Scope{Rec: obs.NewRecorder(obs.DefaultRingCapacity), Label: "bench"})
 	})
 }

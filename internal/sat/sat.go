@@ -145,20 +145,18 @@ type Solver struct {
 	// makes Solve return (Unknown, ErrInterrupted). It is the only field
 	// another goroutine may touch while Solve runs.
 	Interrupt *atomic.Bool
-	// Obs positions the solver in the observability layer: each Solve
-	// call records one "sat.solve" span under Obs.Span with the search
-	// counter deltas, and restarts tick the "sat.restarts" counter. The
-	// zero Scope (the default) disables all of it; the hot loop then pays
-	// only nil checks on the rare restart path (see BenchmarkNilTracer).
-	//
-	// When Obs.Rec is set (the always-on flight recorder), each Solve
-	// additionally registers a live SolverCell — updated with atomic
-	// heartbeats from the periodic poll block, surfaced by
-	// /debugz/solvers and the stall watchdog — and emits a "heartbeat"
-	// ring event every heartbeatConflicts conflicts. Emission is keyed
-	// on the cumulative conflict count, not wall clock, so the event
-	// multiset is deterministic across worker counts (see
-	// TestRecorderOverheadBudget for the pinned ≤2% cost).
+	// Obs positions the solver in the observability layer, and restarts
+	// tick its "sat.restarts" counter. When Obs.Rec is set (the always-on
+	// flight recorder), each Solve records one "sat.solve" span under
+	// Obs with the verdict, search-counter deltas and CNF size, registers
+	// a live SolverCell — updated with atomic heartbeats from the
+	// periodic poll block, surfaced by /debugz/solvers and the stall
+	// watchdog — and emits a "heartbeat" ring event every
+	// heartbeatConflicts conflicts. Emission is keyed on the cumulative
+	// conflict count, not wall clock, so the event multiset is
+	// deterministic across worker counts (see TestRecorderOverheadBudget
+	// for the pinned ≤2% cost). The zero Scope (the default) disables all
+	// of it; the hot loop then pays only nil checks.
 	Obs obs.Scope
 }
 
@@ -566,33 +564,29 @@ func (s *Solver) reduceDB() {
 // model can be read with Value. On Unsat under assumptions, the conflict
 // subset is available via FailedAssumptions.
 func (s *Solver) Solve(assumptions ...Lit) (st Status, err error) {
-	if span := s.Obs.Tracer.Start(s.Obs.Span, "sat.solve"); span != nil {
-		span.SetInt("assumptions", int64(len(assumptions)))
-		span.SetInt("cnf_vars", int64(len(s.assigns)))
-		span.SetInt("cnf_clauses", s.added)
-		before := s.Statistics()
-		defer func() {
-			after := s.Statistics()
-			span.SetStr("result", st.String())
-			span.SetInt("conflicts", after.Conflicts-before.Conflicts)
-			span.SetInt("decisions", after.Decisions-before.Decisions)
-			span.SetInt("propagations", after.Propagations-before.Propagations)
-			span.SetInt("restarts", after.Restarts-before.Restarts)
-			span.SetInt("learned", after.Learned-before.Learned)
-			span.End()
-		}()
-	}
-	// Flight recorder: a live cell for /debugz/solvers and the stall
-	// watchdog. Registered per Solve call so the cell's lifetime is
-	// exactly "a search is running"; a solver stuck inside this call is
-	// a cell whose heartbeat goes quiet.
+	// Flight recorder: a "sat.solve" span whose span_end carries the
+	// verdict, the search-counter deltas and the CNF size, plus a live
+	// cell for /debugz/solvers and the stall watchdog. The cell is
+	// registered per Solve call so its lifetime is exactly "a search is
+	// running"; a solver stuck inside this call is a cell whose
+	// heartbeat goes quiet.
 	var cell *obs.SolverCell
 	if rec := s.Obs.Rec; rec != nil {
+		span := s.Obs.Start("sat.solve")
+		vars, clauses := int64(len(s.assigns)), s.added
 		cell = rec.RegisterSolver(s.Obs.Label, s.Obs.Worker)
-		cell.SetCNF(int64(len(s.assigns)), s.added)
+		cell.SetCNF(vars, clauses)
+		before := s.Statistics()
 		defer func() {
 			s.heartbeat(cell, false)
 			cell.Close()
+			after := s.Statistics()
+			span.End(obs.Str("result", st.String()),
+				obs.Int("conflicts", after.Conflicts-before.Conflicts),
+				obs.Int("decisions", after.Decisions-before.Decisions),
+				obs.Int("propagations", after.Propagations-before.Propagations),
+				obs.Int("cnf_vars", vars),
+				obs.Int("cnf_clauses", clauses))
 		}()
 	}
 	if !s.ok {

@@ -14,7 +14,7 @@ import (
 // Live introspection (/debugz/*) and per-job event streaming (SSE) on
 // top of the flight recorder. These endpoints read the recorder's live
 // tables and ring — they show what the server is doing right now, with
-// no tracing enabled and no restart. See DESIGN.md "Live introspection".
+// no export flag and no restart. See DESIGN.md "Live introspection".
 
 // handleDebugSpans serves the open-span forest: every Scope.Start the
 // pipeline has entered but not yet left, as a tree with ages and attrs.
@@ -27,7 +27,7 @@ func (s *Server) handleDebugSpans(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleDebugRing dumps the recorder ring as JSONL (the same format
-// -ring-out writes), newest events last. `?scope=` filters to one job
+// -trace-out writes), newest events last. `?scope=` filters to one job
 // or design label and its descendants.
 func (s *Server) handleDebugRing(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -180,6 +180,8 @@ type eventWire struct {
 	Name   string         `json:"name"`
 	Scope  string         `json:"scope,omitempty"`
 	Worker int            `json:"worker,omitempty"`
+	Span   uint64         `json:"span,omitempty"`
+	Parent uint64         `json:"parent,omitempty"`
 	Attrs  map[string]any `json:"attrs,omitempty"`
 }
 
@@ -191,8 +193,22 @@ func eventJSON(ev obs.Event) eventWire {
 		Name:   ev.Name,
 		Scope:  ev.Scope,
 		Worker: ev.Worker,
+		Span:   ev.Span,
+		Parent: ev.Parent,
 		Attrs:  obs.AttrMap(ev.Attrs),
 	}
+}
+
+// sseBuffer is the per-stream subscription depth. A client that reads
+// slower than the pipeline emits misses events beyond it; the terminal
+// "done" event reports how many.
+const sseBuffer = 256
+
+// doneView is the terminal SSE payload: the job's final view plus the
+// number of its events this stream dropped.
+type doneView struct {
+	JobView
+	DroppedEvents int64 `json:"dropped_events"`
 }
 
 // writeSSE emits one Server-Sent Event with a JSON payload.
@@ -208,8 +224,8 @@ func writeSSE(w http.ResponseWriter, event string, v any) {
 // Events: a leading "state" event with the current JobView, one "event"
 // per recorder event scoped to the job (queue transitions, spans,
 // window progress, solver heartbeats), and a final "done" event with
-// the terminal JobView. The stream ends at job completion or client
-// disconnect, whichever comes first.
+// the terminal JobView and the stream's dropped-event count. The stream
+// ends at job completion or client disconnect, whichever comes first.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	job := s.Job(r.PathValue("id"))
 	if job == nil {
@@ -223,7 +239,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	// Subscribe before the first state snapshot so no event between
 	// snapshot and loop entry is lost.
-	sub := s.rec.Subscribe(job.ID, 256)
+	sub := s.rec.Subscribe(job.ID, sseBuffer)
 	defer sub.Close()
 
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -242,7 +258,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			case ev := <-sub.C():
 				writeSSE(w, "event", eventJSON(ev))
 			default:
-				writeSSE(w, "done", job.View())
+				writeSSE(w, "done", doneView{job.View(), sub.Dropped()})
 				fl.Flush()
 				return
 			}

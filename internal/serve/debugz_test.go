@@ -2,12 +2,14 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -214,6 +216,9 @@ func TestJobEventsSSE(t *testing.T) {
 		if final.State != StateDone || final.Result == nil {
 			t.Fatalf("done event = %+v", final)
 		}
+		if !strings.Contains(last.Data, `"dropped_events":0`) {
+			t.Fatalf("prompt reader's done event reports drops: %s", last.Data)
+		}
 	}
 	sawProgress := false
 	for _, ev := range evs[1 : len(evs)-1] {
@@ -236,6 +241,95 @@ func TestJobEventsSSE(t *testing.T) {
 	}
 	if !sawProgress {
 		t.Fatalf("no window.solve progress event in stream: %+v", evs)
+	}
+}
+
+// stallingWriter is a streaming ResponseWriter whose client stops
+// reading: the first job event written blocks until release closes.
+type stallingWriter struct {
+	*httptest.ResponseRecorder
+	attached chan struct{} // closed once the leading "state" event is written
+	stalled  chan struct{} // closed when the first job event blocks
+	release  chan struct{}
+	once     [2]sync.Once
+}
+
+func (w *stallingWriter) Write(p []byte) (int, error) {
+	switch {
+	case bytes.HasPrefix(p, []byte("event: state")):
+		w.once[0].Do(func() { close(w.attached) })
+	case bytes.HasPrefix(p, []byte("event: event")):
+		w.once[1].Do(func() { close(w.stalled); <-w.release })
+	}
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestJobEventsSSEReportsDrops: a reader that falls behind by more than
+// the subscription buffer loses events, and the terminal "done" event
+// says how many.
+func TestJobEventsSSEReportsDrops(t *testing.T) {
+	rec := obs.NewRecorder(obs.DefaultRingCapacity)
+	w := &stallingWriter{ResponseRecorder: httptest.NewRecorder(),
+		attached: make(chan struct{}), stalled: make(chan struct{}), release: make(chan struct{})}
+	const burst = 4 * sseBuffer
+	started := make(chan string, 1)
+	run := make(chan struct{})
+	var fn repairFunc = func(ctx context.Context, job *Job) *RepairResult {
+		started <- job.ID
+		<-run
+		scope := job.ID + "/first_counter"
+		rec.Emit(obs.EvProgress, "window.solve", scope, 0)
+		<-w.stalled
+		for i := 0; i < burst; i++ {
+			rec.Emit(obs.EvProgress, "window.solve", scope, 0, obs.Int("i", int64(i)))
+		}
+		return &RepairResult{Status: "repaired", FirstFailure: 1}
+	}
+	s := newTestServer(t, Config{Slots: 1, Obs: obs.Scope{Rec: rec}}, fn)
+	job, err := s.Submit(testRequest(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+job.ID+"/events", nil))
+	}()
+	<-w.attached
+	close(run)
+	select {
+	case <-job.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("job did not finish")
+	}
+	close(w.release)
+	select {
+	case <-served:
+	case <-time.After(10 * time.Second):
+		t.Fatal("SSE stream did not finish")
+	}
+
+	evs := readSSE(t, w.Body)
+	last := evs[len(evs)-1]
+	if last.Event != "done" {
+		t.Fatalf("last event = %q", last.Event)
+	}
+	var final struct {
+		State         JobState `json:"state"`
+		DroppedEvents int64    `json:"dropped_events"`
+	}
+	if err := json.Unmarshal([]byte(last.Data), &final); err != nil {
+		t.Fatal(err)
+	}
+	// The writer held one event while the burst arrived; the buffer kept
+	// sseBuffer of the rest.
+	if final.State != StateDone || final.DroppedEvents < burst-sseBuffer {
+		t.Fatalf("done event = %s, want at least %d dropped", last.Data, burst-sseBuffer)
+	}
+	if streamed := len(evs) - 2; int64(streamed)+final.DroppedEvents < burst+1 {
+		t.Fatalf("%d streamed + %d dropped < %d emitted", streamed, final.DroppedEvents, burst+1)
 	}
 }
 

@@ -77,7 +77,7 @@ type Config struct {
 	// disables): results and frontend artifacts are written through to
 	// it, so a restarted server comes back warm.
 	ArtifactDir string
-	// Obs supplies the tracer/metrics registry and the flight recorder.
+	// Obs supplies the metrics registry and the flight recorder.
 	// A nil Metrics is replaced with a fresh registry so /metricsz
 	// always works; a nil Rec with the process-wide obs.Default()
 	// recorder, so /debugz/* and per-job SSE are always live.

@@ -609,9 +609,8 @@ func (s *Solver) Assert(t *Term) {
 // re-checked against the DRUP proof; a failure of either check is a
 // solver soundness bug and panics.
 func (s *Solver) Check(assumptions ...*Term) (sat.Status, error) {
-	span := s.obs.Tracer.Start(s.obs.Span, "smt.check")
-	s.sat.Obs = obs.Scope{Tracer: s.obs.Tracer, Span: span, Metrics: s.obs.Metrics,
-		Rec: s.obs.Rec, Label: s.obs.Label, Worker: s.obs.Worker}
+	span := s.obs.Start("smt.check")
+	s.sat.Obs = span
 	lits := make([]sat.Lit, 0, len(assumptions))
 	terms := make([]*Term, 0, len(assumptions))
 	for _, a := range assumptions {
@@ -631,12 +630,11 @@ func (s *Solver) Check(assumptions ...*Term) (sat.Status, error) {
 		s.snapshotModel()
 		if s.validate {
 			start := time.Now()
-			cspan := s.obs.Tracer.Start(span, "certify")
-			cspan.SetStr("kind", "validate-model")
+			cspan := span.Start("certify")
 			if verr := s.ValidateModel(); verr != nil {
 				panic(fmt.Sprintf("smt: unsound Sat verdict: %v", verr))
 			}
-			cspan.End()
+			cspan.End(obs.Str("kind", "validate-model"))
 			s.certStats.ModelsValidated++
 			s.certStats.CheckTime += time.Since(start)
 			s.obs.Metrics.Add("certify.models_validated", 1)
@@ -645,23 +643,17 @@ func (s *Solver) Check(assumptions ...*Term) (sat.Status, error) {
 		s.model = nil
 		if st == sat.Unsat && s.checker != nil {
 			start := time.Now()
-			cspan := s.obs.Tracer.Start(span, "certify")
-			cspan.SetStr("kind", "drup-unsat")
+			cspan := span.Start("certify")
 			if cerr := s.CertifyLastUnsat(); cerr != nil {
 				panic(fmt.Sprintf("smt: unsound Unsat verdict: %v", cerr))
 			}
-			cspan.SetInt("proof_steps", int64(s.checker.Checked()))
-			cspan.End()
+			cspan.End(obs.Str("kind", "drup-unsat"), obs.Int("proof_steps", int64(s.checker.Checked())))
 			s.certStats.UnsatsCertified++
 			s.certStats.CheckTime += time.Since(start)
 			s.obs.Metrics.Add("certify.unsats_certified", 1)
 		}
 	}
-	if span != nil {
-		span.SetStr("result", st.String())
-		span.SetInt("smt_terms", int64(len(s.bits)))
-		span.End()
-	}
+	span.End(obs.Str("result", st.String()), obs.Int("smt_terms", int64(len(s.bits))))
 	s.obs.Metrics.Add("smt.checks", 1)
 	return st, err
 }

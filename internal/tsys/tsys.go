@@ -221,11 +221,8 @@ func (u *Unrolling) Extend(ctx *smt.Context, extraSteps int) {
 	if extraSteps <= 0 {
 		return
 	}
-	if span := u.obsScope.Tracer.Start(u.obsScope.Span, "tsys.extend"); span != nil {
-		span.SetInt("from_steps", int64(u.Steps))
-		span.SetInt("extra_steps", int64(extraSteps))
-		defer span.End()
-	}
+	span := u.obsScope.Start("tsys.extend")
+	defer span.End(obs.Int("from_steps", int64(u.Steps)), obs.Int("extra_steps", int64(extraSteps)))
 	u.obsScope.Metrics.Add("tsys.extend_steps", int64(extraSteps))
 	name := func(base string, k int) string {
 		if u.tag == "" {

@@ -4,6 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -32,109 +37,75 @@ always @(posedge clock) begin
 end
 endmodule`
 
-// impossibleTrace demands a pseudo-random count sequence no template can
-// produce, so every portfolio attempt runs its full window search and
-// the repair ends cannot-repair. With no candidate ever found there is
-// no cross-attempt cancellation, which is what makes the span tree
-// independent of the worker count.
-func impossibleTrace() *trace.Trace {
+// contradictoryTrace demands a count that steps by two — which the
+// literal-replacement template can produce — until cycle 7, where it
+// steps by one. Windows over the early failure come back SAT, their
+// candidates fail full-trace validation, the windows grow over the
+// contradiction and the repair ends cannot-repair. With no candidate
+// ever accepted there is no cross-attempt cancellation, which is what
+// makes the recorded stream independent of the worker count. The reset
+// cycle's outputs are unknown, so the randomized initial state is not
+// itself a mismatch.
+func contradictoryTrace() *trace.Trace {
 	tr := trace.New(
 		[]trace.Signal{{Name: "reset", Width: 1}, {Name: "enable", Width: 1}},
 		[]trace.Signal{{Name: "count", Width: 4}, {Name: "overflow", Width: 1}},
 	)
-	want := []uint64{0, 7, 1, 12, 4, 11, 2, 9}
+	want := []uint64{0, 0, 2, 4, 6, 8, 10, 11, 12}
 	for i, w := range want {
 		rst, en := uint64(0), uint64(1)
+		count, overflow := bv.KU(4, w), bv.KU(1, 0)
 		if i == 0 {
 			rst, en = 1, 0
+			count, overflow = bv.X(4), bv.X(1)
 		}
-		tr.AddRow(
-			[]bv.XBV{bv.KU(1, rst), bv.KU(1, en)},
-			[]bv.XBV{bv.KU(4, w), bv.KU(1, 0)},
-		)
+		tr.AddRow([]bv.XBV{bv.KU(1, rst), bv.KU(1, en)}, []bv.XBV{count, overflow})
 	}
 	return tr
 }
 
-// TestTraceBytesIdenticalAcrossWorkers is the cross-worker determinism
-// golden: a cannot-repair run at workers=1 and workers=4 must export
-// byte-identical JSONL and Chrome traces once timestamps and worker
-// placement are scrubbed.
-func TestTraceBytesIdenticalAcrossWorkers(t *testing.T) {
-	m, err := verilog.ParseModule(obsCounterSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exports := func(workers int) (jsonl, chrome []byte) {
-		tracer := obs.New()
-		ctx := obs.NewContext(context.Background(), obs.Scope{Tracer: tracer})
-		res := core.RepairCtx(ctx, m, impossibleTrace(), core.Options{
-			Policy:  sim.Randomize,
-			Seed:    7,
-			Timeout: 120 * time.Second,
-			Workers: workers,
-		})
-		if res.Status != core.StatusCannotRepair {
-			t.Fatalf("workers=%d: status = %v, want cannot-repair (fixture must stay unrepairable)", workers, res.Status)
-		}
-		var jb, cb bytes.Buffer
-		if err := tracer.WriteJSONL(&jb); err != nil {
-			t.Fatal(err)
-		}
-		if err := tracer.WriteChromeTrace(&cb); err != nil {
-			t.Fatal(err)
-		}
-		if err := obs.ValidateJSONL(jb.Bytes()); err != nil {
-			t.Fatalf("workers=%d: invalid trace: %v", workers, err)
-		}
-		sj, err := obs.ScrubJSONL(jb.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc, err := obs.ScrubChromeTrace(cb.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sj, sc
-	}
-	j1, c1 := exports(1)
-	j4, c4 := exports(4)
-	if !bytes.Equal(j1, j4) {
-		t.Errorf("scrubbed JSONL differs between workers=1 and workers=4:\n--- w1 ---\n%s\n--- w4 ---\n%s", j1, j4)
-	}
-	if !bytes.Equal(c1, c4) {
-		t.Errorf("scrubbed Chrome trace differs between workers=1 and workers=4")
-	}
+// tracedPhases are the pipeline phases that record their spans into the
+// flight recorder; a certifying run of the contradictory trace reaches
+// every one of them.
+var tracedPhases = []string{
+	"repair", "preprocess", "elaborate", "concretize", "localize", "portfolio",
+	"attempt", "instrument", "window", "encode", "tsys.extend", "smt.check",
+	"sat.solve", "certify", "validate",
 }
 
-// TestRingBytesIdenticalAcrossWorkers is the flight-recorder twin of
-// the trace test above: the scrubbed ring dump — span begin/end pairs,
-// window progress events, and SAT heartbeats — must be byte-identical
-// across worker counts. Heartbeats are keyed on cumulative conflicts
-// (not wall clock), so with clause sharing disabled every attempt's
-// beat sequence depends only on the seed; ScrubRingJSONL strips the
-// volatile fields (seq, t_us, worker, time_*) and sorts lines, making
-// the remainder a deterministic multiset.
+// TestRingBytesIdenticalAcrossWorkers is the cross-worker determinism
+// golden: the scrubbed stream of a cannot-repair run — span begin/end
+// pairs with their attributes for every pipeline phase, window progress
+// events, and SAT heartbeats — must be byte-identical at workers=1 and
+// workers=4. Heartbeats are keyed on cumulative conflicts (not wall
+// clock), so with clause sharing disabled every attempt's event
+// sequence depends only on the seed; ScrubRingJSONL strips the volatile
+// fields (seq, span and parent ids, t_us, worker, time_*) and sorts
+// lines, making the remainder a deterministic multiset.
 func TestRingBytesIdenticalAcrossWorkers(t *testing.T) {
 	m, err := verilog.ParseModule(obsCounterSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rings := func(workers int) []byte {
-		rec := obs.NewRecorder(obs.DefaultRingCapacity)
+		rec := obs.NewRecorder(0)
 		ctx := obs.NewContext(context.Background(), obs.Scope{Rec: rec})
-		res := core.RepairCtx(ctx, m, impossibleTrace(), core.Options{
+		res := core.RepairCtx(ctx, m, contradictoryTrace(), core.Options{
 			Policy:        sim.Randomize,
 			Seed:          7,
 			Timeout:       120 * time.Second,
 			Workers:       workers,
 			NoClauseShare: true,
+			Certify:       true,
 		})
 		if res.Status != core.StatusCannotRepair {
 			t.Fatalf("workers=%d: status = %v, want cannot-repair (fixture must stay unrepairable)", workers, res.Status)
 		}
-		if dropped := rec.Dropped(); dropped != 0 {
-			t.Fatalf("workers=%d: recorder dropped %d events (grow the ring)", workers, dropped)
+		totals := obs.PhaseTotals(rec.Events())
+		for _, phase := range tracedPhases {
+			if totals[phase].Count == 0 {
+				t.Errorf("workers=%d: no %q span in the stream", workers, phase)
+			}
 		}
 		var buf bytes.Buffer
 		if err := rec.WriteRingJSONL(&buf); err != nil {
@@ -156,10 +127,116 @@ func TestRingBytesIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestTraceBytesIdenticalAcrossWorkers is the export-side twin of the
+// ring golden above: it drives the command-line lifecycle (obs.CLI with
+// -trace-out and -chrome-out) through the same cannot-repair run at
+// workers=1 and workers=4 and checks that both written files are
+// byte-identical once timestamps and worker placement are scrubbed.
+func TestTraceBytesIdenticalAcrossWorkers(t *testing.T) {
+	m, err := verilog.ParseModule(obsCounterSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exports := func(workers int) (trace, chrome []byte) {
+		dir := t.TempDir()
+		var cli obs.CLI
+		fs := flag.NewFlagSet("rtlrepair", flag.ContinueOnError)
+		cli.RegisterFlags(fs)
+		if err := fs.Parse([]string{
+			"-trace-out", filepath.Join(dir, "run.jsonl"),
+			"-chrome-out", filepath.Join(dir, "run_trace.json"),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := cli.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if cli.Rec == obs.Default() {
+			t.Fatal("export flags must select a private recorder, not the Default ring")
+		}
+		ctx := obs.NewContext(context.Background(), cli.Scope())
+		res := core.RepairCtx(ctx, m, contradictoryTrace(), core.Options{
+			Policy:        sim.Randomize,
+			Seed:          7,
+			Timeout:       120 * time.Second,
+			Workers:       workers,
+			NoClauseShare: true,
+		})
+		if res.Status != core.StatusCannotRepair {
+			t.Fatalf("workers=%d: status = %v, want cannot-repair (fixture must stay unrepairable)", workers, res.Status)
+		}
+		if err := cli.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		tb, err := os.ReadFile(filepath.Join(dir, "run.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := obs.ValidateRingJSONL(tb); err != nil {
+			t.Fatalf("workers=%d: invalid trace: %v", workers, err)
+		}
+		st, err := obs.ScrubRingJSONL(tb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cb, err := os.ReadFile(filepath.Join(dir, "run_trace.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, scrubChrome(t, cb)
+	}
+	t1, c1 := exports(1)
+	t4, c4 := exports(4)
+	if !bytes.Equal(t1, t4) {
+		t.Errorf("scrubbed -trace-out differs between workers=1 and workers=4:\n--- w1 ---\n%s\n--- w4 ---\n%s", t1, t4)
+	}
+	if !bytes.Equal(c1, c4) {
+		t.Errorf("scrubbed -chrome-out differs between workers=1 and workers=4:\n--- w1 ---\n%s\n--- w4 ---\n%s", c1, c4)
+	}
+}
+
+// scrubChrome canonicalizes a Chrome trace the way ScrubRingJSONL does
+// a ring dump: the per-worker metadata lanes and each span's ts, dur and
+// tid go, as do the args that vary with worker count or wall clock, and
+// the remaining span lines are sorted.
+func scrubChrome(t *testing.T, data []byte) []byte {
+	t.Helper()
+	var events []map[string]any
+	if err := json.Unmarshal(data, &events); err != nil {
+		t.Fatalf("chrome trace does not parse: %v", err)
+	}
+	var lines []string
+	for _, ev := range events {
+		if ev["ph"] == "M" {
+			continue
+		}
+		delete(ev, "ts")
+		delete(ev, "dur")
+		delete(ev, "tid")
+		if args, ok := ev["args"].(map[string]any); ok {
+			for k := range args {
+				if k == "workers" || k == "steals" || strings.HasPrefix(k, "time_") {
+					delete(args, k)
+				}
+			}
+		}
+		b, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, string(b))
+	}
+	if len(lines) == 0 {
+		t.Fatal("chrome trace holds no spans")
+	}
+	sort.Strings(lines)
+	return []byte(strings.Join(lines, "\n"))
+}
+
 // TestPhaseCoverage checks the acceptance bar that the phase spans
 // account for >=95% of the repair wall clock: the root "repair" span's
-// direct children must own (nearly) all of its duration, so a trace
-// reader never stares at unexplained time.
+// direct children must own (nearly) all of its duration, so a reader of
+// the recorder stream never stares at unexplained time.
 func TestPhaseCoverage(t *testing.T) {
 	var bm *bench.Benchmark
 	for _, b := range bench.Registry() {
@@ -179,9 +256,9 @@ func TestPhaseCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tracer := obs.New()
+	rec := obs.NewRecorder(0)
 	reg := obs.NewRegistry()
-	ctx := obs.NewContext(context.Background(), obs.Scope{Tracer: tracer, Metrics: reg})
+	ctx := obs.NewContext(context.Background(), obs.Scope{Rec: rec, Metrics: reg})
 	res := core.RepairCtx(ctx, m, tr, core.Options{
 		Policy:  sim.Randomize,
 		Seed:    goldenSeed(bm, tr, 1),
@@ -192,46 +269,36 @@ func TestPhaseCoverage(t *testing.T) {
 		t.Fatalf("status = %v (reason %s)", res.Status, res.Reason)
 	}
 
-	var buf bytes.Buffer
-	if err := tracer.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.ValidateJSONL(buf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	type spanLine struct {
-		Type   string `json:"type"`
-		ID     int    `json:"id"`
-		Parent int    `json:"parent"`
-		Name   string `json:"name"`
-		DurUS  int64  `json:"dur_us"`
-	}
-	var rootID int
-	var rootDur, childDur int64
-	for _, line := range bytes.Split(buf.Bytes(), []byte("\n")) {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var sp spanLine
-		if err := json.Unmarshal(line, &sp); err != nil {
-			t.Fatal(err)
-		}
-		if sp.Type != "span" {
-			continue
-		}
-		switch {
-		case sp.Parent == 0 && sp.Name == "repair":
-			if rootID != 0 {
+	// Rebuild the root's direct children from the span and parent ids
+	// the span_end events carry.
+	events := rec.Events()
+	var root obs.Event
+	for _, ev := range events {
+		if ev.Kind == obs.EvSpanEnd && ev.Name == "repair" && ev.Parent == 0 {
+			if root.Span != 0 {
 				t.Fatal("multiple repair root spans")
 			}
-			rootID = sp.ID
-			rootDur = sp.DurUS
-		case rootID != 0 && sp.Parent == rootID:
-			childDur += sp.DurUS
+			root = ev
 		}
 	}
-	if rootID == 0 {
-		t.Fatal("no repair root span in trace")
+	if root.Span == 0 {
+		t.Fatal("no repair root span in the stream")
+	}
+	durUS := func(ev obs.Event) int64 {
+		for _, a := range ev.Attrs {
+			if a.Key == "time_dur_us" {
+				return a.Int
+			}
+		}
+		t.Fatalf("span_end %s carries no time_dur_us", ev.Name)
+		return 0
+	}
+	rootDur := durUS(root)
+	var childDur int64
+	for _, ev := range events {
+		if ev.Kind == obs.EvSpanEnd && ev.Parent == root.Span {
+			childDur += durUS(ev)
+		}
 	}
 	if rootDur <= 0 {
 		t.Fatalf("repair span duration %dus", rootDur)

@@ -44,8 +44,8 @@ func goldenSeed(b *bench.Benchmark, tr *trace.Trace, base int64) int64 {
 
 // goldenRepair runs one benchmark through the repair engine with the
 // golden-test settings and renders the deterministic part of the result.
-// The obs scope is threaded through so golden runs can be traced; a zero
-// scope reproduces the untraced engine.
+// The obs scope is threaded through so golden runs can record into a
+// private flight recorder; a zero scope records into obs.Default().
 func goldenRepair(t *testing.T, b *bench.Benchmark, opts core.Options, sc obs.Scope) (string, time.Duration) {
 	t.Helper()
 	tr, err := b.Trace()
@@ -130,9 +130,11 @@ func TestRepairGoldens(t *testing.T) {
 // TestPortfolioMatchesSequential runs the parallel portfolio on every
 // benchmark design and requires the selected repair to be byte-identical
 // to the sequential engine's golden output: same status, template,
-// change count, change descriptions and repaired source. Every run is
-// traced, which doubles as the suite-wide check that tracing never
-// perturbs repair results and every design yields a schema-valid trace.
+// change count, change descriptions and repaired source. Every run
+// records into a private recorder that never wraps, which doubles as the
+// suite-wide check that recording never perturbs repair results, that
+// every design yields a schema-valid stream with no dropped event, and
+// that no span or solver cell is left open once RepairCtx returns.
 func TestPortfolioMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full benchmark suite")
@@ -140,8 +142,24 @@ func TestPortfolioMatchesSequential(t *testing.T) {
 	for _, b := range bench.Registry() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			tracer := obs.New()
-			got, dur := goldenRepair(t, b, core.Options{Workers: 4}, obs.Scope{Tracer: tracer})
+			rec := obs.NewRecorder(0)
+			got, dur := goldenRepair(t, b, core.Options{Workers: 4}, obs.Scope{Rec: rec})
+			if n := rec.Dropped(); n != 0 {
+				t.Errorf("%s: recorder dropped %d events", b.Name, n)
+			}
+			if live := rec.LiveSpans(); len(live) != 0 {
+				t.Errorf("%s: %d spans left open after the run, first %q", b.Name, len(live), live[0].Name)
+			}
+			if cells := rec.Solvers(); len(cells) != 0 {
+				t.Errorf("%s: %d solver cells left open after the run", b.Name, len(cells))
+			}
+			var buf bytes.Buffer
+			if err := rec.WriteRingJSONL(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if err := obs.ValidateRingJSONL(buf.Bytes()); err != nil {
+				t.Errorf("%s: portfolio run recorded an invalid stream: %v", b.Name, err)
+			}
 			if strings.Contains(got, "status: timeout") {
 				t.Skipf("%s: timeout-bound design, not byte-comparable", b.Name)
 			}
@@ -152,13 +170,6 @@ func TestPortfolioMatchesSequential(t *testing.T) {
 			if got != string(want) {
 				t.Errorf("%s: portfolio result differs from sequential engine\n--- got ---\n%s\n--- want ---\n%s",
 					b.Name, got, want)
-			}
-			var buf bytes.Buffer
-			if err := tracer.WriteJSONL(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if err := obs.ValidateJSONL(buf.Bytes()); err != nil {
-				t.Errorf("%s: traced portfolio run exported an invalid trace: %v", b.Name, err)
 			}
 			t.Logf("%s: %.2fs", b.Name, dur.Seconds())
 		})
