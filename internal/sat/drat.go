@@ -82,7 +82,7 @@ func (s *Solver) StartProof() *Proof {
 	}
 	s.proof = &Proof{}
 	for _, c := range s.clauses {
-		s.proof.add(StepOrig, c.lits)
+		s.proof.add(StepOrig, s.lits(c))
 	}
 	// Root-level facts (from unit AddClause calls) are stored on the
 	// trail, not as clauses.
@@ -93,7 +93,7 @@ func (s *Solver) StartProof() *Proof {
 	}
 	// Clauses learned before logging started are axioms to the checker.
 	for _, c := range s.learnts {
-		s.proof.add(StepOrig, c.lits)
+		s.proof.add(StepOrig, s.lits(c))
 	}
 	return s.proof
 }

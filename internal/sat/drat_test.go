@@ -105,34 +105,11 @@ func TestProofOverconstrainedRandom(t *testing.T) {
 // until reduceDB garbage-collects learned clauses, then verifies every
 // learned step of the proof with the deletions interleaved.
 func TestProofReduceDBDeletions(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
 	s := New()
 	proof := s.StartProof()
-	const nv = 180
-	vars := make([]int, nv)
-	for i := range vars {
-		vars[i] = s.NewVar()
-	}
-	for i := 0; i < nv*435/100; i++ {
-		var cl []Lit
-		for k := 0; k < 3; k++ {
-			l := PosLit(vars[rng.Intn(nv)])
-			if rng.Intn(2) == 0 {
-				l = l.Not()
-			}
-			cl = append(cl, l)
-		}
-		s.AddClause(cl...)
-	}
+	reduceDBInstance(s)
 	st := mustSolve(t, s)
-	hasDelete := false
-	for _, step := range proof.Steps {
-		if step.Kind == StepDelete {
-			hasDelete = true
-			break
-		}
-	}
-	if !hasDelete {
+	if countDeletes(proof) == 0 {
 		t.Skip("instance solved without triggering reduceDB")
 	}
 	c := NewChecker(proof)

@@ -8,6 +8,8 @@ package sat
 
 import (
 	"errors"
+	"math"
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -89,26 +91,52 @@ func (b lbool) neg() lbool {
 	return lUndef
 }
 
-type clause struct {
-	lits     []Lit
-	learnt   bool
-	activity float64
+// Clause memory (MiniSat's layout). Every clause lives in the solver's
+// arena: a header word, then its literals inline, then — for a learnt
+// clause — its float64 activity split over two words. A cref is the
+// arena offset of a clause's header, so watchers and reasons hold no
+// pointers and reaching a clause's literals is one load.
+type cref uint32
+
+// crefUndef is the reason of a decision, an assumption or a root fact.
+const crefUndef = ^cref(0)
+
+// Header flags; the clause size fills the bits above hdrSizeShift.
+const (
+	hdrLearnt  = 1 << iota // derived or imported, not added by AddClause
+	hdrDeleted             // chosen by reduceDB; gone after compaction
+	hdrLocked              // reason of a root assignment during reduceDB
+	hdrMoved               // copied by compaction; the next word is the new cref
+)
+
+const hdrSizeShift = 4
+
+// clauseWords is the arena footprint of the clause with header h.
+func clauseWords(h uint32) cref {
+	n := 1 + cref(h>>hdrSizeShift)
+	if h&hdrLearnt != 0 {
+		n += 2
+	}
+	return n
 }
 
+// watcher is 8 bytes and pointer-free: watch lists cost no GC marking
+// and no write barriers.
 type watcher struct {
-	c       *clause
+	c       cref
 	blocker Lit
 }
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
-	clauses  []*clause
-	learnts  []*clause
+	arena    []Lit       // every clause, see cref
+	clauses  []cref      // original clauses, in AddClause order
+	learnts  []cref      // learned and imported clauses, in derivation order
 	watches  [][]watcher // indexed by literal
 	assigns  []lbool     // indexed by var
 	phase    []bool      // saved phase, indexed by var
 	level    []int       // decision level per var
-	reason   []*clause   // antecedent per var
+	reason   []cref      // antecedent per var
 	trail    []Lit
 	trailLim []int
 	qhead    int
@@ -124,6 +152,13 @@ type Solver struct {
 	restarts  int64
 	learned   int64 // learned clauses ever derived (incl. units)
 	added     int64 // original clauses accepted by AddClause
+
+	// Scratch buffers, reused across calls: every consumer of their
+	// contents (alloc, Proof.add, Endpoint.publish) copies.
+	addBuf    []Lit // AddClause's normalized clause
+	learntBuf []Lit // analyze's learnt clause
+	markedBuf []int // analyze's seen variables
+	importBuf []Lit // importClause's normalized clause
 
 	// proof, when non-nil, records a DRUP log of clause additions and
 	// deletions (see drat.go). Enabled with StartProof.
@@ -194,7 +229,7 @@ func (s *Solver) NewVar() int {
 	s.assigns = append(s.assigns, lUndef)
 	s.phase = append(s.phase, false)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, crefUndef)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil)
@@ -229,7 +264,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	s.backtrackTo(0)
 	s.assumptionLevel = 0
 	// Normalize: sort-free dedup, drop false literals, detect tautology.
-	out := lits[:0:0]
+	out := s.addBuf[:0]
 	for _, l := range lits {
 		switch s.value(l) {
 		case lTrue:
@@ -255,33 +290,73 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 			out = append(out, l)
 		}
 	}
+	s.addBuf = out
 	switch len(out) {
 	case 0:
 		s.ok = false
 		return false
 	case 1:
-		if !s.enqueue(out[0], nil) {
+		if !s.enqueue(out[0], crefUndef) {
 			s.ok = false
 			return false
 		}
-		if s.propagate() != nil {
+		if s.propagate() != crefUndef {
 			s.ok = false
 			return false
 		}
 		return true
 	}
-	c := &clause{lits: out}
+	c := s.alloc(out, false)
 	s.clauses = append(s.clauses, c)
 	s.attach(c)
 	return true
 }
 
-func (s *Solver) attach(c *clause) {
-	s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], watcher{c, c.lits[1]})
-	s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c, c.lits[0]})
+// alloc copies lits into the arena as a new clause and returns its
+// reference. A learnt clause starts with activity 0.
+func (s *Solver) alloc(lits []Lit, learnt bool) cref {
+	c := cref(len(s.arena))
+	h := uint32(len(lits)) << hdrSizeShift
+	if learnt {
+		h |= hdrLearnt
+	}
+	if uint64(c)+uint64(clauseWords(h)) >= uint64(crefUndef) {
+		panic("sat: clause arena exceeds 2^32 words")
+	}
+	s.arena = append(s.arena, Lit(h))
+	s.arena = append(s.arena, lits...)
+	if learnt {
+		s.arena = append(s.arena, 0, 0)
+	}
+	return c
 }
 
-func (s *Solver) enqueue(l Lit, from *clause) bool {
+// lits returns clause c's literals, aliasing the arena: swaps through
+// it reorder the clause in place.
+func (s *Solver) lits(c cref) []Lit {
+	end := c + 1 + cref(uint32(s.arena[c])>>hdrSizeShift)
+	return s.arena[c+1 : end : end]
+}
+
+// claActivity reads a learnt clause's activity.
+func (s *Solver) claActivity(c cref) float64 {
+	i := c + clauseWords(uint32(s.arena[c])) - 2
+	return math.Float64frombits(uint64(uint32(s.arena[i])) | uint64(uint32(s.arena[i+1]))<<32)
+}
+
+func (s *Solver) setClaActivity(c cref, a float64) {
+	i := c + clauseWords(uint32(s.arena[c])) - 2
+	b := math.Float64bits(a)
+	s.arena[i], s.arena[i+1] = Lit(uint32(b)), Lit(uint32(b>>32))
+}
+
+func (s *Solver) attach(c cref) {
+	lits := s.lits(c)
+	s.watches[lits[0].Not()] = append(s.watches[lits[0].Not()], watcher{c, lits[1]})
+	s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{c, lits[0]})
+}
+
+func (s *Solver) enqueue(l Lit, from cref) bool {
 	switch s.value(l) {
 	case lTrue:
 		return true
@@ -302,69 +377,73 @@ func (s *Solver) enqueue(l Lit, from *clause) bool {
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
-func (s *Solver) propagate() *clause {
+// propagate runs unit propagation to a fixpoint and returns the
+// conflicting clause, or crefUndef.
+func (s *Solver) propagate() cref {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.props++
+		falseLit := p.Not()
 		ws := s.watches[p]
-		kept := ws[:0]
+		j := 0 // ws[:j] holds the watchers p keeps, in their old order
+	next:
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
 			if s.value(w.blocker) == lTrue {
-				kept = append(kept, w)
+				ws[j] = w
+				j++
 				continue
 			}
 			c := w.c
+			lits := s.lits(c)
 			// Ensure the false literal is lits[1].
-			if c.lits[0] == p.Not() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == falseLit {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			first := c.lits[0]
+			first := lits[0]
 			if first != w.blocker && s.value(first) == lTrue {
-				kept = append(kept, watcher{c, first})
+				ws[j] = watcher{c, first}
+				j++
 				continue
 			}
 			// Look for a new watch.
-			found := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c, first})
-					found = true
-					break
+			for k := 2; k < len(lits); k++ {
+				if s.value(lits[k]) != lFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{c, first})
+					continue next
 				}
 			}
-			if found {
-				continue
-			}
 			// Unit or conflicting.
-			kept = append(kept, watcher{c, first})
+			ws[j] = watcher{c, first}
+			j++
 			if s.value(first) == lFalse {
 				// Conflict: keep remaining watchers and bail.
-				kept = append(kept, ws[i+1:]...)
-				s.watches[p] = kept
+				j += copy(ws[j:], ws[i+1:])
+				s.watches[p] = ws[:j]
 				s.qhead = len(s.trail)
 				return c
 			}
 			s.enqueue(first, c)
 		}
-		s.watches[p] = kept
+		s.watches[p] = ws[:j]
 	}
-	return nil
+	return crefUndef
 }
 
 // analyze performs first-UIP conflict analysis, returning the learnt
-// clause (asserting literal first) and the backtrack level.
-func (s *Solver) analyze(confl *clause) ([]Lit, int) {
-	learnt := []Lit{0} // reserve slot for asserting literal
+// clause (asserting literal first) and the backtrack level. The clause
+// aliases a scratch buffer that the next analyze overwrites.
+func (s *Solver) analyze(confl cref) ([]Lit, int) {
+	learnt := append(s.learntBuf[:0], 0) // reserve slot for asserting literal
 	counter := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
-	var marked []int
+	marked := s.markedBuf[:0]
 
 	for {
-		for _, q := range confl.lits {
+		for _, q := range s.lits(confl) {
 			if p != -1 && q == p {
 				continue
 			}
@@ -401,9 +480,9 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 		v := learnt[i].Var()
 		r := s.reason[v]
 		redundant := false
-		if r != nil {
+		if r != crefUndef {
 			redundant = true
-			for _, q := range r.lits {
+			for _, q := range s.lits(r) {
 				if q.Var() == v {
 					continue
 				}
@@ -435,6 +514,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 	for _, v := range marked {
 		s.seen[v] = false
 	}
+	s.learntBuf, s.markedBuf = learnt, marked
 	return learnt, btLevel
 }
 
@@ -456,11 +536,12 @@ func (s *Solver) bumpVar(v int) {
 	s.heap.update(v)
 }
 
-func (s *Solver) bumpClause(c *clause) {
-	c.activity += s.claInc
-	if c.activity > 1e20 {
+func (s *Solver) bumpClause(c cref) {
+	a := s.claActivity(c) + s.claInc
+	s.setClaActivity(c, a)
+	if a > 1e20 {
 		for _, cl := range s.learnts {
-			cl.activity *= 1e-20
+			s.setClaActivity(cl, s.claActivity(cl)*1e-20)
 		}
 		s.claInc *= 1e-20
 	}
@@ -475,7 +556,7 @@ func (s *Solver) backtrackTo(level int) {
 		v := s.trail[i].Var()
 		s.phase[v] = s.assigns[v] == lTrue
 		s.assigns[v] = lUndef
-		s.reason[v] = nil
+		s.reason[v] = crefUndef
 		s.heap.insertIfAbsent(v)
 	}
 	s.trail = s.trail[:bound]
@@ -507,57 +588,109 @@ func luby(i int64) int64 {
 	}
 }
 
+// reduceDB drops the lower-activity half of the learnt clauses, except
+// binary clauses and reasons of root assignments, then compacts the
+// arena. Must be called at decision level 0.
 func (s *Solver) reduceDB() {
 	if len(s.learnts) < 2 {
 		return
 	}
-	// Drop the lower-activity half of learnt clauses (keep binary ones
-	// and reasons).
-	sorted := make([]*clause, len(s.learnts))
-	copy(sorted, s.learnts)
-	// Simple insertion-style partial sort by activity ascending.
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j].activity < sorted[j-1].activity; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
+	type byActivity struct {
+		act float64
+		c   cref
 	}
-	locked := map[*clause]bool{}
+	sorted := make([]byActivity, len(s.learnts))
+	for i, c := range s.learnts {
+		sorted[i] = byActivity{s.claActivity(c), c}
+	}
+	// Stable: clauses of equal activity keep their derivation order.
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].act < sorted[j].act })
 	for _, r := range s.reason {
-		if r != nil {
-			locked[r] = true
+		if r != crefUndef {
+			s.arena[r] |= hdrLocked
 		}
 	}
-	removed := map[*clause]bool{}
-	for _, c := range sorted[:len(sorted)/2] {
-		if len(c.lits) <= 2 || locked[c] {
+	removed := 0
+	for _, e := range sorted[:len(sorted)/2] {
+		h := uint32(s.arena[e.c])
+		if h>>hdrSizeShift <= 2 || h&hdrLocked != 0 {
 			continue
 		}
-		removed[c] = true
+		s.arena[e.c] = Lit(h | hdrDeleted)
+		removed++
 	}
-	if len(removed) == 0 {
-		return
-	}
-	if s.proof != nil {
-		for c := range removed {
-			s.proof.add(StepDelete, c.lits)
+	for _, r := range s.reason {
+		if r != crefUndef {
+			s.arena[r] &^= hdrLocked
 		}
 	}
+	if removed == 0 {
+		return
+	}
 	kept := s.learnts[:0]
+	live := len(s.arena)
 	for _, c := range s.learnts {
-		if !removed[c] {
+		h := uint32(s.arena[c])
+		if h&hdrDeleted == 0 {
 			kept = append(kept, c)
+			continue
+		}
+		live -= int(clauseWords(h))
+		if s.proof != nil {
+			// Deletions are logged in learnts order, so identical solves
+			// produce identical proofs.
+			s.proof.add(StepDelete, s.lits(c))
 		}
 	}
 	s.learnts = kept
-	for li := range s.watches {
-		ws := s.watches[li][:0]
-		for _, w := range s.watches[li] {
-			if !removed[w.c] {
-				ws = append(ws, w)
+	s.compact(live)
+}
+
+// compact copies every live clause into a fresh arena and rewrites each
+// cref in the watch lists, reasons, clauses and learnts. Clauses are
+// laid out in the order the watch lists first reach them, so a
+// literal's watched clauses sit together; a copied clause's old header
+// gets hdrMoved and its next word the new cref, which later references
+// follow. Watchers of deleted clauses are dropped in place, keeping the
+// order of the rest. live is the word count of the surviving clauses.
+func (s *Solver) compact(live int) {
+	to := make([]Lit, 0, live)
+	for li, ws := range s.watches {
+		kept := ws[:0]
+		for _, w := range ws {
+			if s.arena[w.c]&hdrDeleted == 0 {
+				w.c, to = s.reloc(w.c, to)
+				kept = append(kept, w)
 			}
 		}
-		s.watches[li] = ws
+		s.watches[li] = kept
 	}
+	for v, r := range s.reason {
+		if r != crefUndef {
+			s.reason[v], to = s.reloc(r, to)
+		}
+	}
+	for i, c := range s.learnts {
+		s.learnts[i], to = s.reloc(c, to)
+	}
+	for i, c := range s.clauses {
+		s.clauses[i], to = s.reloc(c, to)
+	}
+	s.arena = to
+}
+
+// reloc returns c's reference in the arena being built in to, copying
+// the clause on its first visit.
+func (s *Solver) reloc(c cref, to []Lit) (cref, []Lit) {
+	h := uint32(s.arena[c])
+	if h&hdrMoved != 0 {
+		return cref(s.arena[c+1]), to
+	}
+	nc := cref(len(to))
+	to = append(to, s.arena[c:c+clauseWords(h)]...)
+	s.arena[c] = Lit(h | hdrMoved)
+	s.arena[c+1] = Lit(nc)
+	return nc, to
 }
 
 // Solve searches for a model extending the given assumptions. On Sat the
@@ -604,7 +737,7 @@ func (s *Solver) Solve(assumptions ...Lit) (st Status, err error) {
 		if !s.ok {
 			return Unsat, nil
 		}
-		if s.propagate() != nil {
+		if s.propagate() != crefUndef {
 			s.ok = false
 			return Unsat, nil
 		}
@@ -633,7 +766,7 @@ func (s *Solver) Solve(assumptions ...Lit) (st Status, err error) {
 			}
 		}
 		confl := s.propagate()
-		if confl != nil {
+		if confl != crefUndef {
 			s.conflicts++
 			if cell != nil && s.conflicts&(heartbeatConflicts-1) == 0 {
 				// Ring heartbeat at a conflict milestone: cumulative
@@ -668,7 +801,7 @@ func (s *Solver) Solve(assumptions ...Lit) (st Status, err error) {
 			s.backtrackTo(btLevel)
 			if len(learnt) == 1 {
 				s.backtrackTo(0)
-				if !s.enqueue(learnt[0], nil) {
+				if !s.enqueue(learnt[0], crefUndef) {
 					s.ok = false
 					return Unsat, nil
 				}
@@ -677,7 +810,7 @@ func (s *Solver) Solve(assumptions ...Lit) (st Status, err error) {
 					return st, nil
 				}
 			} else {
-				c := &clause{lits: learnt, learnt: true}
+				c := s.alloc(learnt, true)
 				s.learnts = append(s.learnts, c)
 				s.attach(c)
 				s.bumpClause(c)
@@ -735,7 +868,7 @@ func (s *Solver) Solve(assumptions ...Lit) (st Status, err error) {
 				return Unsat, nil
 			}
 			s.trailLim = append(s.trailLim, len(s.trail))
-			s.enqueue(a, nil)
+			s.enqueue(a, crefUndef)
 			s.assumptionLevel = s.decisionLevel()
 			continue
 		}
@@ -746,7 +879,7 @@ func (s *Solver) Solve(assumptions ...Lit) (st Status, err error) {
 		}
 		s.decisions++
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.enqueue(MkLit(v, !s.phase[v]), nil)
+		s.enqueue(MkLit(v, !s.phase[v]), crefUndef)
 	}
 }
 
@@ -754,7 +887,7 @@ func (s *Solver) Solve(assumptions ...Lit) (st Status, err error) {
 // It returns (status, true) if solving is already decided.
 func (s *Solver) reassume([]Lit) (Status, bool) {
 	s.assumptionLevel = 0
-	if s.propagate() != nil {
+	if s.propagate() != crefUndef {
 		s.ok = false
 		return Unsat, true
 	}

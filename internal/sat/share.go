@@ -217,7 +217,7 @@ func (s *Solver) importClause(lits []Lit) importVerdict {
 	// what gets RUP-checked and logged; dropping root-false literals only
 	// strengthens it, so RUP of the normalized form implies RUP of the
 	// original.
-	out := make([]Lit, 0, len(lits))
+	out := s.importBuf[:0]
 	for _, l := range lits {
 		switch s.value(l) {
 		case lTrue:
@@ -239,6 +239,7 @@ func (s *Solver) importClause(lits []Lit) importVerdict {
 			out = append(out, l)
 		}
 	}
+	s.importBuf = out
 	if len(out) == 0 {
 		// Every literal is false at the root: the clause cannot be a
 		// consequence of a consistent database.
@@ -249,9 +250,9 @@ func (s *Solver) importClause(lits []Lit) importVerdict {
 	// and true ones handled above), so every enqueue succeeds.
 	s.trailLim = append(s.trailLim, len(s.trail))
 	for _, l := range out {
-		s.enqueue(l.Not(), nil)
+		s.enqueue(l.Not(), crefUndef)
 	}
-	rup := s.propagate() != nil
+	rup := s.propagate() != crefUndef
 	s.backtrackTo(0)
 	if !rup {
 		return importRetry
@@ -260,12 +261,12 @@ func (s *Solver) importClause(lits []Lit) importVerdict {
 		s.proof.add(StepLearn, out)
 	}
 	if len(out) == 1 {
-		if !s.enqueue(out[0], nil) || s.propagate() != nil {
+		if !s.enqueue(out[0], crefUndef) || s.propagate() != crefUndef {
 			s.ok = false
 		}
 		return importAdmitted
 	}
-	c := &clause{lits: out, learnt: true}
+	c := s.alloc(out, true)
 	s.learnts = append(s.learnts, c)
 	s.attach(c)
 	return importAdmitted

@@ -14,6 +14,7 @@ import (
 	"rtlrepair/internal/bench"
 	"rtlrepair/internal/core"
 	"rtlrepair/internal/obs"
+	"rtlrepair/internal/sat"
 	"rtlrepair/internal/sim"
 	"rtlrepair/internal/trace"
 	"rtlrepair/internal/verilog"
@@ -43,10 +44,11 @@ func goldenSeed(b *bench.Benchmark, tr *trace.Trace, base int64) int64 {
 }
 
 // goldenRepair runs one benchmark through the repair engine with the
-// golden-test settings and renders the deterministic part of the result.
+// golden-test settings and renders the deterministic part of the result;
+// the raw result is returned beside it for checks on its statistics.
 // The obs scope is threaded through so golden runs can record into a
 // private flight recorder; a zero scope records into obs.Default().
-func goldenRepair(t *testing.T, b *bench.Benchmark, opts core.Options, sc obs.Scope) (string, time.Duration) {
+func goldenRepair(t *testing.T, b *bench.Benchmark, opts core.Options, sc obs.Scope) (string, *core.Result, time.Duration) {
 	t.Helper()
 	tr, err := b.Trace()
 	if err != nil {
@@ -78,11 +80,58 @@ func goldenRepair(t *testing.T, b *bench.Benchmark, opts core.Options, sc obs.Sc
 	if res.Repaired != nil {
 		sb.WriteString(verilog.Print(res.Repaired))
 	}
-	return sb.String(), dur
+	return sb.String(), res, dur
 }
 
 func goldenPath(name string) string {
 	return filepath.Join("testdata", "repair_goldens", name+".golden")
+}
+
+// satStatsPath pins the CDCL search itself, not only its verdicts: one
+// line per design with the counters of every solver the workers=1 run
+// built. A change to clause memory that keeps the search must leave
+// every line as it is.
+var satStatsPath = filepath.Join("testdata", "sat_stats.golden")
+
+func satStatsLine(st sat.Statistics) string {
+	return fmt.Sprintf("conflicts=%d decisions=%d propagations=%d restarts=%d learned=%d shared_imported=%d shared_rejected=%d",
+		st.Conflicts, st.Decisions, st.Propagations, st.Restarts, st.Learned, st.SharedImported, st.SharedRejected)
+}
+
+// readSATStats parses satStatsPath into design → counters line. A
+// missing file reads as empty so -update-goldens can create it.
+func readSATStats(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(satStatsPath)
+	if os.IsNotExist(err) {
+		return map[string]string{}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		name, stats, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", satStatsPath, line)
+		}
+		out[name] = stats
+	}
+	return out
+}
+
+// writeSATStats rewrites satStatsPath in registry order.
+func writeSATStats(t *testing.T, stats map[string]string) {
+	t.Helper()
+	var sb strings.Builder
+	for _, b := range bench.Registry() {
+		if line, ok := stats[b.Name]; ok {
+			fmt.Fprintf(&sb, "%s %s\n", b.Name, line)
+		}
+	}
+	if err := os.WriteFile(satStatsPath, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestRepairGoldens pins the repair engine's output on every benchmark
@@ -92,19 +141,28 @@ func goldenPath(name string) string {
 // encodings and incremental window reuse shifted a handful of designs
 // to different equally-minimal repairs); workers=1 must reproduce them
 // byte-for-byte, and the parallel portfolio must select the same result.
+// The same sweep checks each design's aggregate SAT counters against
+// testdata/sat_stats.golden, so the search that found the repair is
+// pinned too.
 func TestRepairGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full benchmark suite")
 	}
+	stats := readSATStats(t)
+	if *updateGoldens {
+		defer writeSATStats(t, stats)
+	}
 	for _, b := range bench.Registry() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			got, dur := goldenRepair(t, b, core.Options{Workers: 1}, obs.Scope{})
+			got, res, dur := goldenRepair(t, b, core.Options{Workers: 1}, obs.Scope{})
 			if strings.Contains(got, "status: timeout") {
 				t.Skipf("%s: timeout-bound design, not byte-comparable", b.Name)
 			}
 			path := goldenPath(b.Name)
+			line := satStatsLine(res.SAT)
 			if *updateGoldens {
+				stats[b.Name] = line
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
 				}
@@ -121,6 +179,11 @@ func TestRepairGoldens(t *testing.T) {
 			if got != string(want) {
 				t.Errorf("%s: result differs from the pinned golden\n--- got ---\n%s\n--- want ---\n%s",
 					b.Name, got, want)
+			}
+			if want, ok := stats[b.Name]; !ok {
+				t.Errorf("%s: no line in %s (run with -update-goldens)", b.Name, satStatsPath)
+			} else if line != want {
+				t.Errorf("%s: SAT search differs from %s\n got: %s\nwant: %s", b.Name, satStatsPath, line, want)
 			}
 			t.Logf("%s: %.2fs", b.Name, dur.Seconds())
 		})
@@ -143,7 +206,7 @@ func TestPortfolioMatchesSequential(t *testing.T) {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			rec := obs.NewRecorder(0)
-			got, dur := goldenRepair(t, b, core.Options{Workers: 4}, obs.Scope{Rec: rec})
+			got, _, dur := goldenRepair(t, b, core.Options{Workers: 4}, obs.Scope{Rec: rec})
 			if n := rec.Dropped(); n != 0 {
 				t.Errorf("%s: recorder dropped %d events", b.Name, n)
 			}
