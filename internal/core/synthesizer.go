@@ -103,27 +103,27 @@ type SynthStats struct {
 	Windows      int
 	FinalWindow  [2]int // k_past, k_future
 	Unrollings   int
-	// SolverBuilds counts windows encoded into a fresh solver. When only
-	// k_future grows, the live solver is extended instead of rebuilt, so
-	// SolverBuilds < Windows on designs that widen forward.
+	// SolverBuilds counts window solvers built: 1 once the first window
+	// is encoded, 0 before. Window growth at either end adds cycles to
+	// that one live solver instead of rebuilding it.
 	SolverBuilds int
-	// ExtendedCycles counts trace cycles appended incrementally to a live
-	// solver's clause database instead of being re-encoded.
+	// ExtendedCycles counts trace cycles added to the live solver's
+	// clause database by window growth, appended (k_future) or prepended
+	// (k_past).
 	ExtendedCycles int
 	// PrefixCycles counts concrete simulation steps spent computing
 	// window start states (cached, so it stays linear in the trace
 	// prefix instead of quadratic in the number of windows).
 	PrefixCycles int
-	// SAT aggregates the underlying CDCL statistics across every solver
-	// this synthesizer built (retired window encodings included).
+	// SAT holds the underlying CDCL statistics of the window solver.
 	SAT sat.Statistics
-	// Certify aggregates certification work (model validations, DRUP
-	// checks) across the same solvers.
+	// Certify holds its certification work (model validations, DRUP
+	// checks).
 	Certify smt.CertifyStats
-	// Abs aggregates abstract-interpretation work (facts learned,
-	// rewrites, never-worse guard fallbacks) across the same solvers.
+	// Abs holds its abstract-interpretation work (facts learned,
+	// rewrites, never-worse guard fallbacks).
 	Abs smt.AbsStats
-	// Shadow holds the CNF statistics of the no-absint shadow encoders
+	// Shadow holds the CNF statistics of the no-absint shadow encoder
 	// when SynthOptions.ShadowCNF is on (zero otherwise).
 	Shadow sat.Statistics
 	// FactCacheHits/FactCacheSize report the cross-window base-fact
@@ -141,15 +141,21 @@ var ErrCancelled = fmt.Errorf("core: synthesis cancelled")
 
 // winEnc is a live SMT encoding of the trace window [start, end): the
 // unrolled circuit plus the input/output constraints of those cycles,
-// asserted into an incremental solver. The encoding survives across
-// k_future growth — newly unrolled cycles are appended to the existing
-// clause database, as bitwuzla's assumption-based incremental interface
-// allows the paper's artifact to do.
+// asserted into an incremental solver. The window start state is not
+// folded in: the states at step 0 of the head segment are free
+// variables, bound to the prefix state by the assumptions in bind, as in
+// incremental BMC (Eén & Sörensson 2003). The encoding therefore
+// survives growth at both ends — newly unrolled cycles are appended to
+// the tail or prepended before the head, as bitwuzla's assumption-based
+// incremental interface allows the paper's artifact to do.
 type winEnc struct {
-	solver *smt.Solver
-	u      *tsys.Unrolling
-	start  int
-	end    int // exclusive
+	solver    *smt.Solver
+	head      *tsys.Unrolling // segment whose step 0 is cycle start
+	tail      *tsys.Unrolling // segment that ends at cycle end
+	tailStart int             // trace cycle of tail's step 0
+	start     int
+	end       int         // exclusive
+	bind      []*smt.Term // head step-0 state = prefix state, one per state
 }
 
 // samplingState carries the live minimal-repair enumeration of the most
@@ -186,16 +192,9 @@ type Synthesizer struct {
 	// robustness fills and the prefix simulator (nil until first use).
 	prog *sim.Program
 
-	// Stats folded in from window solvers that were rebuilt away; the
-	// live solver's counters are added on top after every check.
-	retiredSAT    sat.Statistics
-	retiredCert   smt.CertifyStats
-	retiredAbs    smt.AbsStats
-	retiredShadow sat.Statistics
-
 	// facts caches environment-free abstract facts keyed on hash-consed
-	// term identity, so window extensions and rebuilds re-derive nothing
-	// for terms that survive from earlier windows (§cross-window caching).
+	// term identity, so window extensions re-derive nothing for terms
+	// that survive from earlier windows (§cross-window caching).
 	facts *smt.FactCache
 
 	// sharedOK memoizes SharedPrefix.Covers(sys): 0 undecided, 1 the
@@ -392,44 +391,57 @@ func (s *Synthesizer) robust(a Assignment) bool {
 	return true
 }
 
-// encodeWindow returns a live encoding of cycles [start, end). When only
-// the future boundary moved since the previous window (k_future growth,
-// §4.4), the existing solver is kept alive and the newly unrolled cycles
-// are appended to its clause database; the blocking clauses asserted
-// while sampling the previous window stay in force, which is sound
-// because every blocked assignment already failed full-trace validation.
-// Any move of the past boundary rebuilds from scratch, since the start
-// state is folded into the unrolling as constants.
+// encodeWindow returns the live encoding of cycles [start, end), with
+// startState the register state at cycle start. The synthesizer keeps
+// one solver for its whole run. The first call unrolls the window with
+// free step-0 state variables; later calls may only widen the window.
+// k_future growth appends cycles to the tail segment, and k_past growth
+// prepends a segment whose final state is linked to the old start
+// variables, so every learned clause stays valid (CDCL derives them from
+// the clause database, never from the binding assumptions). The
+// blocking clauses asserted while sampling earlier windows stay in
+// force, which is sound because every blocked assignment already failed
+// full-trace validation or re-concretization.
 func (s *Synthesizer) encodeWindow(start, end int, startState map[string]bv.XBV, sc obs.Scope) (*winEnc, error) {
-	if w := s.win; w != nil && w.start == start && end >= w.end {
-		from := w.end
-		// Re-point the live encoding at the current window's scope so the
-		// "tsys.extend" and "smt.check" spans nest under it.
-		w.u.SetObs(sc)
-		w.solver.SetObs(sc)
-		w.u.Extend(s.ctx, end-from)
-		span := sc.Start("encode")
-		s.assertCycles(w, from, end)
-		span.End(obs.Int("cycles", int64(end-from)))
-		s.Stats.ExtendedCycles += end - from
-		sc.Metrics.Add("synth.extended_cycles", int64(end-from))
-		w.end = end
-		return w, nil
+	w := s.win
+	if w != nil && (start > w.start || end < w.end) {
+		return nil, fmt.Errorf("core: window [%d, %d) does not contain the live window [%d, %d)",
+			start, end, w.start, w.end)
 	}
-	steps := end - start
-	init := map[*smt.Term]*smt.Term{}
 	for _, st := range s.sys.States {
-		v, ok := startState[st.Var.Name]
-		if !ok {
+		if _, ok := startState[st.Var.Name]; !ok {
 			return nil, fmt.Errorf("core: missing start state for %q", st.Var.Name)
 		}
-		init[st.Var] = s.ctx.Const(v.Val)
 	}
-	if s.win != nil {
-		s.retireWindowStats(s.win.solver)
+	if w == nil {
+		w = s.newWindow(start, end, sc)
+	} else {
+		// Re-point the live encoding at the current window's scope so the
+		// "tsys.extend" and "smt.check" spans nest under it.
+		w.tail.SetObs(sc)
+		w.solver.SetObs(sc)
+		if start < w.start {
+			s.prependCycles(w, start, sc)
+		}
+		if end > w.end {
+			s.appendCycles(w, end, sc)
+		}
 	}
+	if w.bind == nil {
+		for _, st := range s.sys.States {
+			v := startState[st.Var.Name]
+			w.bind = append(w.bind, s.ctx.Eq(w.head.StateAt(0, st.Var), s.ctx.Const(v.Val)))
+		}
+	}
+	return w, nil
+}
+
+// newWindow builds the synthesizer's window solver over cycles
+// [start, end). The step-0 states are left free for the binding
+// assumptions.
+func (s *Synthesizer) newWindow(start, end int, sc obs.Scope) *winEnc {
 	span := sc.Start("encode")
-	u := tsys.Unroll(s.ctx, s.sys, steps, init)
+	u := tsys.Unroll(s.ctx, s.sys, end-start, nil)
 	u.SetObs(sc)
 	u.SetFactCache(s.facts)
 	solver := smt.NewSolver(s.ctx)
@@ -447,40 +459,71 @@ func (s *Synthesizer) encodeWindow(start, end int, startState map[string]bv.XBV,
 	solver.SetDeadline(s.opts.Deadline)
 	solver.SetInterrupt(s.opts.Interrupt)
 	solver.SetObs(sc)
-	if s.opts.Share != nil {
-		solver.SetShare(s.opts.Share.Join(s.opts.ShareNS))
-	}
-	w := &winEnc{solver: solver, u: u, start: start, end: end}
-	s.assertCycles(w, start, end)
-	span.End(obs.Int("cycles", int64(steps)), obs.Bool("rebuild", true))
+	w := &winEnc{solver: solver, head: u, tail: u, tailStart: start, start: start, end: end}
+	s.assertCycles(w, u, start, start, end)
+	span.End(obs.Int("cycles", int64(end-start)), obs.Bool("build", true))
 	s.Stats.SolverBuilds++
 	sc.Metrics.Add("synth.solver_builds", 1)
 	s.win = w
-	return w, nil
+	return w
+}
+
+// appendCycles grows the window's future boundary to end by extending
+// the tail segment.
+func (s *Synthesizer) appendCycles(w *winEnc, end int, sc obs.Scope) {
+	from := w.end
+	w.tail.Extend(s.ctx, end-from)
+	span := sc.Start("encode")
+	s.assertCycles(w, w.tail, w.tailStart, from, end)
+	span.End(obs.Int("cycles", int64(end-from)))
+	s.Stats.ExtendedCycles += end - from
+	sc.Metrics.Add("synth.extended_cycles", int64(end-from))
+	w.end = end
+}
+
+// prependCycles grows the window's past boundary to start: it unrolls
+// cycles [start, w.start) as a new head segment, asserts their trace
+// constraints, links the segment's final state to the old head's step-0
+// state variables, and drops the old binding. The cycle constraints go
+// in before the links, in trace order, so the simplifier learns nothing
+// from a link that would re-simplify structure already blasted.
+func (s *Synthesizer) prependCycles(w *winEnc, start int, sc obs.Scope) {
+	k := w.start - start
+	span := sc.Start("encode")
+	u := tsys.UnrollTagged(s.ctx, s.sys, k, nil, fmt.Sprintf("p%d", start))
+	s.assertCycles(w, u, start, start, w.start)
+	for _, st := range s.sys.States {
+		w.solver.Assert(s.ctx.Eq(w.head.StateAt(0, st.Var), u.StateAt(k, st.Var)))
+	}
+	span.End(obs.Int("cycles", int64(k)), obs.Bool("prepend", true))
+	s.Stats.ExtendedCycles += k
+	sc.Metrics.Add("synth.extended_cycles", int64(k))
+	w.head, w.start, w.bind = u, start, nil
 }
 
 // assertCycles pins the trace inputs and asserts the expected-output
-// constraints for cycles [from, to) of a window encoding.
-func (s *Synthesizer) assertCycles(w *winEnc, from, to int) {
+// constraints for cycles [from, to) of the segment u, whose step 0 is
+// trace cycle base.
+func (s *Synthesizer) assertCycles(w *winEnc, u *tsys.Unrolling, base, from, to int) {
 	for cycle := from; cycle < to; cycle++ {
-		k := cycle - w.start
+		k := cycle - base
 		for _, in := range s.sys.Inputs {
 			idx := s.tr.InputIndex(in.Name)
 			if idx < 0 {
 				// Inputs the testbench does not drive read as zero in the
 				// validation simulator; pin them for consistency.
-				w.solver.Assert(s.ctx.Eq(w.u.InputAt(k, in), s.ctx.Const(bv.Zero(in.Width))))
+				w.solver.Assert(s.ctx.Eq(u.InputAt(k, in), s.ctx.Const(bv.Zero(in.Width))))
 				continue
 			}
 			cell := s.tr.InputRows[cycle][idx]
-			w.solver.Assert(s.ctx.Eq(w.u.InputAt(k, in), s.ctx.Const(cell.Val)))
+			w.solver.Assert(s.ctx.Eq(u.InputAt(k, in), s.ctx.Const(cell.Val)))
 		}
 		for i, sig := range s.tr.Outputs {
 			exp := s.tr.OutputRows[cycle][i]
 			if exp.Known.IsZero() {
 				continue // fully don't-care
 			}
-			outExpr := w.u.OutputAt(k, sig.Name)
+			outExpr := u.OutputAt(k, sig.Name)
 			if outExpr == nil {
 				continue
 			}
@@ -501,28 +544,19 @@ func (s *Synthesizer) assertCycles(w *winEnc, from, to int) {
 	}
 }
 
-// retireWindowStats folds a window solver's counters into the retired
-// accumulators before the solver is rebuilt away.
-func (s *Synthesizer) retireWindowStats(solver *smt.Solver) {
-	s.retiredSAT.Add(solver.SATStats())
-	s.retiredCert.Add(solver.CertifyStats())
-	s.retiredAbs.Add(solver.AbsStats())
-	s.retiredShadow.Add(solver.ShadowStats())
-}
-
-// check runs one solver query, mapping low-level errors to the
-// synthesizer's timeout/cancellation errors.
-func (s *Synthesizer) check(solver *smt.Solver, assumptions ...*smt.Term) (sat.Status, error) {
+// check runs one query on the live window solver under the window's
+// start-state binding and the given assumptions, mapping low-level
+// errors to the synthesizer's timeout/cancellation errors.
+func (s *Synthesizer) check(assumptions ...*smt.Term) (sat.Status, error) {
 	s.Stats.SolverChecks++
-	st, err := solver.Check(assumptions...)
-	s.Stats.SAT = s.retiredSAT
-	s.Stats.SAT.Add(solver.SATStats())
-	s.Stats.Certify = s.retiredCert
-	s.Stats.Certify.Add(solver.CertifyStats())
-	s.Stats.Abs = s.retiredAbs
-	s.Stats.Abs.Add(solver.AbsStats())
-	s.Stats.Shadow = s.retiredShadow
-	s.Stats.Shadow.Add(solver.ShadowStats())
+	solver := s.win.solver
+	// The binding goes first: the solver decides assumptions in order,
+	// so the start state is fixed before any change bound.
+	st, err := solver.Check(append(append([]*smt.Term{}, s.win.bind...), assumptions...)...)
+	s.Stats.SAT = solver.SATStats()
+	s.Stats.Certify = solver.CertifyStats()
+	s.Stats.Abs = solver.AbsStats()
+	s.Stats.Shadow = solver.ShadowStats()
 	if s.facts != nil {
 		s.Stats.FactCacheHits = s.facts.Hits
 		s.Stats.FactCacheSize = s.facts.Len()
@@ -555,11 +589,7 @@ func (s *Synthesizer) solveWindow(start, end int, startState map[string]bv.XBV) 
 	}
 	solver := w.solver
 
-	check := func(assumptions ...*smt.Term) (sat.Status, error) {
-		return s.check(solver, assumptions...)
-	}
-
-	st, err := check()
+	st, err := s.check()
 	if err != nil {
 		return nil, err
 	}
@@ -584,7 +614,7 @@ func (s *Synthesizer) solveWindow(start, end int, startState map[string]bv.XBV) 
 		return []*Solution{{Assign: best, Changes: bestChanges}}, nil
 	}
 	for k := 0; k < bestChanges && k <= s.opts.MaxChanges; k++ {
-		st, err := check(s.ctx.Ule(sum, s.ctx.ConstU(16, uint64(k))))
+		st, err := s.check(s.ctx.Ule(sum, s.ctx.ConstU(16, uint64(k))))
 		if err != nil {
 			return nil, err
 		}
@@ -601,7 +631,7 @@ func (s *Synthesizer) solveWindow(start, end int, startState map[string]bv.XBV) 
 	bound := s.ctx.Ule(sum, s.ctx.ConstU(16, uint64(minimal)))
 	for len(sols) < s.opts.MaxSamples {
 		solver.Assert(s.blockingClause(sols[len(sols)-1].Assign))
-		st, err := check(bound)
+		st, err := s.check(bound)
 		if err != nil {
 			return nil, err
 		}
@@ -638,7 +668,7 @@ func (s *Synthesizer) moreSamples() (sols []*Solution, err error) {
 	vars := s.allVars()
 	for len(sols) < s.opts.MaxSamples {
 		solver.Assert(s.blockingClause(s.sampling.last))
-		st, err := s.check(solver, s.sampling.bound)
+		st, err := s.check(s.sampling.bound)
 		if err != nil {
 			return nil, err
 		}
