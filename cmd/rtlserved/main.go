@@ -36,9 +36,8 @@
 // With -portfolio-workers > 1, GET /metricsz additionally reports the
 // parallel portfolio's health: portfolio.utilization_pct (worker busy
 // time over wall clock), portfolio.steals (attempts claimed across
-// worker deques), portfolio.prefix.{cycles,hits} (shared encode-prefix
-// cache), and sat.share.{exported,imported,rejected} (learned-clause
-// exchange totals).
+// worker deques) and portfolio.prefix.{cycles,hits} (shared
+// encode-prefix cache).
 package main
 
 import (

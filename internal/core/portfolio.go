@@ -12,7 +12,6 @@ import (
 	"rtlrepair/internal/analysis"
 	"rtlrepair/internal/bv"
 	"rtlrepair/internal/obs"
-	"rtlrepair/internal/sat"
 	"rtlrepair/internal/sim"
 	"rtlrepair/internal/smt"
 	"rtlrepair/internal/synth"
@@ -33,9 +32,8 @@ import (
 //     exists.
 //
 // Attempts are scheduled by a work-stealing scheduler with a
-// speculation throttle (see steal.go), share one prefix-snapshot cache
-// (see prefix.go), and exchange learned clauses within each attempt's
-// own solver lineage (see sat/share.go). Selection happens only after
+// speculation throttle (see steal.go) and share one prefix-snapshot
+// cache (see prefix.go). Selection happens only after
 // every attempt has finished (or been cancelled), by the sequential
 // engine's precedence: earliest acceptable template of the earliest
 // pass, else the smallest fallback. The outcome is therefore
@@ -64,9 +62,8 @@ type portfolio struct {
 	deadline time.Time
 	opts     Options
 	attempts []*attempt
-	prefix   *PrefixCache  // shared encode prefix (window start states)
-	exch     *sat.Exchange // per-attempt-lineage clause exchange (nil when disabled)
-	obs      obs.Scope     // the "portfolio" span's scope
+	prefix   *PrefixCache // shared encode prefix (window start states)
+	obs      obs.Scope    // the "portfolio" span's scope
 }
 
 // workerCount resolves the Workers knob: 0 picks one worker per
@@ -109,9 +106,6 @@ func runPortfolio(ctx context.Context, res *Result, fe *Frontend,
 		deadline: deadline,
 		opts:     opts,
 		prefix:   NewPrefixCache(fe.Sys, ctr, init),
-	}
-	if !opts.NoClauseShare {
-		p.exch = sat.NewExchange()
 	}
 	for pi, loc := range passes {
 		for ti, tmpl := range opts.Templates {
@@ -338,14 +332,6 @@ func (p *portfolio) runAttempt(at *attempt, worker int, stolen bool) {
 	sopts.NoAbsint = p.opts.NoAbsint
 	sopts.ShadowCNF = p.opts.ShadowCNF
 	sopts.SharedPrefix = p.prefix
-	if p.exch != nil {
-		// The room spans this attempt's window-solver lineage only:
-		// those solvers run sequentially, so the room content at every
-		// import point is schedule-independent and the selected repair
-		// stays byte-identical at any worker count.
-		sopts.Share = p.exch
-		sopts.ShareNS = fmt.Sprintf("p%d:%s", at.pass, at.tmpl.Name())
-	}
 	sopts.Obs = asc
 	synthz := NewSynthesizer(ctx, isys, vars, p.ctr, p.init, sopts)
 	var sol *Solution

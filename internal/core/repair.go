@@ -102,12 +102,6 @@ type Options struct {
 	// search path but never solves, yielding an apples-to-apples CNF size
 	// delta for the simplifier in Result.Shadow.
 	ShadowCNF bool
-	// NoClauseShare disables the learned-clause exchange between the
-	// window solvers of each portfolio attempt (ablation). Sharing is
-	// deterministic (rooms are confined to one attempt's sequential
-	// solver lineage) and DRUP-sound (imports are RUP-verified by the
-	// receiver and logged in its proof), so it is on by default.
-	NoClauseShare bool
 	// Frontend, when non-nil, supplies a pre-built preprocess+elaborate
 	// artifact for this exact design (see NewFrontend): the repair skips
 	// the frontend phases and reuses the artifact's elaborated system and
@@ -514,9 +508,6 @@ func recordRepairMetrics(r *obs.Registry, res *Result) {
 	r.Add("sat.decisions", res.SAT.Decisions)
 	r.Add("sat.propagations", res.SAT.Propagations)
 	r.Add("sat.learned", res.SAT.Learned)
-	r.Add("sat.share.exported", res.SAT.SharedExported)
-	r.Add("sat.share.imported", res.SAT.SharedImported)
-	r.Add("sat.share.rejected", res.SAT.SharedRejected)
 	r.Add("certify.proof_steps", int64(res.Certify.ProofSteps))
 	r.Add("certify.check_time_us", res.Certify.CheckTime.Microseconds())
 }

@@ -64,13 +64,6 @@ type SynthOptions struct {
 	// behaviour-preserving at φ = 0, so the prefix states coincide);
 	// otherwise the private path runs as before.
 	SharedPrefix *PrefixCache
-	// Share joins every window solver this synthesizer builds to a
-	// learned-clause exchange room named ShareNS. Within one
-	// synthesizer the solvers run sequentially (a lineage), so imports
-	// are deterministic; every import is RUP-checked and logged in the
-	// receiver's DRUP proof (see sat/share.go).
-	Share   *sat.Exchange
-	ShareNS string
 	// Obs positions the synthesizer in the observability layer: every
 	// window solve, incremental extension, and validation batch records a
 	// span under Obs, and the underlying solvers inherit the scope. The

@@ -152,10 +152,9 @@ func TestProofDeterministic(t *testing.T) {
 }
 
 // TestSolveAfterCompaction keeps using a solver whose arena reduceDB has
-// compacted: each round adds clauses, imports clauses a peer learned on
-// the same formula, and solves under assumptions. Every verdict must
-// match a fresh solver's, every model must hold, and every Unsat must
-// certify against the one running proof.
+// compacted: each round adds clauses and solves under assumptions. Every
+// verdict must match a fresh solver's, every model must hold, and every
+// Unsat must certify against the one running proof.
 func TestSolveAfterCompaction(t *testing.T) {
 	s := New()
 	proof := s.StartProof()
@@ -168,14 +167,12 @@ func TestSolveAfterCompaction(t *testing.T) {
 		t.Fatal("reduceDB never ran")
 	}
 	checker := NewChecker(proof)
-	x := NewExchange()
-	s.SetShare(x.Join("arena"))
 	rng := rand.New(rand.NewSource(3))
 	vars := make([]int, s.NumVars())
 	for i := range vars {
 		vars[i] = i
 	}
-	solveFresh := func(assumps []Lit, share *Endpoint) Status {
+	solveFresh := func(assumps []Lit) Status {
 		f := New()
 		for range vars {
 			f.NewVar()
@@ -183,7 +180,6 @@ func TestSolveAfterCompaction(t *testing.T) {
 		for _, cl := range cnf {
 			f.AddClause(cl...)
 		}
-		f.SetShare(share)
 		return mustSolve(t, f, assumps...)
 	}
 	verdicts := map[Status]int{}
@@ -193,11 +189,8 @@ func TestSolveAfterCompaction(t *testing.T) {
 			s.AddClause(cnf[len(cnf)-1]...)
 		}
 		assumps := randomClause(rng, vars)[:2]
-		// A peer learns on the same formula under other assumptions and
-		// publishes; s imports at Solve entry.
-		solveFresh(randomClause(rng, vars)[:2], x.Join("arena"))
 		st := mustSolve(t, s, assumps...)
-		if want := solveFresh(assumps, nil); st != want {
+		if want := solveFresh(assumps); st != want {
 			t.Fatalf("round %d: verdict %v, fresh solver says %v", round, st, want)
 		}
 		verdicts[st]++
@@ -213,8 +206,5 @@ func TestSolveAfterCompaction(t *testing.T) {
 	}
 	if countDeletes(proof) == deletes {
 		t.Error("reduceDB never ran again after the first compaction")
-	}
-	if s.Statistics().SharedImported == 0 {
-		t.Error("no shared clause was imported after compaction")
 	}
 }

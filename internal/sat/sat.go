@@ -131,7 +131,7 @@ type watcher struct {
 type Solver struct {
 	arena    []Lit       // every clause, see cref
 	clauses  []cref      // original clauses, in AddClause order
-	learnts  []cref      // learned and imported clauses, in derivation order
+	learnts  []cref      // learned clauses, in derivation order
 	watches  [][]watcher // indexed by literal
 	assigns  []lbool     // indexed by var
 	phase    []bool      // saved phase, indexed by var
@@ -158,18 +158,10 @@ type Solver struct {
 	addBuf    []Lit // AddClause's normalized clause
 	learntBuf []Lit // analyze's learnt clause
 	markedBuf []int // analyze's seen variables
-	importBuf []Lit // importClause's normalized clause
 
 	// proof, when non-nil, records a DRUP log of clause additions and
 	// deletions (see drat.go). Enabled with StartProof.
 	proof *Proof
-
-	// share, when non-nil, connects the solver to a clause-sharing room
-	// (see share.go). Set with SetShare.
-	share          *Endpoint
-	sharedExported int64
-	sharedImported int64
-	sharedRejected int64
 
 	assumptionLevel int
 	failed          []Lit
@@ -728,20 +720,6 @@ func (s *Solver) Solve(assumptions ...Lit) (st Status, err error) {
 	s.backtrackTo(0)
 	s.failed = nil
 	s.assumptionLevel = 0
-	// Deterministic import point #1: Solve entry, at decision level 0.
-	// Room content here depends only on what room members published
-	// before this call — schedule-independent when the room is confined
-	// to one sequential solver lineage.
-	if s.share != nil {
-		s.importShared()
-		if !s.ok {
-			return Unsat, nil
-		}
-		if s.propagate() != crefUndef {
-			s.ok = false
-			return Unsat, nil
-		}
-	}
 
 	restarts := int64(0)
 	conflictBudget := int64(100) * luby(1)
@@ -786,13 +764,6 @@ func (s *Solver) Solve(assumptions ...Lit) (st Status, err error) {
 			if s.proof != nil {
 				s.proof.add(StepLearn, learnt)
 			}
-			if s.share != nil && len(learnt) <= MaxSharedLen {
-				// Export before the clause is attached: attach mutates the
-				// literal order in place, publish copies.
-				if s.share.publish(learnt) {
-					s.sharedExported++
-				}
-			}
 			if btLevel < s.assumptionLevel {
 				btLevel = s.assumptionLevel
 				// If the asserting literal conflicts with assumptions we
@@ -833,18 +804,6 @@ func (s *Solver) Solve(assumptions ...Lit) (st Status, err error) {
 			conflictBudget = 100 * luby(restarts+1)
 			conflictsAtRestart = s.conflicts
 			s.backtrackTo(s.assumptionLevel)
-			// Deterministic import point #2: restarts. Only pay the full
-			// backtrack when the room actually has foreign clauses.
-			if s.share != nil && s.share.pending() {
-				s.backtrackTo(0)
-				s.importShared()
-				if !s.ok {
-					return Unsat, nil
-				}
-				if st, done := s.reassume(assumptions); done {
-					return st, nil
-				}
-			}
 			if len(s.learnts) > 4000+len(s.clauses) {
 				s.backtrackTo(0)
 				s.reduceDB()
@@ -928,10 +887,11 @@ type Statistics struct {
 	Clauses      int64 // original clauses accepted by AddClause
 	Vars         int64 // allocated variables
 
-	// Clause-sharing counters (zero unless SetShare was used).
-	SharedExported int64 // short learned clauses published to the room
-	SharedImported int64 // foreign clauses admitted after RUP verification
-	SharedRejected int64 // foreign clauses refused (unknown vars, redundant, or not RUP)
+	// SharedImported and SharedRejected are always zero: the solver no
+	// longer exchanges learned clauses with other solvers. They stay for
+	// the benchmark's sat.share_admit_frac probe, which reads them.
+	SharedImported int64
+	SharedRejected int64
 }
 
 // Statistics returns a snapshot of every search counter, including the
@@ -946,10 +906,6 @@ func (s *Solver) Statistics() Statistics {
 		LearnedLive:  int64(len(s.learnts)),
 		Clauses:      s.added,
 		Vars:         int64(len(s.assigns)),
-
-		SharedExported: s.sharedExported,
-		SharedImported: s.sharedImported,
-		SharedRejected: s.sharedRejected,
 	}
 }
 
@@ -964,7 +920,6 @@ func (st *Statistics) Add(o Statistics) {
 	st.LearnedLive += o.LearnedLive
 	st.Clauses += o.Clauses
 	st.Vars += o.Vars
-	st.SharedExported += o.SharedExported
 	st.SharedImported += o.SharedImported
 	st.SharedRejected += o.SharedRejected
 }

@@ -361,7 +361,7 @@ func TestShutdownDeadlineCancelsButLosesNoJob(t *testing.T) {
 
 func TestHTTPEndToEnd(t *testing.T) {
 	// Production repair seam, with a 2-worker portfolio so the
-	// scheduler/clause-exchange counters below actually accumulate.
+	// scheduler counters below actually accumulate.
 	s := newTestServer(t, Config{Slots: 2, PortfolioWorkers: 2}, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -432,13 +432,10 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if metrics.Counters["serve.jobs.completed"] != 1 {
 		t.Fatalf("metricsz counters: %+v", metrics.Counters)
 	}
-	// The parallel portfolio's scheduler and clause-exchange counters
-	// must surface on /metricsz: utilization as a gauge, steals and the
-	// share import/export totals as counters (present even when zero).
-	for _, key := range []string{
-		"portfolio.steals", "portfolio.attempts",
-		"sat.share.exported", "sat.share.imported", "sat.share.rejected",
-	} {
+	// The parallel portfolio's scheduler counters must surface on
+	// /metricsz: utilization as a gauge, steals and attempts as counters
+	// (present even when zero).
+	for _, key := range []string{"portfolio.steals", "portfolio.attempts"} {
 		if _, ok := metrics.Counters[key]; !ok {
 			t.Fatalf("metricsz missing counter %q: %+v", key, metrics.Counters)
 		}

@@ -198,12 +198,6 @@ func (s *Solver) SetDeadline(d time.Time) { s.sat.Deadline = d }
 // (Unknown, sat.ErrInterrupted). A nil flag disables cancellation.
 func (s *Solver) SetInterrupt(flag *atomic.Bool) { s.sat.Interrupt = flag }
 
-// SetShare connects the underlying SAT solver to a learned-clause
-// exchange endpoint (see sat.Exchange). Imported clauses are RUP-verified
-// against this solver's own database before admission, so certification
-// is preserved. Must be set before the first Check.
-func (s *Solver) SetShare(e *sat.Endpoint) { s.sat.SetShare(e) }
-
 func (s *Solver) fresh() sat.Lit { return sat.PosLit(s.sat.NewVar()) }
 
 // andLit returns a literal equivalent to a ∧ b.

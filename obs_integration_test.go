@@ -78,8 +78,7 @@ var tracedPhases = []string{
 // pairs with their attributes for every pipeline phase, window progress
 // events, and SAT heartbeats — must be byte-identical at workers=1 and
 // workers=4. Heartbeats are keyed on cumulative conflicts (not wall
-// clock), so with clause sharing disabled every attempt's event
-// sequence depends only on the seed; ScrubRingJSONL strips the volatile
+// clock), so every attempt's event sequence depends only on the seed; ScrubRingJSONL strips the volatile
 // fields (seq, span and parent ids, t_us, worker, time_*) and sorts
 // lines, making the remainder a deterministic multiset.
 func TestRingBytesIdenticalAcrossWorkers(t *testing.T) {
@@ -91,12 +90,11 @@ func TestRingBytesIdenticalAcrossWorkers(t *testing.T) {
 		rec := obs.NewRecorder(0)
 		ctx := obs.NewContext(context.Background(), obs.Scope{Rec: rec})
 		res := core.RepairCtx(ctx, m, contradictoryTrace(), core.Options{
-			Policy:        sim.Randomize,
-			Seed:          7,
-			Timeout:       120 * time.Second,
-			Workers:       workers,
-			NoClauseShare: true,
-			Certify:       true,
+			Policy:  sim.Randomize,
+			Seed:    7,
+			Timeout: 120 * time.Second,
+			Workers: workers,
+			Certify: true,
 		})
 		if res.Status != core.StatusCannotRepair {
 			t.Fatalf("workers=%d: status = %v, want cannot-repair (fixture must stay unrepairable)", workers, res.Status)
@@ -156,11 +154,10 @@ func TestTraceBytesIdenticalAcrossWorkers(t *testing.T) {
 		}
 		ctx := obs.NewContext(context.Background(), cli.Scope())
 		res := core.RepairCtx(ctx, m, contradictoryTrace(), core.Options{
-			Policy:        sim.Randomize,
-			Seed:          7,
-			Timeout:       120 * time.Second,
-			Workers:       workers,
-			NoClauseShare: true,
+			Policy:  sim.Randomize,
+			Seed:    7,
+			Timeout: 120 * time.Second,
+			Workers: workers,
 		})
 		if res.Status != core.StatusCannotRepair {
 			t.Fatalf("workers=%d: status = %v, want cannot-repair (fixture must stay unrepairable)", workers, res.Status)

@@ -94,8 +94,8 @@ func goldenPath(name string) string {
 var satStatsPath = filepath.Join("testdata", "sat_stats.golden")
 
 func satStatsLine(st sat.Statistics) string {
-	return fmt.Sprintf("conflicts=%d decisions=%d propagations=%d restarts=%d learned=%d shared_imported=%d shared_rejected=%d",
-		st.Conflicts, st.Decisions, st.Propagations, st.Restarts, st.Learned, st.SharedImported, st.SharedRejected)
+	return fmt.Sprintf("conflicts=%d decisions=%d propagations=%d restarts=%d learned=%d",
+		st.Conflicts, st.Decisions, st.Propagations, st.Restarts, st.Learned)
 }
 
 // readSATStats parses satStatsPath into design → counters line. A
