@@ -563,9 +563,9 @@ func (s *Synthesizer) check(assumptions ...*smt.Term) (sat.Status, error) {
 	return st, nil
 }
 
-// solveWindow encodes cycles [start, end) from the given start state
-// (incrementally when possible) and returns up to MaxSamples minimal
-// solutions, or nil when the window is unsatisfiable.
+// solveWindow grows the live encoding to cycles [start, end) from the
+// given start state and returns up to MaxSamples minimal solutions, or
+// nil when the window is unsatisfiable.
 func (s *Synthesizer) solveWindow(start, end int, startState map[string]bv.XBV) (sols []*Solution, err error) {
 	s.Stats.Unrollings++
 	wsc := s.opts.Obs.WithLabel(fmt.Sprintf("w%d-%d", start, end)).Start("window")

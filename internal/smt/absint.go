@@ -13,8 +13,8 @@ import (
 //   - base facts depend only on a term's structure (no asserted
 //     constraints). They are pure functions of hash-consed identity and
 //     may be shared across solvers through a FactCache (factcache.go) —
-//     this is what carries analysis work across sequential window
-//     rebuilds and incremental Extends.
+//     this is what carries analysis work across incremental window
+//     growth.
 //   - refined facts additionally intersect the environment: facts
 //     learned from asserted constraints (Learn/LearnAsserted). They are
 //     valid only for one solver's assert stream and are kept per-Abs.

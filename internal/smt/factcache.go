@@ -1,15 +1,14 @@
 package smt
 
 // FactCache carries environment-free ("base") abstract facts across the
-// solvers of one synthesizer. Terms are hash-consed, so a *Term is a
+// windows of one synthesizer. Terms are hash-consed, so a *Term is a
 // stable identity for one structural term within a context's lifetime
 // (including copy-on-write Clone layers), and the base fact of a term —
 // the product-domain value derivable from its structure alone, with no
-// asserted constraints — is a pure function of that identity. Window
-// rebuilds (k_past moves) throw the solver away but keep the context,
-// so every base fact derived in an earlier window is still valid in the
-// next one; incremental Extends additionally prewarm the cache for the
-// freshly materialized step expressions (see tsys.Unrolling).
+// asserted constraints — is a pure function of that identity. Every
+// base fact derived in an earlier window is therefore still valid in
+// the next one; incremental Extends additionally prewarm the cache for
+// the freshly materialized step expressions (see tsys.Unrolling).
 //
 // Environment facts (learned from asserted trace constraints) are
 // deliberately NOT cached here: they are justified only by the asserts
