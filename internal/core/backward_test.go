@@ -39,10 +39,10 @@ func rebuildWindow(t *testing.T, s *Synthesizer, start, end int) (sat.Status, in
 		init[st.Var] = s.ctx.Const(state[st.Var.Name].Val)
 	}
 	u := tsys.Unroll(s.ctx, s.sys, end-start, init)
-	ref := &winEnc{solver: smt.NewSolver(s.ctx)}
+	ref := smt.NewSolver(s.ctx)
 	s.assertCycles(ref, u, start, start, end)
 	check := func(assumptions ...*smt.Term) sat.Status {
-		st, err := ref.solver.Check(assumptions...)
+		st, err := ref.Check(assumptions...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func rebuildWindow(t *testing.T, s *Synthesizer, start, end int) (sat.Status, in
 	if check() != sat.Sat {
 		return sat.Unsat, -1
 	}
-	return sat.Sat, minimalChanges(t, s, check, s.vars.Changes(modelOf(s, ref.solver)))
+	return sat.Sat, minimalChanges(t, s, check, s.vars.Changes(modelOf(s, ref)))
 }
 
 // modelOf reads every synthesis variable from a solver's Sat model.
@@ -61,6 +61,65 @@ func modelOf(s *Synthesizer, solver *smt.Solver) Assignment {
 		a[v.Name] = solver.Value(v)
 	}
 	return a
+}
+
+// growAndCompare runs one attempt's window sequence around the first
+// failure ff, comparing every window with rebuildWindow. It returns how
+// many windows prepended cycles, appended cycles, and had their start
+// clamped at cycle 0.
+func growAndCompare(t *testing.T, name string, s *Synthesizer, ff int) (prepends, appends, clamps int) {
+	t.Helper()
+	check := func(assumptions ...*smt.Term) sat.Status {
+		st, err := s.check(assumptions...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	kPast, kFuture := 0, 0
+	for kPast+kFuture <= s.opts.MaxWindow {
+		start, end := max(ff-kPast, 0), min(ff+kFuture+1, s.tr.Len())
+		if ff-kPast < 0 {
+			clamps++
+		}
+		if s.win != nil && start < s.win.start {
+			prepends++
+		}
+		if s.win != nil && end > s.win.end {
+			appends++
+		}
+		if _, err := s.encodeWindow(start, end, s.prefixState(start), obs.Scope{}); err != nil {
+			t.Fatal(err)
+		}
+		st, minimal := check(), -1
+		var model Assignment
+		if st == sat.Sat {
+			model = modelOf(s, s.win.solver)
+			minimal = minimalChanges(t, s, check, s.vars.Changes(model))
+		}
+		refSt, refMinimal := rebuildWindow(t, s, start, end)
+		if st != refSt || minimal != refMinimal {
+			t.Fatalf("%s window [%d, %d): live %v Σφ=%d, rebuilt %v Σφ=%d",
+				name, start, end, st, minimal, refSt, refMinimal)
+		}
+		if st != sat.Sat {
+			kPast += s.opts.PastStep
+			continue
+		}
+		res := s.Validate(model)
+		if res.Passed() && s.robust(model) {
+			break
+		}
+		if !res.Passed() && res.FirstFailure > ff && res.FirstFailure-ff > kFuture {
+			kFuture = res.FirstFailure - ff
+		} else {
+			kPast += s.opts.PastStep
+		}
+	}
+	if s.Stats.SolverBuilds != 1 {
+		t.Errorf("%s: %d solver builds, want 1", name, s.Stats.SolverBuilds)
+	}
+	return prepends, appends, clamps
 }
 
 // TestBackwardGrowthMatchesRebuild drives the live window solver of
@@ -118,76 +177,23 @@ func TestBackwardGrowthMatchesRebuild(t *testing.T) {
 			// The attempts RepairCtx runs: every template on the localized
 			// pass, then on the unpruned one.
 			loc := analysis.Localize(fe.Fixed, lib, failingOutputs(base, ctr), fe.Diagnostics)
-			var attempts []*Env
-			for _, l := range []*analysis.Localization{loc, nil} {
-				for range DefaultTemplates() {
-					attempts = append(attempts, &Env{Info: fe.Info, Lib: lib, Loc: l})
-				}
-			}
 			var prepends, appends, clamps int
-			for i, env := range attempts {
-				tmpl := DefaultTemplates()[i%len(DefaultTemplates())]
-				ctx := fe.ctx.Clone()
-				counter := 0
-				vars := NewVarTable(&counter)
-				instr, err := tmpl.Instrument(fe.Fixed, env, vars)
-				if err != nil || vars.Empty() {
-					continue
-				}
-				isys, _, err := synth.Elaborate(ctx, instr, synth.Options{Lib: lib})
-				if err != nil {
-					t.Fatal(err)
-				}
-				s := NewSynthesizer(ctx, isys, vars, ctr, init, DefaultSynthOptions())
-				kPast, kFuture := 0, 0
-				for kPast+kFuture <= s.opts.MaxWindow {
-					start, end := max(ff-kPast, 0), min(ff+kFuture+1, ctr.Len())
-					if ff-kPast < 0 {
-						clamps++
-					}
-					if s.win != nil && start < s.win.start {
-						prepends++
-					}
-					if s.win != nil && end > s.win.end {
-						appends++
-					}
-					if _, err := s.encodeWindow(start, end, s.prefixState(start), obs.Scope{}); err != nil {
-						t.Fatal(err)
-					}
-					check := func(assumptions ...*smt.Term) sat.Status {
-						st, err := s.check(assumptions...)
-						if err != nil {
-							t.Fatal(err)
-						}
-						return st
-					}
-					st, minimal := check(), -1
-					var model Assignment
-					if st == sat.Sat {
-						model = modelOf(s, s.win.solver)
-						minimal = minimalChanges(t, s, check, s.vars.Changes(model))
-					}
-					refSt, refMinimal := rebuildWindow(t, s, start, end)
-					if st != refSt || minimal != refMinimal {
-						t.Fatalf("%s window [%d, %d): live %v Σφ=%d, rebuilt %v Σφ=%d",
-							tmpl.Name(), start, end, st, minimal, refSt, refMinimal)
-					}
-					if st != sat.Sat {
-						kPast += s.opts.PastStep
+			for _, l := range []*analysis.Localization{loc, nil} {
+				for _, tmpl := range DefaultTemplates() {
+					ctx := fe.ctx.Clone()
+					counter := 0
+					vars := NewVarTable(&counter)
+					instr, err := tmpl.Instrument(fe.Fixed, &Env{Info: fe.Info, Lib: lib, Loc: l}, vars)
+					if err != nil || vars.Empty() {
 						continue
 					}
-					res := s.Validate(model)
-					if res.Passed() && s.robust(model) {
-						break
+					isys, _, err := synth.Elaborate(ctx, instr, synth.Options{Lib: lib})
+					if err != nil {
+						t.Fatal(err)
 					}
-					if !res.Passed() && res.FirstFailure > ff && res.FirstFailure-ff > kFuture {
-						kFuture = res.FirstFailure - ff
-					} else {
-						kPast += s.opts.PastStep
-					}
-				}
-				if s.Stats.SolverBuilds != 1 {
-					t.Errorf("%s: %d solver builds, want 1", tmpl.Name(), s.Stats.SolverBuilds)
+					s := NewSynthesizer(ctx, isys, vars, ctr, init, DefaultSynthOptions())
+					p, a, c := growAndCompare(t, tmpl.Name(), s, ff)
+					prepends, appends, clamps = prepends+p, appends+a, clamps+c
 				}
 			}
 			t.Logf("%s: first failure %d, %d prepends, %d appends, %d windows clamped at cycle 0", tc.name, ff, prepends, appends, clamps)

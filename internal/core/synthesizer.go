@@ -453,7 +453,7 @@ func (s *Synthesizer) newWindow(start, end int, sc obs.Scope) *winEnc {
 	solver.SetInterrupt(s.opts.Interrupt)
 	solver.SetObs(sc)
 	w := &winEnc{solver: solver, head: u, tail: u, tailStart: start, start: start, end: end}
-	s.assertCycles(w, u, start, start, end)
+	s.assertCycles(solver, u, start, start, end)
 	span.End(obs.Int("cycles", int64(end-start)), obs.Bool("build", true))
 	s.Stats.SolverBuilds++
 	sc.Metrics.Add("synth.solver_builds", 1)
@@ -467,7 +467,7 @@ func (s *Synthesizer) appendCycles(w *winEnc, end int, sc obs.Scope) {
 	from := w.end
 	w.tail.Extend(s.ctx, end-from)
 	span := sc.Start("encode")
-	s.assertCycles(w, w.tail, w.tailStart, from, end)
+	s.assertCycles(w.solver, w.tail, w.tailStart, from, end)
 	span.End(obs.Int("cycles", int64(end-from)))
 	s.Stats.ExtendedCycles += end - from
 	sc.Metrics.Add("synth.extended_cycles", int64(end-from))
@@ -484,7 +484,7 @@ func (s *Synthesizer) prependCycles(w *winEnc, start int, sc obs.Scope) {
 	k := w.start - start
 	span := sc.Start("encode")
 	u := tsys.UnrollTagged(s.ctx, s.sys, k, nil, fmt.Sprintf("p%d", start))
-	s.assertCycles(w, u, start, start, w.start)
+	s.assertCycles(w.solver, u, start, start, w.start)
 	for _, st := range s.sys.States {
 		w.solver.Assert(s.ctx.Eq(w.head.StateAt(0, st.Var), u.StateAt(k, st.Var)))
 	}
@@ -494,10 +494,10 @@ func (s *Synthesizer) prependCycles(w *winEnc, start int, sc obs.Scope) {
 	w.head, w.start, w.bind = u, start, nil
 }
 
-// assertCycles pins the trace inputs and asserts the expected-output
-// constraints for cycles [from, to) of the segment u, whose step 0 is
-// trace cycle base.
-func (s *Synthesizer) assertCycles(w *winEnc, u *tsys.Unrolling, base, from, to int) {
+// assertCycles asserts into solver the trace input pins and the
+// expected-output constraints for cycles [from, to) of the segment u,
+// whose step 0 is trace cycle base.
+func (s *Synthesizer) assertCycles(solver *smt.Solver, u *tsys.Unrolling, base, from, to int) {
 	for cycle := from; cycle < to; cycle++ {
 		k := cycle - base
 		for _, in := range s.sys.Inputs {
@@ -505,11 +505,11 @@ func (s *Synthesizer) assertCycles(w *winEnc, u *tsys.Unrolling, base, from, to 
 			if idx < 0 {
 				// Inputs the testbench does not drive read as zero in the
 				// validation simulator; pin them for consistency.
-				w.solver.Assert(s.ctx.Eq(u.InputAt(k, in), s.ctx.Const(bv.Zero(in.Width))))
+				solver.Assert(s.ctx.Eq(u.InputAt(k, in), s.ctx.Const(bv.Zero(in.Width))))
 				continue
 			}
 			cell := s.tr.InputRows[cycle][idx]
-			w.solver.Assert(s.ctx.Eq(u.InputAt(k, in), s.ctx.Const(cell.Val)))
+			solver.Assert(s.ctx.Eq(u.InputAt(k, in), s.ctx.Const(cell.Val)))
 		}
 		for i, sig := range s.tr.Outputs {
 			exp := s.tr.OutputRows[cycle][i]
@@ -524,14 +524,14 @@ func (s *Synthesizer) assertCycles(w *winEnc, u *tsys.Unrolling, base, from, to 
 				// The design's output width does not match the trace
 				// column (e.g. a declaration bug): no assignment can
 				// satisfy the checked bits.
-				w.solver.Assert(s.ctx.False())
+				solver.Assert(s.ctx.False())
 				continue
 			}
 			if exp.Known.IsOnes() {
-				w.solver.Assert(s.ctx.Eq(outExpr, s.ctx.Const(exp.Val)))
+				solver.Assert(s.ctx.Eq(outExpr, s.ctx.Const(exp.Val)))
 			} else {
 				mask := s.ctx.Const(exp.Known)
-				w.solver.Assert(s.ctx.Eq(s.ctx.And(outExpr, mask), s.ctx.Const(exp.Val.And(exp.Known))))
+				solver.Assert(s.ctx.Eq(s.ctx.And(outExpr, mask), s.ctx.Const(exp.Val.And(exp.Known))))
 			}
 		}
 	}
