@@ -35,7 +35,6 @@ func main() {
 		basic      = flag.Bool("basic", false, "disable adaptive windowing (basic synthesizer)")
 		workers    = flag.Int("workers", 0, "portfolio workers (0 = one per CPU, 1 = sequential)")
 		certify    = flag.Bool("certify", false, "self-certify every solver verdict (DRUP-check Unsat answers, re-evaluate Sat models)")
-		noAbsint   = flag.Bool("no-absint", false, "disable the abstract-interpretation term simplifier")
 		verbose    = flag.Bool("v", false, "print per-template progress")
 	)
 	var ocli obs.CLI
@@ -72,14 +71,13 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	res := core.RepairCtx(obs.NewContext(ctx, ocli.Scope()), top, tr, core.Options{
-		Policy:   policy,
-		Seed:     *seed,
-		Timeout:  *timeout,
-		Basic:    *basic,
-		Lib:      lib,
-		Workers:  *workers,
-		Certify:  *certify,
-		NoAbsint: *noAbsint,
+		Policy:  policy,
+		Seed:    *seed,
+		Timeout: *timeout,
+		Basic:   *basic,
+		Lib:     lib,
+		Workers: *workers,
+		Certify: *certify,
 	})
 	check(ocli.Finish())
 

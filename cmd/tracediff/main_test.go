@@ -15,15 +15,12 @@ const (
 )
 
 // TestDiffGolden pins the attribution report over two committed
-// -trace-out dumps of the smoke design byte-for-byte. The base run has
-// the abstract-interpretation simplifier off, so the report attributes
-// CNF deltas (from the sat.solve span attrs) next to the per-phase wall
-// deltas. Regenerate with:
+// -trace-out dumps of the smoke design byte-for-byte. The dumps are
+// fixed inputs, recorded by an earlier build whose term simplifier
+// (since deleted) was off for the base run and on for the head run, so
+// the report attributes CNF deltas (from the sat.solve span attrs) next
+// to the per-phase wall deltas. Regenerate the report with:
 //
-//	rtlrepair -design testdata/smoke/counter_buggy.v -trace testdata/smoke/counter_tb.csv \
-//	    -workers 1 -no-absint -trace-out testdata/tracediff/trace_base.jsonl -out /dev/null
-//	rtlrepair -design testdata/smoke/counter_buggy.v -trace testdata/smoke/counter_tb.csv \
-//	    -workers 1 -trace-out testdata/tracediff/trace_head.jsonl -out /dev/null
 //	go run ./cmd/tracediff -out testdata/tracediff/trace_report.golden \
 //	    testdata/tracediff/trace_base.jsonl testdata/tracediff/trace_head.jsonl
 func TestDiffGolden(t *testing.T) {

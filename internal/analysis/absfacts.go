@@ -14,8 +14,7 @@ import (
 
 // absFactsPass is the fact-driven lint pass: it elaborates the design to
 // its transition system, runs the known-bits × interval abstract domains
-// to a reachability fixpoint (tsys.AbstractReach — the same certified domain
-// code the repair solvers use for simplification), and reports
+// to a reachability fixpoint (tsys.AbstractReach), and reports
 //
 //   - const-net: registers and outputs whose fact is a singleton — the
 //     signal holds one value in every reachable cycle;

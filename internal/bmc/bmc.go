@@ -90,7 +90,7 @@ func checkDepth(ctx *smt.Context, sys *tsys.System, property string, k int, opts
 			}
 		}
 	}
-	u := tsys.Unroll(ctx, sys, k, init)
+	u := tsys.Unroll(ctx, sys, k, init, nil)
 	solver := smt.NewSolver(ctx)
 	solver.SetDeadline(opts.Deadline)
 

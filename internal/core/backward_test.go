@@ -38,9 +38,11 @@ func rebuildWindow(t *testing.T, s *Synthesizer, start, end int) (sat.Status, in
 	for _, st := range s.sys.States {
 		init[st.Var] = s.ctx.Const(state[st.Var.Name].Val)
 	}
-	u := tsys.Unroll(s.ctx, s.sys, end-start, init)
+	u := tsys.Unroll(s.ctx, s.sys, end-start, init, traceInputs(s.ctx, s.tr, start))
 	ref := smt.NewSolver(s.ctx)
-	s.assertCycles(ref, u, start, start, end)
+	if err := s.assertCycles(ref, u, start, start, end); err != nil {
+		t.Fatal(err)
+	}
 	check := func(assumptions ...*smt.Term) sat.Status {
 		st, err := ref.Check(assumptions...)
 		if err != nil {

@@ -91,8 +91,6 @@ func RepairAllCtx(ctx context.Context, m *verilog.Module, tr *trace.Trace, opts 
 		sopts.Deadline = deadline
 		sopts.Interrupt = &stop
 		sopts.Certify = opts.Certify
-		sopts.NoAbsint = opts.NoAbsint
-		sopts.ShadowCNF = opts.ShadowCNF
 		// Sample more aggressively than the single-repair flow.
 		sopts.MaxSamples = maxCandidates * 2
 		synthz := NewSynthesizer(sctx, isys, vars, ctr, init, sopts)

@@ -158,9 +158,6 @@ func solveMultiTrace(ctx *smt.Context, sys *tsys.System, vars *VarTable, traces 
 		res.SAT.Add(solver.SATStats())
 		res.Certify.Add(solver.CertifyStats())
 	}()
-	if opts.NoAbsint {
-		solver.DisableSimplify()
-	}
 	if opts.Certify {
 		solver.EnableCertification()
 	}
@@ -177,35 +174,9 @@ func solveMultiTrace(ctx *smt.Context, sys *tsys.System, vars *VarTable, traces 
 	}
 
 	for ti, tr := range traces {
-		u := tsys.UnrollTagged(ctx, sys, tr.Len()-1, initTerms, fmt.Sprintf("t%d", ti))
+		u := tsys.UnrollTagged(ctx, sys, tr.Len()-1, initTerms, fmt.Sprintf("t%d", ti), traceInputs(ctx, tr, 0))
 		for k := 0; k < tr.Len(); k++ {
-			for _, in := range sys.Inputs {
-				idx := tr.InputIndex(in.Name)
-				if idx < 0 {
-					solver.Assert(ctx.Eq(u.InputAt(k, in), ctx.ConstU(in.Width, 0)))
-					continue
-				}
-				solver.Assert(ctx.Eq(u.InputAt(k, in), ctx.Const(tr.InputRows[k][idx].Val)))
-			}
-			for i, sig := range tr.Outputs {
-				exp := tr.OutputRows[k][i]
-				if exp.Known.IsZero() {
-					continue
-				}
-				outExpr := u.OutputAt(k, sig.Name)
-				if outExpr == nil || outExpr.Width != exp.Width() {
-					if outExpr != nil {
-						solver.Assert(ctx.False())
-					}
-					continue
-				}
-				if exp.Known.IsOnes() {
-					solver.Assert(ctx.Eq(outExpr, ctx.Const(exp.Val)))
-				} else {
-					mask := ctx.Const(exp.Known)
-					solver.Assert(ctx.Eq(ctx.And(outExpr, mask), ctx.Const(exp.Val.And(exp.Known))))
-				}
-			}
+			assertExpected(ctx, solver, tr, k, u, k)
 		}
 	}
 

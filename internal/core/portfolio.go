@@ -176,8 +176,6 @@ func runPortfolio(ctx context.Context, res *Result, fe *Frontend,
 		res.PerTemplate = append(res.PerTemplate, at.tres)
 		res.SAT.Add(at.tres.Stats.SAT)
 		res.Certify.Add(at.tres.Stats.Certify)
-		res.Abs.Add(at.tres.Stats.Abs)
-		res.Shadow.Add(at.tres.Stats.Shadow)
 		if at.tres.State != AttemptSkipped {
 			busy += at.tres.Duration
 		}
@@ -329,8 +327,6 @@ func (p *portfolio) runAttempt(at *attempt, worker int, stolen bool) {
 	sopts.NoMinimize = p.opts.NoMinimize
 	sopts.Interrupt = &at.stop
 	sopts.Certify = p.opts.Certify
-	sopts.NoAbsint = p.opts.NoAbsint
-	sopts.ShadowCNF = p.opts.ShadowCNF
 	sopts.SharedPrefix = p.prefix
 	sopts.Obs = asc
 	synthz := NewSynthesizer(ctx, isys, vars, p.ctr, p.init, sopts)

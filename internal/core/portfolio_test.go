@@ -99,6 +99,38 @@ func TestSynthesizerInterrupt(t *testing.T) {
 	}
 }
 
+// TestEncodeStopsWithinOneCycle raises Interrupt from the encoder's
+// per-cycle hook after a fixed number of encoded cycles, not after a
+// timer: the full-trace encode of Basic must stop with ErrCancelled
+// after at most one more cycle.
+func TestEncodeStopsWithinOneCycle(t *testing.T) {
+	buggy := strings.Replace(goodCounter, "count + 1", "count + 2", 1)
+	ins, outs := counterIO()
+	s, _ := buildSynth(t, buggy, goodCounter, ReplaceLiterals{}, ins, outs, counterRows())
+	const raiseAfter = 3
+	if s.tr.Len() < raiseAfter+2 {
+		t.Fatalf("trace has %d cycles, want at least %d", s.tr.Len(), raiseAfter+2)
+	}
+	var stop atomic.Bool
+	s.opts.Interrupt = &stop
+	encoded := 0
+	s.afterCycle = func(int) {
+		encoded++
+		if encoded == raiseAfter {
+			stop.Store(true)
+		}
+	}
+	if _, err := s.Basic(); err != ErrCancelled {
+		t.Fatalf("Basic() = %v, want ErrCancelled", err)
+	}
+	if encoded > raiseAfter+1 {
+		t.Fatalf("%d cycles encoded after raising Interrupt at %d", encoded, raiseAfter)
+	}
+	if s.win != nil {
+		t.Fatal("a cancelled encode left a live window")
+	}
+}
+
 // Cancelled attempts must report so: with one acceptable repair in the
 // pruned pass, the unpruned pass never needs to run to completion.
 func TestPortfolioRecordsAllAttempts(t *testing.T) {

@@ -94,14 +94,6 @@ type Options struct {
 	// interpreter. A failed check panics, since it means the solver gave
 	// an unsound answer.
 	Certify bool
-	// NoAbsint disables the abstract-interpretation term simplifier
-	// (ablation / A/B measurement of its CNF impact).
-	NoAbsint bool
-	// ShadowCNF attaches a passive no-absint shadow encoder to every
-	// window solver: it receives the same asserts along the identical
-	// search path but never solves, yielding an apples-to-apples CNF size
-	// delta for the simplifier in Result.Shadow.
-	ShadowCNF bool
 	// Frontend, when non-nil, supplies a pre-built preprocess+elaborate
 	// artifact for this exact design (see NewFrontend): the repair skips
 	// the frontend phases and reuses the artifact's elaborated system and
@@ -204,13 +196,6 @@ type Result struct {
 	// Certify aggregates the certification work (model validations, DRUP
 	// checks) across the same solvers. Always populated.
 	Certify smt.CertifyStats
-	// Abs aggregates abstract-interpretation statistics (facts learned,
-	// rewrites, never-worse guard fallbacks) across the same solvers.
-	Abs smt.AbsStats
-	// Shadow aggregates the CNF statistics of the passive no-absint
-	// shadow encoders (Options.ShadowCNF) across the same solvers. Zero
-	// unless ShadowCNF was set.
-	Shadow sat.Statistics
 }
 
 // Frontend is the reusable result of the repair pipeline's frontend:

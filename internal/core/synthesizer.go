@@ -48,15 +48,6 @@ type SynthOptions struct {
 	// are DRUP-checked and Sat models re-evaluated by the reference
 	// interpreter. A failed check panics (it is a soundness bug).
 	Certify bool
-	// NoAbsint disables the abstract-interpretation term simplifier
-	// (A/B measurement of its CNF impact).
-	NoAbsint bool
-	// ShadowCNF attaches a passive shadow encoder with the simplifier off
-	// to every window solver. The shadow blasts the identical assert
-	// stream but never solves, so its CNF statistics measure the
-	// no-absint encoding size along the exact search path the live run
-	// takes (the corpus never-worse test, TestAbsintNeverWorse).
-	ShadowCNF bool
 	// SharedPrefix, when non-nil, serves window start states from a
 	// portfolio-wide snapshot cache instead of this synthesizer's
 	// private prefix simulation. Only used when the cache Covers this
@@ -113,16 +104,6 @@ type SynthStats struct {
 	// Certify holds its certification work (model validations, DRUP
 	// checks).
 	Certify smt.CertifyStats
-	// Abs holds its abstract-interpretation work (facts learned,
-	// rewrites, never-worse guard fallbacks).
-	Abs smt.AbsStats
-	// Shadow holds the CNF statistics of the no-absint shadow encoder
-	// when SynthOptions.ShadowCNF is on (zero otherwise).
-	Shadow sat.Statistics
-	// FactCacheHits/FactCacheSize report the cross-window base-fact
-	// cache: hits are transfer computations served from earlier windows.
-	FactCacheHits int64
-	FactCacheSize int
 }
 
 // ErrTimeout is returned when the deadline expires mid-synthesis.
@@ -133,10 +114,10 @@ var ErrTimeout = fmt.Errorf("core: synthesis timeout")
 var ErrCancelled = fmt.Errorf("core: synthesis cancelled")
 
 // winEnc is a live SMT encoding of the trace window [start, end): the
-// unrolled circuit plus the input/output constraints of those cycles,
-// asserted into an incremental solver. The window start state is not
-// folded in: the states at step 0 of the head segment are free
-// variables, bound to the prefix state by the assumptions in bind, as in
+// circuit unrolled over those cycles' input values plus their
+// expected-output constraints, asserted into an incremental solver. The
+// window start state is not folded in: the states at step 0 of the head
+// segment are free variables, bound to the prefix state by the assumptions in bind, as in
 // incremental BMC (Eén & Sörensson 2003). The encoding therefore
 // survives growth at both ends — newly unrolled cycles are appended to
 // the tail or prepended before the head, as bitwuzla's assumption-based
@@ -185,24 +166,19 @@ type Synthesizer struct {
 	// robustness fills and the prefix simulator (nil until first use).
 	prog *sim.Program
 
-	// facts caches environment-free abstract facts keyed on hash-consed
-	// term identity, so window extensions re-derive nothing for terms
-	// that survive from earlier windows (§cross-window caching).
-	facts *smt.FactCache
-
 	// sharedOK memoizes SharedPrefix.Covers(sys): 0 undecided, 1 the
 	// shared cache serves this synthesizer, -1 private fallback.
 	sharedOK int8
+
+	// afterCycle, when non-nil, is called after each trace cycle's
+	// constraints are asserted (a test hook for cancellation).
+	afterCycle func(cycle int)
 }
 
 // NewSynthesizer builds a synthesizer. tr must have concrete inputs and
 // init must assign every uninitialized state (use Concretize).
 func NewSynthesizer(ctx *smt.Context, sys *tsys.System, vars *VarTable, tr *trace.Trace, init map[string]bv.XBV, opts SynthOptions) *Synthesizer {
-	s := &Synthesizer{ctx: ctx, sys: sys, vars: vars, tr: tr, init: init, opts: opts}
-	if !opts.NoAbsint {
-		s.facts = smt.NewFactCache()
-	}
-	return s
+	return &Synthesizer{ctx: ctx, sys: sys, vars: vars, tr: tr, init: init, opts: opts}
 }
 
 // Concretize resolves unknown initial states and input don't-cares of a
@@ -243,6 +219,18 @@ func (s *Synthesizer) expired() bool {
 
 func (s *Synthesizer) interrupted() bool {
 	return s.opts.Interrupt != nil && s.opts.Interrupt.Load()
+}
+
+// stopErr reports why the synthesis must stop now: ErrCancelled once
+// Interrupt is raised, ErrTimeout past the deadline, nil otherwise.
+func (s *Synthesizer) stopErr() error {
+	if s.interrupted() {
+		return ErrCancelled
+	}
+	if s.expired() {
+		return ErrTimeout
+	}
+	return nil
 }
 
 // allVars returns every synthesis variable term.
@@ -407,17 +395,24 @@ func (s *Synthesizer) encodeWindow(start, end int, startState map[string]bv.XBV,
 		}
 	}
 	if w == nil {
-		w = s.newWindow(start, end, sc)
+		var err error
+		if w, err = s.newWindow(start, end, sc); err != nil {
+			return nil, err
+		}
 	} else {
 		// Re-point the live encoding at the current window's scope so the
 		// "tsys.extend" and "smt.check" spans nest under it.
 		w.tail.SetObs(sc)
 		w.solver.SetObs(sc)
 		if start < w.start {
-			s.prependCycles(w, start, sc)
+			if err := s.prependCycles(w, start, sc); err != nil {
+				return nil, err
+			}
 		}
 		if end > w.end {
-			s.appendCycles(w, end, sc)
+			if err := s.appendCycles(w, end, sc); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if w.bind == nil {
@@ -432,107 +427,135 @@ func (s *Synthesizer) encodeWindow(start, end int, startState map[string]bv.XBV,
 // newWindow builds the synthesizer's window solver over cycles
 // [start, end). The step-0 states are left free for the binding
 // assumptions.
-func (s *Synthesizer) newWindow(start, end int, sc obs.Scope) *winEnc {
+func (s *Synthesizer) newWindow(start, end int, sc obs.Scope) (*winEnc, error) {
 	span := sc.Start("encode")
-	u := tsys.Unroll(s.ctx, s.sys, end-start, nil)
-	u.SetObs(sc)
-	u.SetFactCache(s.facts)
+	u := tsys.Unroll(s.ctx, s.sys, 0, nil, traceInputs(s.ctx, s.tr, start))
 	solver := smt.NewSolver(s.ctx)
-	if s.opts.NoAbsint {
-		solver.DisableSimplify()
-	} else {
-		solver.SetFactCache(s.facts)
-	}
-	if s.opts.ShadowCNF {
-		solver.AddShadow()
-	}
 	if s.opts.Certify {
 		solver.EnableCertification()
 	}
 	solver.SetDeadline(s.opts.Deadline)
 	solver.SetInterrupt(s.opts.Interrupt)
 	solver.SetObs(sc)
-	w := &winEnc{solver: solver, head: u, tail: u, tailStart: start, start: start, end: end}
-	s.assertCycles(solver, u, start, start, end)
+	err := s.assertCycles(solver, u, start, start, end)
 	span.End(obs.Int("cycles", int64(end-start)), obs.Bool("build", true))
+	if err != nil {
+		return nil, err
+	}
+	u.SetObs(sc)
 	s.Stats.SolverBuilds++
 	sc.Metrics.Add("synth.solver_builds", 1)
-	s.win = w
-	return w
+	s.win = &winEnc{solver: solver, head: u, tail: u, tailStart: start, start: start, end: end}
+	return s.win, nil
 }
 
 // appendCycles grows the window's future boundary to end by extending
 // the tail segment.
-func (s *Synthesizer) appendCycles(w *winEnc, end int, sc obs.Scope) {
+func (s *Synthesizer) appendCycles(w *winEnc, end int, sc obs.Scope) error {
 	from := w.end
 	w.tail.Extend(s.ctx, end-from)
 	span := sc.Start("encode")
-	s.assertCycles(w.solver, w.tail, w.tailStart, from, end)
+	err := s.assertCycles(w.solver, w.tail, w.tailStart, from, end)
 	span.End(obs.Int("cycles", int64(end-from)))
+	if err != nil {
+		return err
+	}
 	s.Stats.ExtendedCycles += end - from
 	sc.Metrics.Add("synth.extended_cycles", int64(end-from))
 	w.end = end
+	return nil
 }
 
 // prependCycles grows the window's past boundary to start: it unrolls
 // cycles [start, w.start) as a new head segment, asserts their trace
 // constraints, links the segment's final state to the old head's step-0
-// state variables, and drops the old binding. The cycle constraints go
-// in before the links, in trace order, so the simplifier learns nothing
-// from a link that would re-simplify structure already blasted.
-func (s *Synthesizer) prependCycles(w *winEnc, start int, sc obs.Scope) {
+// state variables, and drops the old binding.
+func (s *Synthesizer) prependCycles(w *winEnc, start int, sc obs.Scope) error {
 	k := w.start - start
 	span := sc.Start("encode")
-	u := tsys.UnrollTagged(s.ctx, s.sys, k, nil, fmt.Sprintf("p%d", start))
-	s.assertCycles(w.solver, u, start, start, w.start)
-	for _, st := range s.sys.States {
-		w.solver.Assert(s.ctx.Eq(w.head.StateAt(0, st.Var), u.StateAt(k, st.Var)))
+	u := tsys.UnrollTagged(s.ctx, s.sys, 0, nil, fmt.Sprintf("p%d", start), traceInputs(s.ctx, s.tr, start))
+	err := s.assertCycles(w.solver, u, start, start, w.start)
+	if err == nil {
+		for _, st := range s.sys.States {
+			w.solver.Assert(s.ctx.Eq(w.head.StateAt(0, st.Var), u.StateAt(k, st.Var)))
+		}
 	}
 	span.End(obs.Int("cycles", int64(k)), obs.Bool("prepend", true))
+	if err != nil {
+		return err
+	}
 	s.Stats.ExtendedCycles += k
 	sc.Metrics.Add("synth.extended_cycles", int64(k))
 	w.head, w.start, w.bind = u, start, nil
+	return nil
 }
 
-// assertCycles asserts into solver the trace input pins and the
-// expected-output constraints for cycles [from, to) of the segment u,
-// whose step 0 is trace cycle base.
-func (s *Synthesizer) assertCycles(solver *smt.Solver, u *tsys.Unrolling, base, from, to int) {
+// assertCycles asserts into solver the expected-output constraints for
+// cycles [from, to) of the segment u, whose step 0 is trace cycle base,
+// unrolling u one step further per cycle where it is shorter. Before
+// each cycle it polls Interrupt and the deadline, so a cancelled or
+// expired synthesis stops encoding within one cycle.
+func (s *Synthesizer) assertCycles(solver *smt.Solver, u *tsys.Unrolling, base, from, to int) error {
 	for cycle := from; cycle < to; cycle++ {
-		k := cycle - base
-		for _, in := range s.sys.Inputs {
-			idx := s.tr.InputIndex(in.Name)
-			if idx < 0 {
-				// Inputs the testbench does not drive read as zero in the
-				// validation simulator; pin them for consistency.
-				solver.Assert(s.ctx.Eq(u.InputAt(k, in), s.ctx.Const(bv.Zero(in.Width))))
-				continue
-			}
-			cell := s.tr.InputRows[cycle][idx]
-			solver.Assert(s.ctx.Eq(u.InputAt(k, in), s.ctx.Const(cell.Val)))
+		if err := s.stopErr(); err != nil {
+			return err
 		}
-		for i, sig := range s.tr.Outputs {
-			exp := s.tr.OutputRows[cycle][i]
-			if exp.Known.IsZero() {
-				continue // fully don't-care
-			}
-			outExpr := u.OutputAt(k, sig.Name)
-			if outExpr == nil {
-				continue
-			}
-			if outExpr.Width != exp.Width() {
-				// The design's output width does not match the trace
-				// column (e.g. a declaration bug): no assignment can
-				// satisfy the checked bits.
-				solver.Assert(s.ctx.False())
-				continue
-			}
-			if exp.Known.IsOnes() {
-				solver.Assert(s.ctx.Eq(outExpr, s.ctx.Const(exp.Val)))
-			} else {
-				mask := s.ctx.Const(exp.Known)
-				solver.Assert(s.ctx.Eq(s.ctx.And(outExpr, mask), s.ctx.Const(exp.Val.And(exp.Known))))
-			}
+		k := cycle - base
+		if u.Steps <= k {
+			u.Extend(s.ctx, k+1-u.Steps)
+		}
+		assertExpected(s.ctx, solver, s.tr, cycle, u, k)
+		if s.afterCycle != nil {
+			s.afterCycle(cycle)
+		}
+	}
+	return nil
+}
+
+// traceInputs returns the input instances of an unrolling whose step 0
+// is trace cycle base: each trace row's constant, zero for an input the
+// testbench does not drive (the validation simulator reads those as
+// zero), and nil — a fresh variable — past the last trace cycle.
+func traceInputs(ctx *smt.Context, tr *trace.Trace, base int) tsys.InputFunc {
+	cols := map[*smt.Term]int{}
+	return func(k int, in *smt.Term) *smt.Term {
+		cycle := base + k
+		if cycle >= tr.Len() {
+			return nil
+		}
+		idx, ok := cols[in]
+		if !ok {
+			idx = tr.InputIndex(in.Name)
+			cols[in] = idx
+		}
+		if idx < 0 {
+			return ctx.Const(bv.Zero(in.Width))
+		}
+		return ctx.Const(tr.InputRows[cycle][idx].Val)
+	}
+}
+
+// assertExpected asserts into solver the expected outputs of trace row
+// cycle on step k of u. Fully known columns become equalities and
+// partly known ones masked equalities; a column whose width the design's
+// output does not match (e.g. a declaration bug) asserts False, since no
+// assignment can satisfy its checked bits.
+func assertExpected(ctx *smt.Context, solver *smt.Solver, tr *trace.Trace, cycle int, u *tsys.Unrolling, k int) {
+	for i, sig := range tr.Outputs {
+		exp := tr.OutputRows[cycle][i]
+		if exp.Known.IsZero() {
+			continue // fully don't-care
+		}
+		outExpr := u.OutputAt(k, sig.Name)
+		switch {
+		case outExpr == nil:
+		case outExpr.Width != exp.Width():
+			solver.Assert(ctx.False())
+		case exp.Known.IsOnes():
+			solver.Assert(ctx.Eq(outExpr, ctx.Const(exp.Val)))
+		default:
+			mask := ctx.Const(exp.Known)
+			solver.Assert(ctx.Eq(ctx.And(outExpr, mask), ctx.Const(exp.Val.And(exp.Known))))
 		}
 	}
 }
@@ -548,12 +571,6 @@ func (s *Synthesizer) check(assumptions ...*smt.Term) (sat.Status, error) {
 	st, err := solver.Check(append(append([]*smt.Term{}, s.win.bind...), assumptions...)...)
 	s.Stats.SAT = solver.SATStats()
 	s.Stats.Certify = solver.CertifyStats()
-	s.Stats.Abs = solver.AbsStats()
-	s.Stats.Shadow = solver.ShadowStats()
-	if s.facts != nil {
-		s.Stats.FactCacheHits = s.facts.Hits
-		s.Stats.FactCacheSize = s.facts.Len()
-	}
 	if err != nil {
 		if errors.Is(err, sat.ErrInterrupted) {
 			return st, ErrCancelled
@@ -716,11 +733,8 @@ func (s *Synthesizer) blockingClause(a Assignment) *smt.Term {
 // trace from the concrete initial state. The returned solution passes
 // the trace by construction; nil means the template cannot repair.
 func (s *Synthesizer) Basic() (*Solution, error) {
-	if s.interrupted() {
-		return nil, ErrCancelled
-	}
-	if s.expired() {
-		return nil, ErrTimeout
+	if err := s.stopErr(); err != nil {
+		return nil, err
 	}
 	if s.opts.MaxBasicSteps > 0 && s.tr.Len() > s.opts.MaxBasicSteps {
 		return nil, ErrTimeout

@@ -146,8 +146,6 @@ type Options struct {
 	// Certify runs every repair in self-certifying mode (DRUP-checked
 	// Unsat verdicts, interpreter-validated Sat models).
 	Certify bool
-	// NoAbsint disables the abstract-interpretation term simplifier.
-	NoAbsint bool
 	// Obs is the observability scope threaded into every core.Repair
 	// call: one "repair" span per benchmark run, plus the shared metrics
 	// registry. The zero Scope (the default) disables it.
@@ -224,14 +222,13 @@ func RunRTLRepair(b *bench.Benchmark, opts Options) *ToolRun {
 		ctx = context.Background()
 	}
 	res := core.RepairCtx(obs.NewContext(ctx, opts.Obs), m, tr, core.Options{
-		Policy:   sim.Randomize,
-		Seed:     seed,
-		Timeout:  opts.RTLTimeout,
-		Basic:    opts.Basic,
-		Lib:      lib,
-		Workers:  opts.Workers,
-		Certify:  opts.Certify,
-		NoAbsint: opts.NoAbsint,
+		Policy:  sim.Randomize,
+		Seed:    seed,
+		Timeout: opts.RTLTimeout,
+		Basic:   opts.Basic,
+		Lib:     lib,
+		Workers: opts.Workers,
+		Certify: opts.Certify,
 	})
 	run.Duration = res.Duration
 	run.Status = res.Status.String()

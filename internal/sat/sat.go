@@ -466,7 +466,7 @@ func (s *Solver) analyze(confl cref) ([]Lit, int) {
 	}
 	learnt[0] = p.Not()
 
-	// Simplify: remove literals implied by the rest (local minimization).
+	// Minimize: remove literals implied by the rest (local minimization).
 	j := 1
 	for i := 1; i < len(learnt); i++ {
 		v := learnt[i].Var()

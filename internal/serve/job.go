@@ -34,14 +34,13 @@ type ReqOptions struct {
 	ZeroInit     bool  `json:"zero_init,omitempty"`
 	Basic        bool  `json:"basic,omitempty"`
 	Certify      bool  `json:"certify,omitempty"`
-	NoAbsint     bool  `json:"no_absint,omitempty"`
 	NoPreprocess bool  `json:"no_preprocess,omitempty"`
 }
 
 // canonical renders the options in a fixed field order for hashing.
 func (o ReqOptions) canonical() string {
-	return fmt.Sprintf("timeout=%d seed=%d zero=%t basic=%t certify=%t noabsint=%t nopre=%t",
-		o.TimeoutMS, o.Seed, o.ZeroInit, o.Basic, o.Certify, o.NoAbsint, o.NoPreprocess)
+	return fmt.Sprintf("timeout=%d seed=%d zero=%t basic=%t certify=%t nopre=%t",
+		o.TimeoutMS, o.Seed, o.ZeroInit, o.Basic, o.Certify, o.NoPreprocess)
 }
 
 // resultKey is the content address of the full request: identical

@@ -540,7 +540,6 @@ func (s *Server) runRepair(ctx context.Context, job *Job) *RepairResult {
 		Lib:          art.parsed.lib,
 		Workers:      s.cfg.PortfolioWorkers,
 		Certify:      o.Certify,
-		NoAbsint:     o.NoAbsint,
 		NoPreprocess: o.NoPreprocess,
 		Frontend:     art.FE,
 	})

@@ -6,72 +6,30 @@ import (
 
 // This file implements the abstract-interpretation framework over the
 // hash-consed term DAG: the reduced product of known bits and unsigned
-// intervals defined in domains.go, run to fixpoint on demand.
+// intervals defined in domains.go, evaluated bottom-up on demand.
 //
 // Facts live in two layers:
 //
-//   - base facts depend only on a term's structure (no asserted
-//     constraints). They are pure functions of hash-consed identity and
-//     may be shared across solvers through a FactCache (factcache.go) —
-//     this is what carries analysis work across incremental window
-//     growth.
+//   - base facts depend only on a term's structure;
 //   - refined facts additionally intersect the environment: facts
-//     learned from asserted constraints (Learn/LearnAsserted). They are
-//     valid only for one solver's assert stream and are kept per-Abs.
+//     learned about particular terms (Learn), such as the state
+//     invariants of a reachability fixpoint (tsys.AbstractReach).
 //
-// Unlike the first-generation implementation, memoized refined facts do
-// not lag behind later Learn calls: every Learn invalidates the memo
-// entries of all recorded ancestors of the touched term, so the next
-// query recomputes through the new environment — an on-demand fixpoint
-// instead of a single bottom-up pass. The simplifier memo is invalidated
-// along the same edges, since a rewrite is justified by the facts of its
-// sub-DAG.
-//
-// The solver seeds the environment from asserted constraints and uses
-// the results to rewrite terms before bit-blasting (simplify.go):
-// fully-determined terms collapse to constants, decided muxes drop the
-// dead branch, and determined shifts reduce to wiring. Every rewrite is
-// guarded by a CNF cost comparison against the already-blasted term
-// set, so simplification can only shrink an encoding, never inflate it.
-
-// AbsStats counts analysis work for observability and bench reporting.
-type AbsStats struct {
-	Learned        int64 // environment facts recorded
-	Invalidations  int64 // memo entries dropped by Learn
-	Rewrites       int64 // simplifier rewrites applied
-	GuardFallbacks int64 // rewrites rejected by the never-worse guard
-}
-
-// Add merges another solver's analysis counters into st.
-func (st *AbsStats) Add(o AbsStats) {
-	st.Learned += o.Learned
-	st.Invalidations += o.Invalidations
-	st.Rewrites += o.Rewrites
-	st.GuardFallbacks += o.GuardFallbacks
-}
+// The repair solvers do not use this analysis; the fact-driven lint
+// rules do (see internal/analysis).
 
 type absEntry struct {
 	fact    Fact
 	tainted bool // some node of the sub-DAG carries env information
 }
 
-// Abs computes facts for terms on demand. Facts harvested from asserted
-// constraints are seeded with Learn; computed results are memoized and
-// invalidated when the environment tightens.
+// Abs computes facts for terms on demand. Environment facts are seeded
+// with Learn, all before the first Fact query: computed results are
+// memoized and are not revised by a later Learn.
 type Abs struct {
-	cache *FactCache // optional shared base-fact layer (may be nil)
-
 	env      map[*Term]Fact
 	memo     map[*Term]absEntry
-	baseMemo map[*Term]Fact // local base layer when cache == nil
-	parents  map[*Term]map[*Term]struct{}
-
-	simp      map[*Term]*Term  // simplifier memo (simplify.go)
-	costMemo  map[*Term]int64  // per-assert CNF cost memo (simplify.go)
-	free      func(*Term) bool // already-blasted predicate for the guard
-	simpDepth int              // Simplify recursion depth (guard fires at 0)
-
-	Stats AbsStats
+	baseMemo map[*Term]Fact
 }
 
 // NewAbs returns an empty analysis state.
@@ -80,78 +38,22 @@ func NewAbs() *Abs {
 		env:      map[*Term]Fact{},
 		memo:     map[*Term]absEntry{},
 		baseMemo: map[*Term]Fact{},
-		parents:  map[*Term]map[*Term]struct{}{},
-		simp:     map[*Term]*Term{},
 	}
 }
 
-// SetCache attaches a shared base-fact cache (nil detaches it).
-func (a *Abs) SetCache(fc *FactCache) { a.cache = fc }
-
-// SetFree installs the already-blasted predicate used by the simplifier
-// guard: terms for which free reports true cost nothing to re-use.
-func (a *Abs) SetFree(free func(*Term) bool) { a.free = free }
-
-// beginAssert resets the per-assert cost memo; the solver calls it once
-// per Assert, before simplification (the blasted set is stable within
-// one Assert, so costs may be memoized inside it but not across).
-func (a *Abs) beginAssert() {
-	if len(a.costMemo) != 0 || a.costMemo == nil {
-		a.costMemo = map[*Term]int64{}
-	}
-}
-
-// Learn records an externally-justified fact about t (from an asserted
-// constraint). It intersects with anything already known and
-// invalidates memoized facts of t's recorded ancestors.
+// Learn records an externally-justified fact about t, intersected with
+// anything already known about it. Call it before the first Fact query.
 func (a *Abs) Learn(t *Term, f Fact) {
 	if prev, ok := a.env[t]; ok {
 		f = prev.intersect(f)
-		if f.Same(prev) {
-			return
-		}
 	} else {
 		f = f.normalize()
 	}
 	a.env[t] = f
-	a.Stats.Learned++
-	a.invalidate(t)
-}
-
-// invalidate drops the memoized facts and rewrites of t and every
-// recorded ancestor of t, so later queries recompute through the
-// tightened environment.
-func (a *Abs) invalidate(t *Term) {
-	work := []*Term{t}
-	seen := map[*Term]struct{}{t: {}}
-	for len(work) > 0 {
-		n := work[len(work)-1]
-		work = work[:len(work)-1]
-		if _, ok := a.memo[n]; ok {
-			delete(a.memo, n)
-			a.Stats.Invalidations++
-		}
-		delete(a.simp, n)
-		for p := range a.parents[n] {
-			if _, ok := seen[p]; !ok {
-				seen[p] = struct{}{}
-				work = append(work, p)
-			}
-		}
-	}
-}
-
-func (a *Abs) recordParent(child, parent *Term) {
-	m, ok := a.parents[child]
-	if !ok {
-		m = map[*Term]struct{}{}
-		a.parents[child] = m
-	}
-	m[parent] = struct{}{}
 }
 
 // Fact returns a sound abstract value for t, valid under every
-// environment fact learned so far.
+// environment fact learned before the first query.
 func (a *Abs) Fact(t *Term) Fact {
 	if e, ok := a.memo[t]; ok {
 		return e.fact
@@ -165,7 +67,6 @@ func (a *Abs) computeRefined(t *Term) (Fact, bool) {
 	_, tainted := a.env[t]
 	childFacts := make([]Fact, len(t.Args))
 	for i, c := range t.Args {
-		a.recordParent(c, t)
 		childFacts[i] = a.Fact(c)
 		if e, ok := a.memo[c]; ok && e.tainted {
 			tainted = true
@@ -183,21 +84,13 @@ func (a *Abs) computeRefined(t *Term) (Fact, bool) {
 }
 
 // baseFact computes the environment-free fact of t — a pure function of
-// the term's structure, cacheable across solvers.
+// the term's structure.
 func (a *Abs) baseFact(t *Term) Fact {
-	if a.cache != nil {
-		if f, ok := a.cache.get(t); ok {
-			return f
-		}
-	} else if f, ok := a.baseMemo[t]; ok {
+	if f, ok := a.baseMemo[t]; ok {
 		return f
 	}
 	f := a.transfer(t, func(i int) Fact { return a.baseFact(t.Args[i]) })
-	if a.cache != nil {
-		a.cache.put(t, f)
-	} else {
-		a.baseMemo[t] = f
-	}
+	a.baseMemo[t] = f
 	return f
 }
 
@@ -450,207 +343,4 @@ func shiftAmount(amt bv.BV, limit int) (int, bool) {
 		return 0, false
 	}
 	return int(n), true
-}
-
-// LearnAsserted harvests facts from a width-1 term that is known to be
-// true (asserted as a hard constraint). Beyond the direct shapes the
-// synthesizer emits — Eq(x, const), Eq(And(x, mask), const), Ult bounds
-// and their negations — it propagates pinned constants backwards
-// through invertible structure (Not/Neg/Xor/Add with a constant,
-// Concat, Zero/SignExt, Extract) and through muxes whose pinned result
-// is only reachable on one branch, which also decides the branch
-// condition.
-func (a *Abs) LearnAsserted(t *Term) {
-	a.learnTrue(t)
-}
-
-func (a *Abs) learnTrue(t *Term) {
-	switch t.Op {
-	case OpConst:
-		return
-	case OpAnd:
-		if t.Width == 1 {
-			a.learnTrue(t.Args[0])
-			a.learnTrue(t.Args[1])
-			return
-		}
-	case OpNot:
-		a.learnFalse(t.Args[0])
-		return
-	case OpEq:
-		x, y := t.Args[0], t.Args[1]
-		if x.IsConst() {
-			x, y = y, x
-		}
-		if y.IsConst() {
-			a.learnEqConst(x, y.Val)
-		}
-	case OpUlt:
-		x, y := t.Args[0], t.Args[1]
-		if y.IsConst() && !y.Val.IsZero() {
-			f := topFact(x.Width)
-			f.Hi = y.Val.Sub(bv.One(x.Width))
-			a.Learn(x, f)
-		}
-		if x.IsConst() && !x.Val.IsOnes() {
-			f := topFact(y.Width)
-			f.Lo = x.Val.Add(bv.One(y.Width))
-			a.Learn(y, f)
-		}
-	case OpRedAnd:
-		a.learnEqConst(t.Args[0], bv.Ones(t.Args[0].Width))
-	case OpIte:
-		// (c ? x : y) asserted true: a branch whose fact is already
-		// false decides the condition and asserts the other branch.
-		c, x, y := t.Args[0], t.Args[1], t.Args[2]
-		if !a.Fact(y).Admits(bv.FromBool(true)) {
-			a.learnTrue(c)
-			a.learnTrue(x)
-		} else if !a.Fact(x).Admits(bv.FromBool(true)) {
-			a.learnFalse(c)
-			a.learnTrue(y)
-		}
-	}
-	if t.Width == 1 && !t.IsConst() {
-		a.Learn(t, boolFact(true))
-	}
-}
-
-func (a *Abs) learnFalse(t *Term) {
-	switch t.Op {
-	case OpConst:
-		return
-	case OpNot:
-		a.learnTrue(t.Args[0])
-		return
-	case OpOr:
-		if t.Width == 1 {
-			a.learnFalse(t.Args[0])
-			a.learnFalse(t.Args[1])
-			return
-		}
-	case OpRedOr:
-		a.learnEqConst(t.Args[0], bv.Zero(t.Args[0].Width))
-	case OpUlt:
-		// Not(Ult(x, y)) asserted means y ≤ x.
-		x, y := t.Args[0], t.Args[1]
-		if x.IsConst() {
-			f := topFact(y.Width)
-			f.Hi = x.Val
-			a.Learn(y, f)
-		}
-		if y.IsConst() {
-			f := topFact(x.Width)
-			f.Lo = y.Val
-			a.Learn(x, f)
-		}
-	case OpEq:
-		// A refuted equality with a width-1 constant pins the other side.
-		x, y := t.Args[0], t.Args[1]
-		if x.IsConst() {
-			x, y = y, x
-		}
-		if y.IsConst() && y.Width == 1 {
-			a.learnEqConst(x, y.Val.Not())
-		}
-	}
-	if t.Width == 1 && !t.IsConst() {
-		a.Learn(t, boolFact(false))
-	}
-}
-
-// learnEqConst records x = c and pushes the constant backwards through
-// invertible or partially-invertible structure.
-func (a *Abs) learnEqConst(x *Term, c bv.BV) {
-	if x.IsConst() {
-		return
-	}
-	a.Learn(x, constFact(c))
-	w := x.Width
-	switch x.Op {
-	case OpNot:
-		a.learnEqConst(x.Args[0], c.Not())
-	case OpNeg:
-		a.learnEqConst(x.Args[0], c.Neg())
-	case OpXor:
-		if x.Args[1].IsConst() {
-			a.learnEqConst(x.Args[0], c.Xor(x.Args[1].Val))
-		} else if x.Args[0].IsConst() {
-			a.learnEqConst(x.Args[1], c.Xor(x.Args[0].Val))
-		}
-	case OpAdd:
-		if x.Args[1].IsConst() {
-			a.learnEqConst(x.Args[0], c.Sub(x.Args[1].Val))
-		} else if x.Args[0].IsConst() {
-			a.learnEqConst(x.Args[1], c.Sub(x.Args[0].Val))
-		}
-	case OpSub:
-		if x.Args[1].IsConst() {
-			a.learnEqConst(x.Args[0], c.Add(x.Args[1].Val))
-		} else if x.Args[0].IsConst() {
-			a.learnEqConst(x.Args[1], x.Args[0].Val.Sub(c))
-		}
-	case OpAnd:
-		// x0 & mask = c pins the mask's one-bits of x0.
-		if x.Args[1].IsConst() {
-			mask := x.Args[1].Val
-			f := topFact(w)
-			f.Known, f.Val = mask, c.And(mask)
-			a.Learn(x.Args[0], f)
-		}
-	case OpOr:
-		// x0 | mask = c pins the mask's zero-bits of x0.
-		if x.Args[1].IsConst() {
-			inv := x.Args[1].Val.Not()
-			f := topFact(w)
-			f.Known, f.Val = inv, c.And(inv)
-			a.Learn(x.Args[0], f)
-		}
-	case OpConcat:
-		hiA, loA := x.Args[0], x.Args[1]
-		a.learnEqConst(hiA, c.Extract(w-1, loA.Width))
-		a.learnEqConst(loA, c.Extract(loA.Width-1, 0))
-	case OpZeroExt:
-		ow := x.Args[0].Width
-		if c.Lshr(ow).IsZero() { // otherwise the constraint is unsat
-			a.learnEqConst(x.Args[0], c.Extract(ow-1, 0))
-		}
-	case OpSignExt:
-		ow := x.Args[0].Width
-		tr := c.Extract(ow-1, 0)
-		if tr.SignExt(w).Eq(c) {
-			a.learnEqConst(x.Args[0], tr)
-		}
-	case OpExtract:
-		// A pinned slice is a partial known-bits fact about the source.
-		src := x.Args[0]
-		f := topFact(src.Width)
-		for i := x.Lo; i <= x.Hi; i++ {
-			f.Known = f.Known.WithBit(i, true)
-			f.Val = f.Val.WithBit(i, c.Bit(i-x.Lo))
-		}
-		a.Learn(src, f)
-	case OpIte:
-		// A mux pinned to a value only one branch can produce decides
-		// the condition and pins that branch.
-		cond, p, q := x.Args[0], x.Args[1], x.Args[2]
-		pAdmits := a.Fact(p).Admits(c)
-		qAdmits := a.Fact(q).Admits(c)
-		switch {
-		case !pAdmits && qAdmits:
-			a.learnFalse(cond)
-			a.learnEqConst(q, c)
-		case pAdmits && !qAdmits:
-			a.learnTrue(cond)
-			a.learnEqConst(p, c)
-		}
-	case OpEq, OpUlt, OpSlt, OpRedOr, OpRedAnd:
-		if w == 1 {
-			if !c.IsZero() {
-				a.learnTrue(x)
-			} else {
-				a.learnFalse(x)
-			}
-		}
-	}
 }

@@ -38,120 +38,6 @@ func TestFactAdmits(t *testing.T) {
 	}
 }
 
-func TestLearnAssertedShapes(t *testing.T) {
-	ctx := NewContext()
-	a := NewAbs()
-	x := ctx.Var("x", 8)
-	y := ctx.Var("y", 8)
-	z := ctx.Var("z", 8)
-	m := ctx.Var("m", 8)
-	b := ctx.Var("b", 1)
-
-	// Eq(x, c) pins x.
-	a.LearnAsserted(ctx.Eq(x, ctx.ConstU(8, 7)))
-	if f := a.Fact(x); !f.IsConst() || f.Val.Uint64() != 7 {
-		t.Fatalf("Eq pin: %+v", f)
-	}
-	// Ult(y, 16) bounds y.
-	a.LearnAsserted(ctx.Ult(y, ctx.ConstU(8, 16)))
-	if f := a.Fact(y); f.Hi.Uint64() != 15 {
-		t.Fatalf("Ult bound: %+v", f)
-	}
-	// Not(Ult(z, 16)) means z >= 16.
-	a.LearnAsserted(ctx.Not(ctx.Ult(z, ctx.ConstU(8, 16))))
-	if f := a.Fact(z); f.Lo.Uint64() != 16 {
-		t.Fatalf("Not-Ult bound: %+v", f)
-	}
-	// Eq(And(m, 0xF0), 0x30) pins m's high nibble.
-	a.LearnAsserted(ctx.Eq(ctx.And(m, ctx.ConstU(8, 0xF0)), ctx.ConstU(8, 0x30)))
-	if f := a.Fact(m); f.Known.Uint64()&0xF0 != 0xF0 || f.Val.Uint64()&0xF0 != 0x30 {
-		t.Fatalf("masked Eq pin: %+v", f)
-	}
-	// A bare width-1 term is itself known true.
-	a.LearnAsserted(b)
-	if f := a.Fact(b); !f.IsConst() || f.Val.IsZero() {
-		t.Fatalf("bool self-pin: %+v", f)
-	}
-	// Conjunctions distribute.
-	a2 := NewAbs()
-	a2.LearnAsserted(ctx.AndN(ctx.Eq(x, ctx.ConstU(8, 7)), ctx.Ult(y, ctx.ConstU(8, 16))))
-	if f := a2.Fact(x); !f.IsConst() {
-		t.Fatalf("conjunction left: %+v", f)
-	}
-	if f := a2.Fact(y); f.Hi.Uint64() != 15 {
-		t.Fatalf("conjunction right: %+v", f)
-	}
-}
-
-func TestSimplifyUnderFacts(t *testing.T) {
-	ctx := NewContext()
-	a := NewAbs()
-	x := ctx.Var("x", 8)
-	y := ctx.Var("y", 8)
-	sel := ctx.Var("sel", 1)
-
-	a.LearnAsserted(ctx.Eq(x, ctx.ConstU(8, 3)))
-	// A pinned variable folds wherever it occurs.
-	if r := ctx.Simplify(ctx.Add(x, y), a); r.Op != OpAdd || !r.Args[0].IsConst() {
-		t.Fatalf("pinned operand not folded: %v", r)
-	}
-	// Comparisons decided by the domains fold to booleans.
-	a.LearnAsserted(ctx.Ult(y, ctx.ConstU(8, 16)))
-	if r := ctx.Simplify(ctx.Ult(y, ctx.ConstU(8, 200)), a); !r.IsConst() || r.Val.IsZero() {
-		t.Fatalf("decided comparison not folded: %v", r)
-	}
-	// A decided mux condition drops the dead branch.
-	a.LearnAsserted(sel)
-	mux := ctx.Ite(sel, y, ctx.ConstU(8, 99))
-	if r := ctx.Simplify(mux, a); r != y {
-		t.Fatalf("decided mux not pruned: %v", r)
-	}
-	// A shift by a determined amount reduces to wiring.
-	amt := ctx.Var("amt", 8)
-	a.LearnAsserted(ctx.Eq(amt, ctx.ConstU(8, 2)))
-	shift := ctx.Shl(y, amt)
-	r := ctx.Simplify(shift, a)
-	if r.Op == OpShl {
-		t.Fatalf("determined shift not reduced: %v", r)
-	}
-	// The wiring must mean the same thing in the models the facts admit
-	// (amt pinned to 2).
-	env := func(v *Term) bv.BV {
-		if v == amt {
-			return bv.New(8, 2)
-		}
-		return bv.New(v.Width, 0xB5)
-	}
-	if !Eval(r, env).Eq(Eval(shift, env)) {
-		t.Fatalf("reduced shift disagrees: %s vs %s", Eval(r, env), Eval(shift, env))
-	}
-}
-
-// TestSimplifyShrinksCNF is the CNF-reduction acceptance check at the
-// unit level: encoding the same pinned-shift formula with the simplifier
-// on must allocate fewer SAT variables than the pure blaster.
-func TestSimplifyShrinksCNF(t *testing.T) {
-	build := func(disable bool) int {
-		ctx := NewContext()
-		s := NewSolver(ctx)
-		if disable {
-			s.DisableSimplify()
-		}
-		x := ctx.Var("x", 32)
-		amt := ctx.Var("amt", 32)
-		s.Assert(ctx.Eq(amt, ctx.ConstU(32, 3)))
-		s.Assert(ctx.Eq(ctx.Shl(x, amt), ctx.ConstU(32, 0x1230)))
-		if st, err := s.Check(); err != nil || st != sat.Sat {
-			t.Fatalf("disable=%v: %v %v", disable, st, err)
-		}
-		return s.NumSATVars()
-	}
-	on, off := build(false), build(true)
-	if on >= off {
-		t.Fatalf("simplifier did not shrink the CNF: %d vars on, %d off", on, off)
-	}
-}
-
 // TestSolverCertifyStats drives a certifying solver through Sat and
 // Unsat verdicts and checks the bookkeeping.
 func TestSolverCertifyStats(t *testing.T) {
@@ -179,40 +65,5 @@ func TestSolverCertifyStats(t *testing.T) {
 	}
 	if cs.ProofSteps == 0 {
 		t.Fatalf("no proof steps recorded: %+v", cs)
-	}
-}
-
-// TestAbsintVerdictEquivalence solves the same constraint sets with the
-// simplifier on and off and requires identical verdicts and (since the
-// instances have unique solutions) identical models.
-func TestAbsintVerdictEquivalence(t *testing.T) {
-	solve := func(disable bool, assume uint64) (sat.Status, bv.BV) {
-		ctx := NewContext()
-		s := NewSolver(ctx)
-		if disable {
-			s.DisableSimplify()
-		}
-		x := ctx.Var("x", 8)
-		y := ctx.Var("y", 8)
-		s.Assert(ctx.Eq(y, ctx.ConstU(8, 20)))
-		s.Assert(ctx.Eq(ctx.Mul(x, ctx.ConstU(8, 3)), ctx.Sub(y, ctx.ConstU(8, 2))))
-		st, err := s.Check(ctx.Ult(x, ctx.ConstU(8, assume)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st != sat.Sat {
-			return st, bv.BV{}
-		}
-		return st, s.Value(x)
-	}
-	for _, assume := range []uint64{5, 7, 255} {
-		stOn, vOn := solve(false, assume)
-		stOff, vOff := solve(true, assume)
-		if stOn != stOff {
-			t.Fatalf("assume<%d: verdicts differ: on=%v off=%v", assume, stOn, stOff)
-		}
-		if stOn == sat.Sat && !vOn.Eq(vOff) {
-			t.Fatalf("assume<%d: models differ: on=%s off=%s", assume, vOn, vOff)
-		}
 	}
 }

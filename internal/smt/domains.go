@@ -12,7 +12,7 @@ import (
 // of two numeric domains over one bit-vector width.
 //
 //   - known bits: a mask of bit positions whose value is the same in
-//     every model of the asserted constraints, plus those values;
+//     every value the term can take, plus those values;
 //   - unsigned intervals: an inclusive [Lo, Hi] unsigned range.
 //
 // normalize() is the reduction operator of the product: after every

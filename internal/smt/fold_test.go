@@ -73,11 +73,10 @@ func TestEdgeSemantics(t *testing.T) {
 				t.Fatalf("Eval = %s, want %s", got, want)
 			}
 
-			// 3. The pure bit-blaster (simplifier off) must agree: with
-			// both operands pinned, the term must equal `want` and must
-			// not be able to differ from it.
+			// 3. The bit-blaster must agree: with both operands pinned,
+			// the term must equal `want` and must not be able to differ
+			// from it.
 			blaster := NewSolver(ctx)
-			blaster.DisableSimplify()
 			blaster.Assert(ctx.Eq(x, ctx.Const(A)))
 			blaster.Assert(ctx.Eq(y, ctx.Const(B)))
 			st, err := blaster.Check(ctx.Eq(term, ctx.Const(want)))
@@ -92,8 +91,8 @@ func TestEdgeSemantics(t *testing.T) {
 				t.Fatalf("blasted != ref must be unsat: %v %v", st, err)
 			}
 
-			// 4. Same queries through the certifying pipeline: absint
-			// simplification on, Unsat DRUP-checked, models validated.
+			// 4. Same query through the certifying pipeline: Unsat
+			// DRUP-checked, models validated.
 			cert := NewSolver(ctx)
 			cert.EnableCertification()
 			cert.Assert(ctx.Eq(x, ctx.Const(A)))

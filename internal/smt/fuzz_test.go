@@ -93,11 +93,11 @@ func buildFuzzTerm(ctx *Context, data []byte) (*Term, map[*Term]bv.BV) {
 	return stack[len(stack)-1], env
 }
 
-// FuzzBlastVsEval differentially tests the bit-blaster (with and
-// without absint simplification) against the reference interpreter: for
-// a random term t and environment e, the solver with all variables
-// pinned to e must find t = eval(t,e) satisfiable and t ≠ eval(t,e)
-// unsatisfiable — the latter with a checked DRUP certificate.
+// FuzzBlastVsEval differentially tests the bit-blaster against the
+// reference interpreter: for a random term t and environment e, the
+// solver with all variables pinned to e must find t = eval(t,e)
+// satisfiable and t ≠ eval(t,e) unsatisfiable — the latter with a
+// checked DRUP certificate.
 func FuzzBlastVsEval(f *testing.F) {
 	f.Add([]byte{17, 42, 63, 0, 1, 2, 3, 10, 200, 3, 0})
 	f.Add([]byte{0, 0, 0, 3, 0, 3, 1, 4, 2, 13, 9})
@@ -110,24 +110,18 @@ func FuzzBlastVsEval(f *testing.F) {
 		}
 		want := NewEvaluator(func(v *Term) bv.BV { return env[v] }).Eval(term)
 
-		for _, disable := range []bool{false, true} {
-			s := NewSolver(ctx)
-			if disable {
-				s.DisableSimplify()
-			} else {
-				s.EnableCertification()
-			}
-			for v, val := range env {
-				s.Assert(ctx.Eq(v, ctx.Const(val)))
-			}
-			st, err := s.Check(ctx.Eq(term, ctx.Const(want)))
-			if err != nil || st != sat.Sat {
-				t.Fatalf("disable=%v: t == eval(t): %v %v", disable, st, err)
-			}
-			st, err = s.Check(ctx.Ne(term, ctx.Const(want)))
-			if err != nil || st != sat.Unsat {
-				t.Fatalf("disable=%v: t != eval(t) must be unsat: %v %v", disable, st, err)
-			}
+		s := NewSolver(ctx)
+		s.EnableCertification()
+		for v, val := range env {
+			s.Assert(ctx.Eq(v, ctx.Const(val)))
+		}
+		st, err := s.Check(ctx.Eq(term, ctx.Const(want)))
+		if err != nil || st != sat.Sat {
+			t.Fatalf("t == eval(t): %v %v", st, err)
+		}
+		st, err = s.Check(ctx.Ne(term, ctx.Const(want)))
+		if err != nil || st != sat.Unsat {
+			t.Fatalf("t != eval(t) must be unsat: %v %v", st, err)
 		}
 	})
 }
@@ -135,9 +129,8 @@ func FuzzBlastVsEval(f *testing.F) {
 // FuzzAbsintSound checks the abstract domains against the concrete
 // semantics: facts constructed around the environment value — covering
 // both channels of the reduced product (known bits and unsigned
-// intervals) plus the asserted-constraint learner — must admit it after
-// every transfer, and simplification under those facts must preserve
-// the term's value in that environment.
+// intervals) — and learned for the variables must admit it after every
+// transfer.
 func FuzzAbsintSound(f *testing.F) {
 	f.Add([]byte{17, 42, 63, 0, 1, 2, 3, 10, 200, 3, 0}, byte(0x0F), byte(2))
 	f.Add([]byte{9, 30, 5, 5, 1, 17, 200, 11, 8, 14, 3}, byte(0xAA), byte(0))
@@ -184,30 +177,17 @@ func FuzzAbsintSound(f *testing.F) {
 		if env[va].Eq(env[vb]) {
 			// a == b holds in env, so learning it must keep every fact
 			// sound.
-			a.LearnAsserted(ctx.Eq(va, vb))
+			a.Learn(ctx.Eq(va, vb), boolFact(true))
 		}
 		ev := NewEvaluator(func(v *Term) bv.BV { return env[v] })
 		concrete := ev.Eval(term)
 		if fact := a.Fact(term); !fact.Admits(concrete) {
 			t.Fatalf("transfer result %+v excludes concrete value %s", fact, concrete)
 		}
-		simplified := ctx.Simplify(term, a)
-		if got := ev.Eval(simplified); !got.Eq(concrete) {
-			t.Fatalf("simplification changed the value: %s -> %s", concrete, got)
-		}
-		// Asserted-constraint learning: term == concrete is true in env,
-		// so the backward propagation must keep admitting env values.
-		a.LearnAsserted(ctx.Eq(term, ctx.Const(concrete)))
 		for v, val := range env {
 			if fact := a.Fact(v); !fact.Admits(val) {
-				t.Fatalf("asserted learning made var fact %+v exclude %s", fact, val)
+				t.Fatalf("learned var fact %+v excludes %s", fact, val)
 			}
-		}
-		if fact := a.Fact(term); !fact.Admits(concrete) {
-			t.Fatalf("asserted learning made term fact %+v exclude %s", fact, concrete)
-		}
-		if got := ev.Eval(ctx.Simplify(term, a)); !got.Eq(concrete) {
-			t.Fatalf("post-assert simplification changed the value: %s -> %s", concrete, got)
 		}
 	})
 }

@@ -17,7 +17,6 @@ import (
 // repair synthesizer performs its minimal-change linear search without
 // re-encoding the unrolled circuit.
 type Solver struct {
-	ctx   *Context
 	sat   *sat.Solver
 	bits  map[*Term][]sat.Lit
 	gates map[gateKey]sat.Lit
@@ -25,20 +24,9 @@ type Solver struct {
 
 	model map[*Term]bv.BV // var snapshot after a Sat answer
 
-	// Abstract-interpretation state: facts harvested from hard asserts
-	// plus the simplifier memo (invalidated on environment tightening).
-	// nil when simplification is disabled (see DisableSimplify).
-	abs *Abs
-
-	// shadow is a passive replica encoder with the simplifier off, fed
-	// the same original (pre-simplification) assert stream. It blasts
-	// but never solves, so its CNF size prices the simplifier along the
-	// exact search path the live solver takes (see AddShadow).
-	shadow *Solver
-
-	// Self-certification state. asserted holds every (simplified) term
-	// handed to the bit-blaster, so a Sat model can be re-checked by the
-	// reference interpreter; lastAssump* hold the most recent Check call's
+	// Self-certification state. asserted holds every term handed to the
+	// bit-blaster, so a Sat model can be re-checked by the reference
+	// interpreter; lastAssump* hold the most recent Check call's
 	// assumptions for the same purpose, and — as literals — the target
 	// clause of an assumption-relative Unsat certificate.
 	asserted        []*Term
@@ -81,77 +69,16 @@ type gateKey struct {
 // DRUP-checked Unsat verdicts.
 func NewSolver(ctx *Context) *Solver {
 	s := &Solver{
-		ctx:      ctx,
 		sat:      sat.New(),
 		bits:     map[*Term][]sat.Lit{},
 		gates:    map[gateKey]sat.Lit{},
-		abs:      NewAbs(),
 		validate: testing.Testing(),
 	}
-	s.abs.SetFree(s.isBlasted)
 	v := s.sat.NewVar()
 	s.t = sat.PosLit(v)
 	s.f = s.t.Not()
 	s.sat.AddClause(s.t)
 	return s
-}
-
-func (s *Solver) isBlasted(t *Term) bool {
-	_, ok := s.bits[t]
-	return ok
-}
-
-// DisableSimplify turns off the abstract-interpretation pre-blast
-// simplifier for this solver: no facts, no rewrites (used for A/B
-// measurement of its CNF impact). Must be called before the first
-// Assert.
-func (s *Solver) DisableSimplify() {
-	if len(s.asserted) > 0 {
-		panic("smt: DisableSimplify after Assert")
-	}
-	s.abs = nil
-}
-
-// SetFactCache attaches a shared base-fact cache (see FactCache) so
-// structure-only analysis work carries across the sequential solvers of
-// one synthesizer. Call before the first Assert.
-func (s *Solver) SetFactCache(fc *FactCache) {
-	if s.abs != nil {
-		s.abs.SetCache(fc)
-	}
-}
-
-// AddShadow attaches a passive shadow encoder with the simplifier off.
-// The shadow receives every original (pre-simplify) asserted term and
-// Check assumption, blasts them, and never solves; its CNF statistics
-// (ShadowStats) measure what this solver's encoding WOULD have been
-// without abstract interpretation, along the identical search path.
-// Must be called before the first Assert.
-func (s *Solver) AddShadow() {
-	if len(s.asserted) > 0 {
-		panic("smt: AddShadow after Assert")
-	}
-	s.shadow = NewSolver(s.ctx)
-	s.shadow.validate = false
-	s.shadow.DisableSimplify()
-}
-
-// ShadowStats returns the CNF statistics of the shadow encoder (zero
-// when none is attached).
-func (s *Solver) ShadowStats() sat.Statistics {
-	if s.shadow == nil {
-		return sat.Statistics{}
-	}
-	return s.shadow.SATStats()
-}
-
-// AbsStats returns the abstract-interpretation work counters (zero when
-// simplification is disabled).
-func (s *Solver) AbsStats() AbsStats {
-	if s.abs == nil {
-		return AbsStats{}
-	}
-	return s.abs.Stats
 }
 
 // EnableCertification switches the solver into self-certifying mode:
@@ -562,38 +489,16 @@ func (s *Solver) shiftBits(t *Term) []sat.Lit {
 	return cur
 }
 
-// prepare runs the abstract-interpretation simplifier over a term
-// (identity when simplification is disabled).
-func (s *Solver) prepare(t *Term) *Term {
-	if s.abs == nil {
-		return t
-	}
-	s.abs.beginAssert()
-	return s.ctx.Simplify(t, s.abs)
-}
-
-// Assert adds a width-1 term as a hard constraint. The term is first
-// simplified under the facts harvested from earlier asserts; the
-// simplified form is what gets blasted, recorded for model validation,
-// and mined for new facts. Facts are learned only after the clause is
-// in the SAT core, so a pinning assert like x = c still pins x's bits
-// (later occurrences of x then fold to c).
+// Assert adds a width-1 term as a hard constraint.
 func (s *Solver) Assert(t *Term) {
 	if t.Width != 1 {
 		panic("smt: assert of non-boolean term")
 	}
-	if s.shadow != nil {
-		s.shadow.Assert(t)
-	}
-	t = s.prepare(t)
 	if t.Op == OpConst && !t.Val.IsZero() {
-		return // simplified to true: redundant under earlier asserts
+		return // trivially true
 	}
 	s.sat.AddClause(s.blast(t)[0])
 	s.asserted = append(s.asserted, t)
-	if s.abs != nil && t.Op != OpConst {
-		s.abs.LearnAsserted(t)
-	}
 }
 
 // Check decides the asserted constraints together with the given width-1
@@ -611,10 +516,6 @@ func (s *Solver) Check(assumptions ...*Term) (sat.Status, error) {
 		if a.Width != 1 {
 			panic("smt: assumption of non-boolean term")
 		}
-		if s.shadow != nil {
-			s.shadow.blast(a)
-		}
-		a = s.prepare(a)
 		terms = append(terms, a)
 		lits = append(lits, s.blast(a)[0])
 	}

@@ -36,18 +36,14 @@ const widenAfter = 8
 // next-state image each iteration until nothing changes. Inputs and
 // params are unconstrained (top) every cycle. maxIters caps the
 // iteration count (<= 0 picks a default that, with widening, is
-// effectively never hit). The same facts that the window solvers learn
-// per-encoding are derived here once per design, feeding the fact-driven
-// lint pass (constant nets, dead branches, unreachable case arms).
+// effectively never hit). The facts feed the fact-driven lint pass
+// (constant nets, dead branches, unreachable case arms).
 func AbstractReach(sys *System, maxIters int) *ReachFacts {
 	if maxIters <= 0 {
 		maxIters = 64
 	}
-	fc := smt.NewFactCache()
-
 	// Seed: init expressions evaluated with an empty environment.
 	seed := smt.NewAbs()
-	seed.SetCache(fc)
 	cur := map[*smt.Term]smt.Fact{}
 	for _, st := range sys.States {
 		if st.Init != nil {
@@ -60,7 +56,6 @@ func AbstractReach(sys *System, maxIters int) *ReachFacts {
 	res := &ReachFacts{State: map[string]smt.Fact{}, Output: map[string]smt.Fact{}}
 	env := func() *smt.Abs {
 		a := smt.NewAbs()
-		a.SetCache(fc)
 		for sv, f := range cur {
 			a.Learn(sv, f)
 		}

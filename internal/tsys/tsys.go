@@ -111,50 +111,37 @@ func (s *System) Validate() error {
 }
 
 // Unrolling is the result of unrolling a System for a number of steps:
-// time-indexed input variables and expressions for states and outputs.
+// time-indexed input instances and expressions for states and outputs.
 type Unrolling struct {
 	Sys      *System
 	Steps    int
 	tag      string
+	inputs   InputFunc                 // see Unroll; nil means all fresh
 	inputAt  []map[*smt.Term]*smt.Term // step -> input var -> step instance
 	stateAt  []map[*smt.Term]*smt.Term // step -> state var -> expression
 	outputAt []map[string]*smt.Term    // step -> output name -> expression
 	obsScope obs.Scope                 // see SetObs
-	facts    *smt.FactCache            // see SetFactCache
 }
+
+// InputFunc supplies the instance of input in at step k of an
+// unrolling: a constant term when the value is known (a trace row), or
+// nil for a fresh variable.
+type InputFunc func(k int, in *smt.Term) *smt.Term
 
 // SetObs positions the unrolling in the observability layer: every
 // Extend records one "tsys.extend" span under the scope's span. The
 // zero Scope (the default) disables it.
 func (u *Unrolling) SetObs(sc obs.Scope) { u.obsScope = sc }
 
-// SetFactCache attaches a cross-window abstract-fact cache: after every
-// Extend, base facts for the newly built step expressions are derived
-// eagerly into the cache, so the owning solver's simplifier (and any
-// later rebuild over the same hash-consed terms) starts warm. A nil
-// cache disables prewarming.
-func (u *Unrolling) SetFactCache(fc *smt.FactCache) { u.facts = fc }
-
-// prewarm derives base facts for the given step's expressions.
-func (u *Unrolling) prewarm(k int) {
-	if u.facts == nil {
-		return
-	}
-	for _, expr := range u.stateAt[k] {
-		u.facts.Warm(expr)
-	}
-	for _, expr := range u.outputAt[k] {
-		u.facts.Warm(expr)
-	}
-}
-
 // Unroll unrolls sys for the given number of steps. init provides the
 // step-0 expression for each state variable; states missing from init
 // get a fresh variable "<name>@0" (an arbitrary starting value, as in
-// BMC). Input instances are fresh variables "<name>@k". Params remain
-// shared across steps — they are the synthesis constants.
-func Unroll(ctx *smt.Context, sys *System, steps int, init map[*smt.Term]*smt.Term) *Unrolling {
-	return UnrollTagged(ctx, sys, steps, init, "")
+// BMC). inputs supplies the input instances; where it is nil or returns
+// nil, an input is a fresh variable "<name>@k". Constant inputs fold
+// into the step expressions as they are built. Params remain shared
+// across steps — they are the synthesis constants.
+func Unroll(ctx *smt.Context, sys *System, steps int, init map[*smt.Term]*smt.Term, inputs InputFunc) *Unrolling {
+	return UnrollTagged(ctx, sys, steps, init, "", inputs)
 }
 
 // UnrollTagged is Unroll with a namespace tag on the per-step variables
@@ -162,61 +149,87 @@ func Unroll(ctx *smt.Context, sys *System, steps int, init map[*smt.Term]*smt.Te
 // system — e.g. one per counterexample trace in a CEGIS loop — can share
 // one context and one set of synthesis parameters without their input
 // instances colliding.
-func UnrollTagged(ctx *smt.Context, sys *System, steps int, init map[*smt.Term]*smt.Term, tag string) *Unrolling {
-	name := func(base string, k int) string {
-		if tag == "" {
-			return fmt.Sprintf("%s@%d", base, k)
-		}
-		return fmt.Sprintf("%s@%s/%d", base, tag, k)
-	}
-	u := &Unrolling{Sys: sys, Steps: steps, tag: tag}
+func UnrollTagged(ctx *smt.Context, sys *System, steps int, init map[*smt.Term]*smt.Term, tag string, inputs InputFunc) *Unrolling {
+	u := &Unrolling{Sys: sys, tag: tag, inputs: inputs}
 	cur := map[*smt.Term]*smt.Term{}
 	for _, st := range sys.States {
 		if iv, ok := init[st.Var]; ok {
 			cur[st.Var] = iv
 		} else {
-			cur[st.Var] = ctx.Var(name(st.Var.Name, 0), st.Var.Width)
+			cur[st.Var] = ctx.Var(u.name(st.Var.Name, 0), st.Var.Width)
 		}
 	}
-	for k := 0; k <= steps; k++ {
-		ins := map[*smt.Term]*smt.Term{}
-		sub := map[*smt.Term]*smt.Term{}
-		for _, in := range sys.Inputs {
-			iv := ctx.Var(name(in.Name, k), in.Width)
-			ins[in] = iv
-			sub[in] = iv
-		}
-		for sv, expr := range cur {
-			sub[sv] = expr
-		}
-		outs := map[string]*smt.Term{}
-		for _, o := range sys.Outputs {
-			outs[o.Name] = ctx.Substitute(o.Expr, sub)
-		}
-		u.inputAt = append(u.inputAt, ins)
-		u.outputAt = append(u.outputAt, outs)
-		stateCopy := map[*smt.Term]*smt.Term{}
-		for sv, expr := range cur {
-			stateCopy[sv] = expr
-		}
-		u.stateAt = append(u.stateAt, stateCopy)
-		if k == steps {
-			break
-		}
-		next := map[*smt.Term]*smt.Term{}
-		for _, st := range sys.States {
-			next[st.Var] = ctx.Substitute(st.Next, sub)
-		}
-		cur = next
-	}
+	u.materialize(ctx, cur)
+	u.grow(ctx, steps)
 	return u
 }
 
+// name is the per-step variable name of base at step k.
+func (u *Unrolling) name(base string, k int) string {
+	if u.tag == "" {
+		return fmt.Sprintf("%s@%d", base, k)
+	}
+	return fmt.Sprintf("%s@%s/%d", base, u.tag, k)
+}
+
+// materialize appends the next step with state expressions cur: its
+// input instances and its output expressions.
+func (u *Unrolling) materialize(ctx *smt.Context, cur map[*smt.Term]*smt.Term) {
+	k := len(u.stateAt)
+	ins := map[*smt.Term]*smt.Term{}
+	for _, in := range u.Sys.Inputs {
+		var iv *smt.Term
+		if u.inputs != nil {
+			iv = u.inputs(k, in)
+		}
+		if iv == nil {
+			iv = ctx.Var(u.name(in.Name, k), in.Width)
+		}
+		ins[in] = iv
+	}
+	sub := u.subst(ins, cur)
+	outs := map[string]*smt.Term{}
+	for _, o := range u.Sys.Outputs {
+		outs[o.Name] = ctx.Substitute(o.Expr, sub)
+	}
+	u.inputAt = append(u.inputAt, ins)
+	u.outputAt = append(u.outputAt, outs)
+	u.stateAt = append(u.stateAt, cur)
+}
+
+// subst maps every input and state variable to its step instance.
+func (u *Unrolling) subst(ins, cur map[*smt.Term]*smt.Term) map[*smt.Term]*smt.Term {
+	sub := make(map[*smt.Term]*smt.Term, len(ins)+len(cur))
+	for in, iv := range ins {
+		sub[in] = iv
+	}
+	for sv, expr := range cur {
+		sub[sv] = expr
+	}
+	return sub
+}
+
+// grow advances the unrolling by extra steps: each step's state is the
+// next-state function applied to the previous step.
+func (u *Unrolling) grow(ctx *smt.Context, extra int) {
+	for i := 0; i < extra; i++ {
+		last := len(u.stateAt) - 1
+		sub := u.subst(u.inputAt[last], u.stateAt[last])
+		next := map[*smt.Term]*smt.Term{}
+		for _, st := range u.Sys.States {
+			next[st.Var] = ctx.Substitute(st.Next, sub)
+		}
+		u.materialize(ctx, next)
+	}
+	u.Steps = len(u.stateAt) - 1
+}
+
 // Extend grows the unrolling by extraSteps further cycles, reusing every
-// already-built step expression. Together with an incremental solver this
-// lets the adaptive-window synthesizer append newly unrolled cycles to a
-// live clause database instead of re-encoding the window from scratch
-// when k_future grows.
+// already-built step expression and building the new steps' inputs from
+// the same InputFunc. Together with an incremental solver this lets the
+// adaptive-window synthesizer append newly unrolled cycles to a live
+// clause database instead of re-encoding the window from scratch when
+// k_future grows.
 func (u *Unrolling) Extend(ctx *smt.Context, extraSteps int) {
 	if extraSteps <= 0 {
 		return
@@ -224,57 +237,11 @@ func (u *Unrolling) Extend(ctx *smt.Context, extraSteps int) {
 	span := u.obsScope.Start("tsys.extend")
 	defer span.End(obs.Int("from_steps", int64(u.Steps)), obs.Int("extra_steps", int64(extraSteps)))
 	u.obsScope.Metrics.Add("tsys.extend_steps", int64(extraSteps))
-	name := func(base string, k int) string {
-		if u.tag == "" {
-			return fmt.Sprintf("%s@%d", base, k)
-		}
-		return fmt.Sprintf("%s@%s/%d", base, u.tag, k)
-	}
-	cur := u.stateAt[u.Steps]
-	ins := u.inputAt[u.Steps]
-	for k := u.Steps + 1; k <= u.Steps+extraSteps; k++ {
-		// Advance the state past the previous step (Unroll stops before
-		// computing the next-state of its final step).
-		sub := map[*smt.Term]*smt.Term{}
-		for in, iv := range ins {
-			sub[in] = iv
-		}
-		for sv, expr := range cur {
-			sub[sv] = expr
-		}
-		next := map[*smt.Term]*smt.Term{}
-		for _, st := range u.Sys.States {
-			next[st.Var] = ctx.Substitute(st.Next, sub)
-		}
-		cur = next
-		// Materialize step k exactly as Unroll would have.
-		ins = map[*smt.Term]*smt.Term{}
-		stepSub := map[*smt.Term]*smt.Term{}
-		for _, in := range u.Sys.Inputs {
-			iv := ctx.Var(name(in.Name, k), in.Width)
-			ins[in] = iv
-			stepSub[in] = iv
-		}
-		for sv, expr := range cur {
-			stepSub[sv] = expr
-		}
-		outs := map[string]*smt.Term{}
-		for _, o := range u.Sys.Outputs {
-			outs[o.Name] = ctx.Substitute(o.Expr, stepSub)
-		}
-		stateCopy := map[*smt.Term]*smt.Term{}
-		for sv, expr := range cur {
-			stateCopy[sv] = expr
-		}
-		u.inputAt = append(u.inputAt, ins)
-		u.outputAt = append(u.outputAt, outs)
-		u.stateAt = append(u.stateAt, stateCopy)
-		u.prewarm(k)
-	}
-	u.Steps += extraSteps
+	u.grow(ctx, extraSteps)
 }
 
-// InputAt returns the fresh variable standing for input in at step k.
+// InputAt returns the instance of input in at step k: the InputFunc's
+// constant, or the fresh variable standing for it.
 func (u *Unrolling) InputAt(k int, in *smt.Term) *smt.Term { return u.inputAt[k][in] }
 
 // StateAt returns the expression for state variable sv at step k.

@@ -58,7 +58,7 @@ func TestUnrollConcreteFolds(t *testing.T) {
 		sys.States[0].Var: ctx.ConstU(4, 0),
 		sys.States[1].Var: ctx.ConstU(1, 0),
 	}
-	u := Unroll(ctx, sys, 3, init)
+	u := Unroll(ctx, sys, 3, init, nil)
 	s := smt.NewSolver(ctx)
 	// Drive enable=1, reset=0 for all steps.
 	for k := 0; k <= 3; k++ {
@@ -80,7 +80,7 @@ func TestUnrollConcreteFolds(t *testing.T) {
 func TestUnrollSymbolicInitialState(t *testing.T) {
 	ctx := smt.NewContext()
 	sys := counterSystem(ctx)
-	u := Unroll(ctx, sys, 1, nil)
+	u := Unroll(ctx, sys, 1, nil, nil)
 	s := smt.NewSolver(ctx)
 	// After a reset cycle the count must be zero regardless of the start.
 	s.Assert(ctx.Eq(u.InputAt(0, sys.Inputs[0]), ctx.True()))
@@ -98,7 +98,7 @@ func TestUnrollBMCFindsOverflow(t *testing.T) {
 		sys.States[0].Var: ctx.ConstU(4, 13),
 		sys.States[1].Var: ctx.ConstU(1, 0),
 	}
-	u := Unroll(ctx, sys, 4, init)
+	u := Unroll(ctx, sys, 4, init, nil)
 	s := smt.NewSolver(ctx)
 	s.Assert(ctx.Eq(u.OutputAt(4, "overflow"), ctx.True()))
 	st, err := s.Check()
@@ -140,8 +140,8 @@ func TestWriteBtor(t *testing.T) {
 func TestUnrollTaggedNamespaces(t *testing.T) {
 	ctx := smt.NewContext()
 	sys := counterSystem(ctx)
-	u1 := UnrollTagged(ctx, sys, 2, nil, "t0")
-	u2 := UnrollTagged(ctx, sys, 2, nil, "t1")
+	u1 := UnrollTagged(ctx, sys, 2, nil, "t0", nil)
+	u2 := UnrollTagged(ctx, sys, 2, nil, "t1", nil)
 	// Same logical position, different variables.
 	if u1.InputAt(1, sys.Inputs[0]) == u2.InputAt(1, sys.Inputs[0]) {
 		t.Fatal("tagged unrollings share input instances")
@@ -161,7 +161,8 @@ func TestUnrollTaggedNamespaces(t *testing.T) {
 
 // TestExtendMatchesUnroll checks that unrolling n steps and extending by
 // k yields exactly the hash-consed expressions of unrolling n+k steps in
-// one go — the property the incremental window encoding relies on.
+// one go — the property the incremental window encoding relies on — with
+// free inputs and with inputs supplied as constants by an InputFunc.
 func TestExtendMatchesUnroll(t *testing.T) {
 	ctx := smt.NewContext()
 	sys := counterSystem(ctx)
@@ -170,28 +171,62 @@ func TestExtendMatchesUnroll(t *testing.T) {
 		sys.States[1].Var: ctx.False(),
 	}
 	const n, k = 2, 3
-	full := Unroll(ctx, sys, n+k, init)
-	grown := Unroll(ctx, sys, n, init)
-	grown.Extend(ctx, k)
-	if grown.Steps != n+k {
-		t.Fatalf("Steps = %d, want %d", grown.Steps, n+k)
+	// rows drives reset low and enable high, except at step 3, and leaves
+	// the last step free.
+	rows := func(step int, in *smt.Term) *smt.Term {
+		if step == n+k {
+			return nil
+		}
+		if in.Name == "reset" {
+			return ctx.False()
+		}
+		return ctx.Bool(step != 3)
 	}
-	for step := 0; step <= n+k; step++ {
-		for _, in := range sys.Inputs {
-			if full.InputAt(step, in) != grown.InputAt(step, in) {
-				t.Fatalf("step %d input %s: extended unrolling differs", step, in.Name)
+	for _, tc := range []struct {
+		name   string
+		inputs InputFunc
+	}{{"free", nil}, {"constant", rows}} {
+		t.Run(tc.name, func(t *testing.T) {
+			full := Unroll(ctx, sys, n+k, init, tc.inputs)
+			grown := Unroll(ctx, sys, n, init, tc.inputs)
+			grown.Extend(ctx, k)
+			if grown.Steps != n+k {
+				t.Fatalf("Steps = %d, want %d", grown.Steps, n+k)
 			}
-		}
-		for _, o := range sys.Outputs {
-			if full.OutputAt(step, o.Name) != grown.OutputAt(step, o.Name) {
-				t.Fatalf("step %d output %s: extended unrolling differs", step, o.Name)
+			for step := 0; step <= n+k; step++ {
+				for _, in := range sys.Inputs {
+					got := grown.InputAt(step, in)
+					if full.InputAt(step, in) != got {
+						t.Fatalf("step %d input %s: extended unrolling differs", step, in.Name)
+					}
+					if tc.inputs == nil {
+						continue
+					}
+					if want := tc.inputs(step, in); want != nil && got != want {
+						t.Fatalf("step %d input %s = %v, want the InputFunc's %v", step, in.Name, got, want)
+					} else if want == nil && got.Op != smt.OpVar {
+						t.Fatalf("step %d input %s = %v, want a fresh variable", step, in.Name, got)
+					}
+				}
+				for _, o := range sys.Outputs {
+					if full.OutputAt(step, o.Name) != grown.OutputAt(step, o.Name) {
+						t.Fatalf("step %d output %s: extended unrolling differs", step, o.Name)
+					}
+				}
+				for _, st := range sys.States {
+					if full.StateAt(step, st.Var) != grown.StateAt(step, st.Var) {
+						t.Fatalf("step %d state %s: extended unrolling differs", step, st.Var.Name)
+					}
+				}
 			}
-		}
-		for _, st := range sys.States {
-			if full.StateAt(step, st.Var) != grown.StateAt(step, st.Var) {
-				t.Fatalf("step %d state %s: extended unrolling differs", step, st.Var.Name)
+			if tc.inputs != nil {
+				// Constant inputs fold the counter to constants: 3 counts
+				// up to 6, holds while enable is low at step 3, then 7.
+				if c := grown.StateAt(n+k, sys.States[0].Var); !c.IsConst() || c.Val.Uint64() != 7 {
+					t.Fatalf("count at step %d = %v, want the constant 7", n+k, c)
+				}
 			}
-		}
+		})
 	}
 }
 
@@ -200,7 +235,7 @@ func TestExtendMatchesUnroll(t *testing.T) {
 func TestExtendTagged(t *testing.T) {
 	ctx := smt.NewContext()
 	sys := counterSystem(ctx)
-	u := UnrollTagged(ctx, sys, 1, nil, "tr0")
+	u := UnrollTagged(ctx, sys, 1, nil, "tr0", nil)
 	u.Extend(ctx, 1)
 	in := u.InputAt(2, sys.Inputs[0])
 	if in == nil || !strings.Contains(in.Name, "@tr0/2") {
@@ -212,7 +247,7 @@ func TestExtendTagged(t *testing.T) {
 func TestExtendZeroIsNoop(t *testing.T) {
 	ctx := smt.NewContext()
 	sys := counterSystem(ctx)
-	u := Unroll(ctx, sys, 2, nil)
+	u := Unroll(ctx, sys, 2, nil, nil)
 	u.Extend(ctx, 0)
 	if u.Steps != 2 {
 		t.Fatalf("Steps = %d after zero extend, want 2", u.Steps)
