@@ -35,9 +35,9 @@
 //
 // With -portfolio-workers > 1, GET /metricsz additionally reports the
 // parallel portfolio's health: portfolio.utilization_pct (worker busy
-// time over wall clock), portfolio.steals (attempts claimed across
-// worker deques) and portfolio.prefix.{cycles,hits} (shared
-// encode-prefix cache).
+// time over wall clock), portfolio.attempts (attempts run, cancelled or
+// skipped) and portfolio.prefix.{cycles,hits} (shared encode-prefix
+// cache).
 package main
 
 import (

@@ -18,7 +18,7 @@ import (
 // linear search of solveWindow without the model reads.
 func minimalChanges(t *testing.T, s *Synthesizer, check func(...*smt.Term) sat.Status, first int) int {
 	t.Helper()
-	sum := s.sumTerm()
+	sum := sumTerm(s.ctx, s.vars)
 	for k := 0; k < first; k++ {
 		if check(s.ctx.Ule(sum, s.ctx.ConstU(16, uint64(k)))) == sat.Sat {
 			return k

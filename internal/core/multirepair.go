@@ -5,8 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"rtlrepair/internal/lint"
-	"rtlrepair/internal/smt"
+	"rtlrepair/internal/obs"
 	"rtlrepair/internal/synth"
 	"rtlrepair/internal/trace"
 	"rtlrepair/internal/verilog"
@@ -51,19 +50,12 @@ func RepairAllCtx(ctx context.Context, m *verilog.Module, tr *trace.Trace, opts 
 	var stop atomic.Bool
 	defer watchCancel(ctx, &stop)()
 
-	fixed := m
-	if !opts.NoPreprocess {
-		if f, _, err := preprocessQuiet(m, opts.Lib); err == nil {
-			fixed = f
-		}
-	}
-	sctx := smt.NewContext()
-	sys, _, err := synth.Elaborate(sctx, fixed, synth.Options{Lib: opts.Lib})
-	if err != nil {
+	fe := newFrontend(obs.Scope{}, m, opts.Lib, opts.NoPreprocess)
+	if fe.Reason != "" {
 		return nil
 	}
-	init, ctr := Concretize(sys, tr, opts.Policy, opts.Seed)
-	base := runConcrete(sys, ctr, init)
+	init, ctr := Concretize(fe.Sys, tr, opts.Policy, opts.Seed)
+	base := runConcrete(fe.Sys, ctr, init)
 	if base.Passed() {
 		return nil
 	}
@@ -76,12 +68,13 @@ func RepairAllCtx(ctx context.Context, m *verilog.Module, tr *trace.Trace, opts 
 			break
 		}
 		vars := NewVarTable(&counter)
-		env := &Env{Info: elaborateInfo(sctx, fixed, opts.Lib), Lib: opts.Lib, Frozen: opts.frozenSet()}
-		instr, err := tmpl.Instrument(fixed, env, vars)
+		env := &Env{Info: fe.Info, Lib: opts.Lib, Frozen: opts.frozenSet()}
+		instr, err := tmpl.Instrument(fe.Fixed, env, vars)
 		if err != nil || vars.Empty() {
 			continue
 		}
-		isys, _, err := synth.Elaborate(sctx, instr, synth.Options{Lib: opts.Lib})
+		ictx := fe.ctx.Clone()
+		isys, _, err := synth.Elaborate(ictx, instr, synth.Options{Lib: opts.Lib})
 		if err != nil {
 			continue
 		}
@@ -93,7 +86,7 @@ func RepairAllCtx(ctx context.Context, m *verilog.Module, tr *trace.Trace, opts 
 		sopts.Certify = opts.Certify
 		// Sample more aggressively than the single-repair flow.
 		sopts.MaxSamples = maxCandidates * 2
-		synthz := NewSynthesizer(sctx, isys, vars, ctr, init, sopts)
+		synthz := NewSynthesizer(ictx, isys, vars, ctr, init, sopts)
 		sols, err := synthz.SampleRepairs(base.FirstFailure, maxCandidates)
 		if err != nil {
 			continue
@@ -185,10 +178,4 @@ func (s *Synthesizer) SampleRepairs(firstFailure, limit int) ([]*Solution, error
 			kPast += s.opts.PastStep
 		}
 	}
-}
-
-// preprocessQuiet runs lint preprocessing, returning the fix count.
-func preprocessQuiet(m *verilog.Module, lib map[string]*verilog.Module) (*verilog.Module, int, error) {
-	out, fixes, err := lint.Preprocess(m, lib)
-	return out, len(fixes), err
 }

@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"rtlrepair/internal/bv"
-
+	"rtlrepair/internal/obs"
 	"rtlrepair/internal/sat"
 	"rtlrepair/internal/smt"
 	"rtlrepair/internal/synth"
@@ -59,20 +59,13 @@ func RepairMultiCtx(ctx context.Context, m *verilog.Module, traces []*trace.Trac
 		return finish()
 	}
 
-	fixed := m
-	if !opts.NoPreprocess {
-		f, _, err := preprocessQuiet(m, opts.Lib)
-		if err == nil {
-			fixed = f
-		}
-	}
-	sctx := smt.NewContext()
-	sys, _, err := synth.Elaborate(sctx, fixed, synth.Options{Lib: opts.Lib})
-	if err != nil {
+	fe := newFrontend(obs.Scope{}, m, opts.Lib, opts.NoPreprocess)
+	if fe.Reason != "" {
 		res.Status = StatusCannotRepair
-		res.Reason = "not synthesizable: " + err.Error()
+		res.Reason = fe.Reason
 		return finish()
 	}
+	fixed, sys := fe.Fixed, fe.Sys
 
 	// Concretize all traces with one shared initial state.
 	init, _ := Concretize(sys, traces[0], opts.Policy, opts.Seed)
@@ -101,16 +94,17 @@ func RepairMultiCtx(ctx context.Context, m *verilog.Module, traces []*trace.Trac
 			return finish()
 		}
 		vars := NewVarTable(&counter)
-		env := &Env{Info: elaborateInfo(sctx, fixed, opts.Lib), Lib: opts.Lib, Frozen: opts.frozenSet()}
+		env := &Env{Info: fe.Info, Lib: opts.Lib, Frozen: opts.frozenSet()}
 		instr, err := tmpl.Instrument(fixed, env, vars)
 		if err != nil || vars.Empty() {
 			continue
 		}
-		isys, _, err := synth.Elaborate(sctx, instr, synth.Options{Lib: opts.Lib})
+		ictx := fe.ctx.Clone()
+		isys, _, err := synth.Elaborate(ictx, instr, synth.Options{Lib: opts.Lib})
 		if err != nil {
 			continue
 		}
-		sol, err := solveMultiTrace(sctx, isys, vars, ctrs, init, deadline, &stop, opts, res)
+		sol, err := solveMultiTrace(ictx, isys, vars, ctrs, init, deadline, &stop, opts, res)
 		if err != nil {
 			// A timed-out or cancelled query ends the template loop: the
 			// remaining templates share the same exhausted budget. The
@@ -206,7 +200,7 @@ func solveMultiTrace(ctx *smt.Context, sys *tsys.System, vars *VarTable, traces 
 	}
 	best := readModel()
 	bestChanges := vars.Changes(best)
-	sum := sumTermFor(ctx, vars)
+	sum := sumTerm(ctx, vars)
 	for k := 0; k < bestChanges; k++ {
 		st, err := solver.Check(ctx.Ule(sum, ctx.ConstU(16, uint64(k))))
 		if err != nil {
@@ -221,22 +215,4 @@ func solveMultiTrace(ctx *smt.Context, sys *tsys.System, vars *VarTable, traces 
 		}
 	}
 	return &Solution{Assign: best, Changes: vars.Changes(best)}, nil
-}
-
-// sumTermFor builds Σ cost·φ for a table (shared with Synthesizer).
-func sumTermFor(ctx *smt.Context, vars *VarTable) *smt.Term {
-	const w = 16
-	sum := ctx.ConstU(w, 0)
-	for _, p := range vars.Phis {
-		t := ctx.LookupVar(p.Name)
-		if t == nil {
-			continue
-		}
-		term := ctx.ZeroExt(t, w)
-		if p.Cost != 1 {
-			term = ctx.Mul(term, ctx.ConstU(w, uint64(p.Cost)))
-		}
-		sum = ctx.Add(sum, term)
-	}
-	return sum
 }

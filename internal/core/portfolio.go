@@ -31,12 +31,11 @@ import (
 //     sequential engine never starts the unpruned pass once any repair
 //     exists.
 //
-// Attempts are scheduled by a work-stealing scheduler with a
-// speculation throttle (see steal.go) and share one prefix-snapshot
-// cache (see prefix.go). Selection happens only after
-// every attempt has finished (or been cancelled), by the sequential
-// engine's precedence: earliest acceptable template of the earliest
-// pass, else the smallest fallback. The outcome is therefore
+// Workers claim attempts in declaration order from one shared counter
+// and share one prefix-snapshot cache (see prefix.go). Selection happens
+// only after every attempt has finished (or been cancelled), by the
+// sequential engine's precedence: earliest acceptable template of the
+// earliest pass, else the smallest fallback. The outcome is therefore
 // deterministic — independent of worker count and goroutine scheduling.
 
 // attempt is one (localization pass, template) portfolio entry.
@@ -80,16 +79,12 @@ func (o *Options) workerCount() int {
 // attempts cannot overlap — they only time-slice against the attempt
 // that is about to win and cancel them.
 func speculationCapacity() int {
-	c := runtime.NumCPU()
-	if g := runtime.GOMAXPROCS(0); g < c {
-		c = g
-	}
-	return c
+	return min(runtime.NumCPU(), runtime.GOMAXPROCS(0))
 }
 
 // runPortfolio fills res with the outcome of running every
-// (pass, template) attempt concurrently on the given number of workers.
-// res already carries the preprocessing/localization results. A
+// (pass, template) attempt concurrently on at most the given number of
+// workers. res already carries the preprocessing/localization results. A
 // cancelled ctx is mirrored onto every attempt's cooperative stop flag,
 // so running SAT searches abort at their next poll; the per-attempt
 // statistics accumulated up to that point still aggregate onto res.
@@ -112,14 +107,11 @@ func runPortfolio(ctx context.Context, res *Result, fe *Frontend,
 			p.attempts = append(p.attempts, &attempt{pass: pi, tmplIdx: ti, tmpl: tmpl, loc: loc})
 		}
 	}
-	if workers > len(p.attempts) {
-		workers = len(p.attempts)
-	}
+	// The goroutine count is the speculation throttle.
+	workers = min(workers, speculationCapacity(), len(p.attempts))
 	p.obs = sc.Start("portfolio")
-	var steals int64
 	defer func() {
-		p.obs.End(obs.Int("workers", int64(workers)), obs.Int("attempts", int64(len(p.attempts))),
-			obs.Int("steals", steals))
+		p.obs.End(obs.Int("workers", int64(workers)), obs.Int("attempts", int64(len(p.attempts))))
 	}()
 
 	// Mirror context cancellation onto every attempt's stop flag: the
@@ -139,36 +131,32 @@ func runPortfolio(ctx context.Context, res *Result, fe *Frontend,
 		}()
 	}
 
+	// In-order claiming: an idle worker always takes the highest-priority
+	// pending attempt, so the attempts start in the sequential engine's
+	// order. Worker 0 is this goroutine; with one worker the loop is the
+	// sequential engine, where an acceptable repair marks every later
+	// attempt stopped and they return immediately.
 	wallStart := time.Now()
-	if workers <= 1 {
-		// Sequential engine: attempts run in declaration order on this
-		// goroutine. Cancellation still applies — an acceptable repair
-		// marks every later same-pass template and every later pass, so
-		// those attempts return immediately, reproducing the sequential
-		// early exit.
-		for _, at := range p.attempts {
-			p.runAttempt(at, 0, false)
+	var next atomic.Int64
+	work := func(w int) {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(p.attempts) {
+				return
+			}
+			p.runAttempt(p.attempts[i], w)
 		}
-	} else {
-		sched := newStealScheduler(len(p.attempts), workers, speculationCapacity())
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for {
-					idx, stolen, ok := sched.next(w)
-					if !ok {
-						return
-					}
-					p.runAttempt(p.attempts[idx], w, stolen)
-					sched.finish()
-				}
-			}(w)
-		}
-		wg.Wait()
-		steals = sched.stealCount()
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
+	wg.Wait()
 	wall := time.Since(wallStart)
 
 	var busy time.Duration
@@ -180,11 +168,10 @@ func runPortfolio(ctx context.Context, res *Result, fe *Frontend,
 			busy += at.tres.Duration
 		}
 	}
-	// Scheduler health metrics: steals, the shared-prefix cache's work,
-	// and worker utilization (busy attempt time over workers × wall).
-	// These land in the run's metrics registry, so serve-mode exposes
-	// them on /metricsz.
-	p.obs.Metrics.Add("portfolio.steals", steals)
+	// Scheduler health metrics: the shared-prefix cache's work and
+	// worker utilization (busy attempt time over workers × wall). These
+	// land in the run's metrics registry, so serve-mode exposes them on
+	// /metricsz.
 	sim, hits := p.prefix.Counters()
 	p.obs.Metrics.Add("portfolio.prefix.cycles", sim)
 	p.obs.Metrics.Add("portfolio.prefix.hits", hits)
@@ -257,9 +244,9 @@ func runPortfolio(ctx context.Context, res *Result, fe *Frontend,
 // the frontend's frozen context — and synthesis variable namespace. On
 // success it stores a verified candidate and cancels the siblings the
 // sequential engine would never have run.
-func (p *portfolio) runAttempt(at *attempt, worker int, stolen bool) {
+func (p *portfolio) runAttempt(at *attempt, worker int) {
 	at.tres = TemplateResult{Template: at.tmpl.Name(), Localized: at.loc != nil,
-		Worker: worker, Stolen: stolen, State: AttemptRan}
+		Worker: worker, State: AttemptRan}
 	start := time.Now()
 	// The attempt scope is labelled by (pass, template) — stable across
 	// worker counts and scheduling — and carries the worker lane. Worker

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"rtlrepair/internal/obs"
 	"rtlrepair/internal/verilog"
 )
 
@@ -152,6 +154,47 @@ func TestPortfolioRecordsAllAttempts(t *testing.T) {
 	}
 	if len(res.PerTemplate) != wantAttempts {
 		t.Fatalf("PerTemplate has %d entries, want %d", len(res.PerTemplate), wantAttempts)
+	}
+}
+
+// The portfolio starts at most speculationCapacity workers, whatever
+// Workers asks for: under GOMAXPROCS=1 every attempt runs on worker 0.
+func TestPortfolioWorkersCappedAtCapacity(t *testing.T) {
+	ins, outs := counterIO()
+	tr := recordGolden(t, goodCounter, ins, outs, counterRows())
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct{ procs, workers int }{{1, 4}, {4, 2}} {
+		runtime.GOMAXPROCS(tc.procs)
+		want := min(tc.workers, speculationCapacity())
+		rec := obs.NewRecorder(0)
+		opts := repairOpts()
+		opts.Workers = tc.workers
+		res := RepairCtx(obs.NewContext(context.Background(), obs.Scope{Rec: rec}),
+			mustParse(t, buggyCounter), tr, opts)
+		if res.Status != StatusRepaired {
+			t.Fatalf("GOMAXPROCS=%d: status = %v (%s)", tc.procs, res.Status, res.Reason)
+		}
+		spanWorkers := int64(-1)
+		for _, ev := range rec.Events() {
+			if ev.Kind != obs.EvSpanEnd || ev.Name != "portfolio" {
+				continue
+			}
+			for _, a := range ev.Attrs {
+				if a.Key == "workers" {
+					spanWorkers = a.Int
+				}
+			}
+		}
+		if spanWorkers != int64(want) {
+			t.Errorf("GOMAXPROCS=%d Workers=%d: portfolio span workers = %d, want %d",
+				tc.procs, tc.workers, spanWorkers, want)
+		}
+		for _, at := range res.PerTemplate {
+			if at.Worker >= want {
+				t.Errorf("GOMAXPROCS=%d Workers=%d: %s ran on worker %d, want < %d",
+					tc.procs, tc.workers, at.Template, at.Worker, want)
+			}
+		}
 	}
 }
 

@@ -9,22 +9,22 @@ import (
 	"rtlrepair/internal/tsys"
 )
 
-// PrefixCache is the shared encode prefix of one repair: the register
-// states the unmodified design reaches after each trace prefix. Every
-// portfolio attempt needs exactly these states to seed its window
-// encodings — a template's instrumentation is behaviour-preserving at
-// φ = 0, so the "all changes off" prefix simulation the synthesizer used
-// to run per attempt is the same computation for all of them. The cache
+// PrefixCache is the encode prefix of one repair: the register states
+// the unmodified design reaches after each trace prefix, the synthesizer's
+// only source of window start states. Every portfolio attempt needs
+// exactly these states — a template's instrumentation is
+// behaviour-preserving at φ = 0, so the "all changes off" prefix
+// simulation is the same computation for all of them. The portfolio
 // runs it once, over the frontend's elaborated system, with one
 // persistent simulator that extends monotonically; attempts on any
-// worker read completed snapshots without re-simulating.
+// worker read completed snapshots without re-simulating. A synthesizer
+// given no shared cache builds a private one over its own system.
 //
 // Safe for concurrent use. Snapshots are returned by reference and must
 // be treated as read-only (the synthesizer already folds them into the
 // encoding as constants).
 type PrefixCache struct {
 	mu    sync.Mutex
-	sys   *tsys.System
 	tr    *trace.Trace
 	sim   *sim.CycleSim
 	snaps []map[string]bv.XBV
@@ -37,9 +37,11 @@ type PrefixCache struct {
 	hits      int64 // stateAt calls answered without simulating
 }
 
-// NewPrefixCache builds the shared prefix cache for one (design, trace,
-// initial state) triple. sys must be the uninstrumented elaborated
-// system; init must assign every state (use Concretize).
+// NewPrefixCache builds the prefix cache for one (design, trace,
+// initial state) triple (use Concretize). sys is the uninstrumented
+// elaborated system, or an instrumented one: the simulator reads its
+// unset φ/α parameters as zero, and starts a register init does not
+// assign at its reset value or zero.
 func NewPrefixCache(sys *tsys.System, tr *trace.Trace, init map[string]bv.XBV) *PrefixCache {
 	cs := sim.NewCycleSim(sys, sim.Zero, 0)
 	for name, v := range init {
@@ -50,7 +52,6 @@ func NewPrefixCache(sys *tsys.System, tr *trace.Trace, init map[string]bv.XBV) *
 		widths[st.Var.Name] = st.Var.Width
 	}
 	return &PrefixCache{
-		sys:    sys,
 		tr:     tr,
 		sim:    cs,
 		snaps:  []map[string]bv.XBV{cs.Snapshot()},
@@ -81,9 +82,10 @@ func (p *PrefixCache) StateAt(cycles int) (map[string]bv.XBV, int) {
 
 // Covers reports whether the cache's snapshots are valid start states
 // for the given instrumented system: the state spaces must match
-// exactly. A template that added or dropped registers (none of the
-// current ones do) makes the attempt fall back to its private prefix
-// simulation rather than risk a wrong start state.
+// exactly. An instrumentation can add registers: a register that no
+// output depends on is dropped by elaboration until a template's new
+// guard reads it (C1's Add Guard). Such a synthesizer builds its own
+// cache rather than risk a wrong start state.
 func (p *PrefixCache) Covers(sys *tsys.System) bool {
 	if len(sys.States) != len(p.widths) {
 		return false

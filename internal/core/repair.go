@@ -85,6 +85,7 @@ type Options struct {
 	// Workers is the number of concurrent portfolio workers running the
 	// (localization pass, template) attempts. 0 picks one worker per
 	// available CPU; 1 runs the attempts on the exact sequential engine.
+	// At most min(NumCPU, GOMAXPROCS) workers start.
 	// The selected repair is identical either way — only wall-clock time
 	// changes.
 	Workers int
@@ -160,9 +161,6 @@ type TemplateResult struct {
 	Cancelled bool
 	// State is AttemptRan, AttemptCancelled, or AttemptSkipped.
 	State string
-	// Stolen is true when a work-stealing worker executed an attempt
-	// seeded to another worker's deque.
-	Stolen bool
 }
 
 // Result is the outcome of a repair run.
@@ -255,19 +253,22 @@ func newFrontend(sc obs.Scope, m *verilog.Module, lib map[string]*verilog.Module
 		}
 	}
 
-	// 2. Elaborate the preprocessed design. Elaboration stays the
-	// authority on synthesizability; the analysis report only explains
-	// the failure in more detail (it sees all problems at once where
-	// elaboration stops at the first).
+	// 2. Elaborate the preprocessed design.
+	fe.elaborate(sc)
+	return fe
+}
+
+// elaborate elaborates fe.Fixed and freezes the result into fe, or sets
+// fe.Reason when the design is not synthesizable. Elaboration stays the
+// authority on synthesizability; the analysis report only explains the
+// failure in more detail (it sees all problems at once where
+// elaboration stops at the first).
+func (fe *Frontend) elaborate(sc obs.Scope) {
 	span := sc.Start("elaborate")
 	sctx := smt.NewContext()
-	sys, info, err := synth.Elaborate(sctx, fe.Fixed, synth.Options{Lib: lib})
-	if err == nil {
-		span.End(obs.Int("states", int64(len(sys.States))), obs.Int("outputs", int64(len(sys.Outputs))))
-	} else {
-		span.End()
-	}
+	sys, info, err := synth.Elaborate(sctx, fe.Fixed, synth.Options{Lib: fe.Lib})
 	if err != nil {
+		span.End()
 		fe.Reason = "not synthesizable: " + err.Error()
 		if fe.Diagnostics != nil {
 			if errs := fe.Diagnostics.Errors(); len(errs) > 0 {
@@ -277,8 +278,9 @@ func newFrontend(sc obs.Scope, m *verilog.Module, lib map[string]*verilog.Module
 				}
 			}
 		}
-		return fe
+		return
 	}
+	span.End(obs.Int("states", int64(len(sys.States))), obs.Int("outputs", int64(len(sys.Outputs))))
 	fe.Sys = sys
 	fe.Info = info
 	// Freeze the elaboration context now, on the constructing goroutine:
@@ -286,7 +288,6 @@ func newFrontend(sc obs.Scope, m *verilog.Module, lib map[string]*verilog.Module
 	// one cached Frontend — clone it without further writes.
 	sctx.Freeze()
 	fe.ctx = sctx
-	return fe
 }
 
 // RehydrateFrontend rebuilds a Frontend from a previously preprocessed
@@ -307,19 +308,8 @@ func RehydrateFrontend(fixed *verilog.Module, lib map[string]*verilog.Module, fi
 		fe.Reason = reason
 		return fe
 	}
-	sctx := smt.NewContext()
-	sys, info, err := synth.Elaborate(sctx, fixed, synth.Options{Lib: lib})
-	if err != nil {
-		// Unreachable for docs written by a healthy node (elaboration
-		// failures are stored with their reason), but a recomputed
-		// failure must still match the cold path's reporting.
-		fe.Reason = "not synthesizable: " + err.Error()
-		return fe
-	}
-	fe.Sys = sys
-	fe.Info = info
-	sctx.Freeze()
-	fe.ctx = sctx
+	// A recomputed failure reports exactly as the cold path does.
+	fe.elaborate(obs.Scope{})
 	return fe
 }
 
@@ -538,13 +528,4 @@ func verifyRepaired(m *verilog.Module, tr *trace.Trace, init map[string]bv.XBV, 
 		}
 	}
 	return sim.RunTraceFrom(cs, tr, 0, sim.RunOptions{Policy: sim.Zero}).Passed()
-}
-
-// elaborateInfo re-elaborates just to get template analysis info.
-func elaborateInfo(ctx *smt.Context, m *verilog.Module, lib map[string]*verilog.Module) *synth.Info {
-	_, info, err := synth.Elaborate(ctx, m, synth.Options{Lib: lib})
-	if err != nil {
-		return &synth.Info{Widths: map[string]int{}, CombDeps: map[string]map[string]bool{}}
-	}
-	return info
 }

@@ -274,6 +274,25 @@ endmodule`
 	}
 }
 
+// A rehydrated frontend whose elaboration fails must report the cold
+// path's reason, static-analysis suffix included.
+func TestRehydratedFrontendReasonMatchesCold(t *testing.T) {
+	m := mustParse(t, `
+module loop(input clk, input a, output y);
+wire p, q;
+assign p = q & a;
+assign q = p;
+assign y = p;
+endmodule`)
+	fe := NewFrontend(m, nil, false)
+	if fe.Sys != nil || !strings.Contains(fe.Reason, "; static analysis: ") {
+		t.Fatalf("cold frontend reason = %q, want an elaboration failure with diagnostics", fe.Reason)
+	}
+	if got := RehydrateFrontend(fe.Fixed, nil, fe.Fixes, "").Reason; got != fe.Reason {
+		t.Fatalf("rehydrated reason = %q, want %q", got, fe.Reason)
+	}
+}
+
 func TestResolveAllZeroRestoresOriginal(t *testing.T) {
 	m := mustParse(t, goodCounter)
 	info := elaborateInfo(smt.NewContext(), m, nil)
@@ -376,4 +395,13 @@ func TestRepairChangeDescriptions(t *testing.T) {
 	if !strings.Contains(strings.Join(res.ChangeDescs, ";"), "literal") {
 		t.Fatalf("descs = %v", res.ChangeDescs)
 	}
+}
+
+// elaborateInfo elaborates m just for its template analysis info.
+func elaborateInfo(ctx *smt.Context, m *verilog.Module, lib map[string]*verilog.Module) *synth.Info {
+	_, info, err := synth.Elaborate(ctx, m, synth.Options{Lib: lib})
+	if err != nil {
+		return &synth.Info{Widths: map[string]int{}, CombDeps: map[string]map[string]bool{}}
+	}
+	return info
 }

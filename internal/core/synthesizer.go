@@ -49,11 +49,11 @@ type SynthOptions struct {
 	// interpreter. A failed check panics (it is a soundness bug).
 	Certify bool
 	// SharedPrefix, when non-nil, serves window start states from a
-	// portfolio-wide snapshot cache instead of this synthesizer's
-	// private prefix simulation. Only used when the cache Covers this
-	// synthesizer's state space (template instrumentation is
-	// behaviour-preserving at φ = 0, so the prefix states coincide);
-	// otherwise the private path runs as before.
+	// portfolio-wide snapshot cache built over the uninstrumented system
+	// (template instrumentation is behaviour-preserving at φ = 0, so the
+	// prefix states coincide). When it is nil or does not Cover this
+	// synthesizer's state space, the synthesizer builds a private cache
+	// over its own system.
 	SharedPrefix *PrefixCache
 	// Obs positions the synthesizer in the observability layer: every
 	// window solve, incremental extension, and validation batch records a
@@ -155,20 +155,14 @@ type Synthesizer struct {
 	win      *winEnc       // live window encoding (nil before the first solve)
 	sampling samplingState // enumeration state of the last solved window
 
-	// Prefix snapshot cache: snaps[c] is the register state after c
-	// cycles of the unmodified (all φ = 0) circuit. The cache extends
-	// monotonically with one persistent simulator, so widening k_past
-	// re-simulates nothing.
-	snaps   []map[string]bv.XBV
-	snapSim *sim.CycleSim
+	// prefix serves window start states: the register state after c
+	// cycles of the unmodified (all φ = 0) circuit, extended
+	// monotonically, so widening k_past re-simulates nothing.
+	prefix *PrefixCache
 
-	// prog is sys compiled for simulation, shared by validation, the
-	// robustness fills and the prefix simulator (nil until first use).
+	// prog is sys compiled for simulation, shared by validation and the
+	// robustness fills (nil until first use).
 	prog *sim.Program
-
-	// sharedOK memoizes SharedPrefix.Covers(sys): 0 undecided, 1 the
-	// shared cache serves this synthesizer, -1 private fallback.
-	sharedOK int8
 
 	// afterCycle, when non-nil, is called after each trace cycle's
 	// constraints are asserted (a test hook for cancellation).
@@ -178,7 +172,11 @@ type Synthesizer struct {
 // NewSynthesizer builds a synthesizer. tr must have concrete inputs and
 // init must assign every uninitialized state (use Concretize).
 func NewSynthesizer(ctx *smt.Context, sys *tsys.System, vars *VarTable, tr *trace.Trace, init map[string]bv.XBV, opts SynthOptions) *Synthesizer {
-	return &Synthesizer{ctx: ctx, sys: sys, vars: vars, tr: tr, init: init, opts: opts}
+	prefix := opts.SharedPrefix
+	if prefix == nil || !prefix.Covers(sys) {
+		prefix = NewPrefixCache(sys, tr, init) // simulates sys at φ = 0
+	}
+	return &Synthesizer{ctx: ctx, sys: sys, vars: vars, tr: tr, init: init, opts: opts, prefix: prefix}
 }
 
 // Concretize resolves unknown initial states and input don't-cares of a
@@ -249,64 +247,34 @@ func (s *Synthesizer) allVars() []*smt.Term {
 	return out
 }
 
-// sumTerm builds Σ cost·φ as a 16-bit term. The addends are combined as
-// a balanced tree so the bit-blasted adder depth stays logarithmic in
-// the number of φ sites.
-func (s *Synthesizer) sumTerm() *smt.Term {
+// sumTerm builds Σ cost·φ over a variable table as a 16-bit term. The
+// addends are combined as a balanced tree so the bit-blasted adder depth
+// stays logarithmic in the number of φ sites.
+func sumTerm(ctx *smt.Context, vars *VarTable) *smt.Term {
 	const w = 16
 	var addends []*smt.Term
-	for _, p := range s.vars.Phis {
-		t := s.ctx.LookupVar(p.Name)
+	for _, p := range vars.Phis {
+		t := ctx.LookupVar(p.Name)
 		if t == nil {
 			continue
 		}
-		term := s.ctx.ZeroExt(t, w)
+		term := ctx.ZeroExt(t, w)
 		if p.Cost != 1 {
-			term = s.ctx.Mul(term, s.ctx.ConstU(w, uint64(p.Cost)))
+			term = ctx.Mul(term, ctx.ConstU(w, uint64(p.Cost)))
 		}
 		addends = append(addends, term)
 	}
-	return s.ctx.AddN(w, addends...)
+	return ctx.AddN(w, addends...)
 }
 
 // prefixState returns the register state the unmodified circuit (all
-// φ = 0) reaches after the first `cycles` trace rows. Snapshots are
-// cached per cycle and extended with one persistent simulator, so the
-// window search's repeated calls with shrinking `start` cost O(n) total
-// instead of O(n²). The returned map is shared with the cache and must
-// be treated as read-only.
+// φ = 0) reaches after the first `cycles` trace rows, from the prefix
+// cache. The returned map is shared with the cache and must be treated
+// as read-only.
 func (s *Synthesizer) prefixState(cycles int) map[string]bv.XBV {
-	if s.opts.SharedPrefix != nil {
-		if s.sharedOK == 0 {
-			if s.opts.SharedPrefix.Covers(s.sys) {
-				s.sharedOK = 1
-			} else {
-				s.sharedOK = -1
-			}
-		}
-		if s.sharedOK == 1 {
-			st, simulated := s.opts.SharedPrefix.StateAt(cycles)
-			s.Stats.PrefixCycles += simulated
-			return st
-		}
-	}
-	if s.snapSim == nil {
-		zero := Assignment{}
-		for _, p := range s.vars.Phis {
-			zero[p.Name] = bv.Zero(1)
-		}
-		for _, a := range s.vars.Alphas {
-			zero[a.Name] = bv.Zero(a.Width)
-		}
-		s.snapSim = s.newSim(zero)
-		s.snaps = append(s.snaps, s.snapSim.Snapshot())
-	}
-	for len(s.snaps) <= cycles {
-		s.snapSim.StepTrace(s.tr, len(s.snaps)-1)
-		s.snaps = append(s.snaps, s.snapSim.Snapshot())
-		s.Stats.PrefixCycles++
-	}
-	return s.snaps[cycles]
+	st, simulated := s.prefix.StateAt(cycles)
+	s.Stats.PrefixCycles += simulated
+	return st
 }
 
 // program returns the synthesizer's compiled system.
@@ -608,7 +576,7 @@ func (s *Synthesizer) solveWindow(start, end int, startState map[string]bv.XBV) 
 	}
 
 	// Minimal-change linear search (§4.3): Σφ ≤ k for k = 0, 1, 2, …
-	sum := s.sumTerm()
+	sum := sumTerm(s.ctx, s.vars)
 	vars := s.allVars()
 	readModel := func() Assignment {
 		a := Assignment{}

@@ -106,11 +106,35 @@ func TestSolveWindowUnsatForImpossibleWindow(t *testing.T) {
 	}
 }
 
+// Every prefix source must match a manual φ = 0 simulation of the
+// instrumented system: the synthesizer's private cache; a cache over the
+// uninstrumented system, which is what the portfolio shares; and the
+// private cache a synthesizer falls back to when its shared cache does
+// not cover its state space, which must never read that cache.
 func TestPrefixStateMatchesSimulation(t *testing.T) {
 	ins, outs := counterIO()
 	s, _ := buildSynth(t, buggyCounter, goodCounter, ReplaceLiterals{}, ins, outs, counterRows())
-	// The prefix state after 3 cycles must equal a manual simulation.
-	snap := s.prefixState(3)
+	sys, _, err := synth.Elaborate(smt.NewContext(), mustParse(t, buggyCounter), synth.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, _ := NewPrefixCache(sys, s.tr, s.init).StateAt(3)
+	osys, _, err := synth.Elaborate(smt.NewContext(), mustParse(t, `
+module other(input clk, output reg [7:0] r);
+always @(posedge clk) r <= r + 8'd1;
+endmodule`), synth.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oinit, _ := Concretize(osys, s.tr, sim.Randomize, 1)
+	foreign := NewPrefixCache(osys, s.tr, oinit)
+	opts := s.opts
+	opts.SharedPrefix = foreign
+	fallback := NewSynthesizer(s.ctx, s.sys, s.vars, s.tr, s.init, opts).prefixState(3)
+	if cycles, hits := foreign.Counters(); cycles != 0 || hits != 0 {
+		t.Fatalf("uncovering shared cache served %d cycles and %d hits", cycles, hits)
+	}
+
 	cs := s.newSim(zeroAssignment(s))
 	for c := 0; c < 3; c++ {
 		in := map[string]bv.XBV{}
@@ -119,9 +143,12 @@ func TestPrefixStateMatchesSimulation(t *testing.T) {
 		}
 		cs.Step(in)
 	}
-	for name, v := range cs.Snapshot() {
-		if !snap[name].SameAs(v) {
-			t.Fatalf("prefix state mismatch on %s: %v vs %v", name, snap[name], v)
+	sources := map[string]map[string]bv.XBV{"private": s.prefixState(3), "shared": shared, "fallback": fallback}
+	for src, snap := range sources {
+		for name, v := range cs.Snapshot() {
+			if !snap[name].SameAs(v) {
+				t.Fatalf("%s prefix state mismatch on %s: %v vs %v", src, name, snap[name], v)
+			}
 		}
 	}
 }

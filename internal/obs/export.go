@@ -163,7 +163,6 @@ func WriteSummary(w io.Writer, events []Event) error {
 var volatileTopLevel = map[string]bool{
 	"worker":  true, // ring events: worker placement
 	"workers": true, // portfolio span attr: the configured worker count
-	"steals":  true, // portfolio span attr: scheduler steals vary with timing
 	"seq":     true, // ring events: global emission order varies with scheduling
 	"span":    true, // span events: recorder span ids follow begin order
 	"parent":  true, // ... and so do their parents'

@@ -187,6 +187,10 @@ type Solver struct {
 	Obs obs.Scope
 }
 
+// pollPropagations is the most propagations between two polls of
+// Interrupt and the deadline, beside the poll every 1024 iterations.
+const pollPropagations = 1 << 16
+
 // heartbeatConflicts is the ring-event cadence: one heartbeat per this
 // many conflicts. Power of two so the hot-loop check is a mask.
 const heartbeatConflicts = 1024
@@ -725,13 +729,17 @@ func (s *Solver) Solve(assumptions ...Lit) (st Status, err error) {
 	conflictBudget := int64(100) * luby(1)
 	conflictsAtRestart := s.conflicts
 	checkCounter := 0
+	propsAtPoll := s.props
 
 	for {
 		// Poll cancellation and the deadline on both the conflict and the
 		// decision path: a conflict-heavy search must still notice that a
-		// portfolio sibling won or that the budget expired.
+		// portfolio sibling won or that the budget expired. Long
+		// propagations also poll, so a search whose iterations each
+		// propagate much stops near its deadline.
 		checkCounter++
-		if checkCounter&1023 == 0 {
+		if checkCounter&1023 == 0 || s.props-propsAtPoll >= pollPropagations {
+			propsAtPoll = s.props
 			if s.Interrupt != nil && s.Interrupt.Load() {
 				return Unknown, ErrInterrupted
 			}

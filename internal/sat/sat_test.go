@@ -320,3 +320,24 @@ func TestSolveDeadline(t *testing.T) {
 		t.Fatal("deadline ignored")
 	}
 }
+
+// A search whose first decisions each propagate more than
+// pollPropagations literals must still poll its deadline: under an
+// already-expired deadline it stops with ErrTimeout instead of finishing
+// the few remaining iterations.
+func TestLongPropagationPollsDeadline(t *testing.T) {
+	s := New()
+	for chain := 0; chain < 2; chain++ {
+		prev := s.NewVar()
+		for i := 0; i <= pollPropagations; i++ {
+			v := s.NewVar()
+			s.AddClause(NegLit(prev), PosLit(v))
+			s.AddClause(PosLit(prev), NegLit(v))
+			prev = v
+		}
+	}
+	s.Deadline = time.Now().Add(-time.Second)
+	if st, err := s.Solve(); err != ErrTimeout {
+		t.Fatalf("Solve() = %v, %v; want ErrTimeout", st, err)
+	}
+}

@@ -212,7 +212,7 @@ func scrubChrome(t *testing.T, data []byte) []byte {
 		delete(ev, "tid")
 		if args, ok := ev["args"].(map[string]any); ok {
 			for k := range args {
-				if k == "workers" || k == "steals" || strings.HasPrefix(k, "time_") {
+				if k == "workers" || strings.HasPrefix(k, "time_") {
 					delete(args, k)
 				}
 			}
