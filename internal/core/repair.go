@@ -140,7 +140,9 @@ const (
 	AttemptSkipped = "skipped"
 )
 
-// TemplateResult records one template's attempt (for Table 5).
+// TemplateResult records one portfolio attempt of a repair run: one
+// (localization pass, template) pair, whether it ran, was cancelled by
+// a sibling's repair, or was skipped.
 type TemplateResult struct {
 	Template string
 	Found    bool

@@ -118,7 +118,9 @@ type ToolRun struct {
 	Verdict  Verdict
 	Window   [2]int
 	Seed     int64
-	// PerTemplate (RTL-Repair only) for Table 5.
+	// PerTemplate (RTL-Repair only) lists the full run's portfolio
+	// attempts, one per (localization pass, template), including those
+	// cancelled or skipped after an early exit.
 	PerTemplate []core.TemplateResult
 	Fixes       int
 	Err         string
@@ -196,40 +198,50 @@ func ChooseSeed(b *bench.Benchmark, base int64) int64 {
 	return base
 }
 
-// RunRTLRepair executes RTL-Repair on one benchmark and applies the
-// correctness checks.
-func RunRTLRepair(b *bench.Benchmark, opts Options) *ToolRun {
-	run := &ToolRun{Bench: b}
+// repairBench runs core.RepairCtx on one benchmark under the
+// evaluation's settings, with the concretization seed from ChooseSeed.
+// templates, when non-nil, replaces the default template sequence.
+func repairBench(b *bench.Benchmark, opts Options, templates []core.Template) (*core.Result, int64, error) {
 	tr, err := b.Trace()
 	if err != nil {
-		run.Err = err.Error()
-		return run
+		return nil, 0, err
 	}
 	m, err := b.BuggyModule()
 	if err != nil {
-		run.Err = err.Error()
-		return run
+		return nil, 0, err
 	}
 	lib, err := b.LibModules()
 	if err != nil {
-		run.Err = err.Error()
-		return run
+		return nil, 0, err
 	}
 	seed := ChooseSeed(b, opts.Seed)
-	run.Seed = seed
 	ctx := opts.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	res := core.RepairCtx(obs.NewContext(ctx, opts.Obs), m, tr, core.Options{
-		Policy:  sim.Randomize,
-		Seed:    seed,
-		Timeout: opts.RTLTimeout,
-		Basic:   opts.Basic,
-		Lib:     lib,
-		Workers: opts.Workers,
-		Certify: opts.Certify,
+		Policy:    sim.Randomize,
+		Seed:      seed,
+		Timeout:   opts.RTLTimeout,
+		Basic:     opts.Basic,
+		Templates: templates,
+		Lib:       lib,
+		Workers:   opts.Workers,
+		Certify:   opts.Certify,
 	})
+	return res, seed, nil
+}
+
+// RunRTLRepair executes RTL-Repair on one benchmark and applies the
+// correctness checks.
+func RunRTLRepair(b *bench.Benchmark, opts Options) *ToolRun {
+	run := &ToolRun{Bench: b}
+	res, seed, err := repairBench(b, opts, nil)
+	if err != nil {
+		run.Err = err.Error()
+		return run
+	}
+	run.Seed = seed
 	run.Duration = res.Duration
 	run.Status = res.Status.String()
 	run.Template = res.Template

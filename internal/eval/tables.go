@@ -8,6 +8,7 @@ import (
 
 	"rtlrepair/internal/bench"
 	"rtlrepair/internal/bv"
+	"rtlrepair/internal/core"
 	"rtlrepair/internal/sim"
 	"rtlrepair/internal/smt"
 	"rtlrepair/internal/synth"
@@ -232,33 +233,53 @@ type Table5Row struct {
 	Speedup       float64
 }
 
-// TemplateCell is one template's attempt in the no-early-exit run.
+// TemplateCell is one template's standalone repair run: core.RepairCtx
+// with that template alone, under every other setting of the full
+// tool's run.
 type TemplateCell struct {
 	Template string
 	Result   string // "k+" (changes+found), "o", "timeout"
 	Time     time.Duration
 }
 
-// MakeTable5 runs the component analysis: each template without early
-// exit, the basic synthesizer, the full tool and the baseline.
+// templateCells runs each default template as a standalone repair, in
+// the paper's template order, so each template reports its own result
+// rather than whatever the full tool's early-exiting portfolio let it
+// finish. Each run still makes the tool's localized pass and unpruned
+// retry, but with one template neither can add a second cell. A design
+// that preprocessing repairs, that needs no repair, or that fails
+// elaboration gets no cells: no template attempt runs on it.
+func templateCells(b *bench.Benchmark, opts Options) []TemplateCell {
+	var cells []TemplateCell
+	for _, t := range core.DefaultTemplates() {
+		res, _, err := repairBench(b, opts, []core.Template{t})
+		if err != nil || len(res.PerTemplate) == 0 {
+			return nil
+		}
+		cell := TemplateCell{Template: t.Name(), Time: res.Duration}
+		switch res.Status {
+		case core.StatusRepaired:
+			cell.Result = fmt.Sprintf("%d+", res.Changes)
+		case core.StatusTimeout:
+			cell.Result = "timeout"
+		default:
+			cell.Result = "o"
+		}
+		cells = append(cells, cell)
+	}
+	return cells
+}
+
+// MakeTable5 runs the component analysis: each template as a standalone
+// repair (no early exit), the basic synthesizer, the full tool and the
+// baseline.
 func MakeTable5(s *SuiteResults, opts Options) []Table5Row {
 	var rows []Table5Row
 	for _, name := range s.Order {
 		b := bench.ByName(name)
 		full := s.RTL[name]
-		row := Table5Row{Name: name, Preprocessing: full.Fixes}
-		for _, tr := range full.PerTemplate {
-			cell := TemplateCell{Template: tr.Template, Time: tr.Duration}
-			switch {
-			case tr.Err != nil:
-				cell.Result = "timeout"
-			case tr.Found:
-				cell.Result = fmt.Sprintf("%d+", tr.Changes)
-			default:
-				cell.Result = "o"
-			}
-			row.PerTemplate = append(row.PerTemplate, cell)
-		}
+		row := Table5Row{Name: name, Preprocessing: full.Fixes,
+			PerTemplate: templateCells(b, opts)}
 		// Basic synthesizer ablation.
 		basicOpts := opts
 		basicOpts.Basic = true

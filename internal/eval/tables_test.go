@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -210,4 +211,37 @@ func TestTable5Shape(t *testing.T) {
 		}
 	}
 	t.Logf("\n%s", Table5String(rows))
+}
+
+// TestTable5CellsIndependentOfWorkers checks that Table 5's per-template
+// cells come from standalone runs: the same cells at any worker count,
+// one repairing template for each orthogonality design, and no cell
+// that reports a cancelled attempt as a timeout.
+func TestTable5CellsIndependentOfWorkers(t *testing.T) {
+	for _, name := range []string{"counter_k1", "flop_w1", "mux_w2"} {
+		b := bench.ByName(name)
+		var results [2][]string
+		for i, workers := range []int{1, 4} {
+			opts := quickOpts()
+			opts.Workers = workers
+			for _, c := range templateCells(b, opts) {
+				results[i] = append(results[i], c.Template+": "+c.Result)
+			}
+		}
+		if !slices.Equal(results[0], results[1]) {
+			t.Errorf("%s: cells differ between workers 1 %v and workers 4 %v", name, results[0], results[1])
+		}
+		found := 0
+		for _, c := range results[0] {
+			if strings.HasSuffix(c, "+") {
+				found++
+			}
+			if strings.HasSuffix(c, "timeout") {
+				t.Errorf("%s: %s", name, c)
+			}
+		}
+		if found != 1 {
+			t.Errorf("%s: %d templates found repairs, want 1 (%v)", name, found, results[0])
+		}
+	}
 }
