@@ -43,7 +43,6 @@ func TestIncrementalWindowReusesSolver(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := core.DefaultSynthOptions()
 			res := core.Repair(m, tr, core.Options{
 				Policy:  sim.Randomize,
 				Seed:    1,
@@ -67,7 +66,7 @@ func TestIncrementalWindowReusesSolver(t *testing.T) {
 				if st.Windows >= 3 {
 					grown++
 				}
-				if st.FinalWindow[0] >= opts.MaxWindow {
+				if st.FinalWindow[0] >= core.MaxWindow {
 					pastCapped++
 				}
 			}
@@ -78,7 +77,7 @@ func TestIncrementalWindowReusesSolver(t *testing.T) {
 				t.Errorf("no cycles were added to a live solver (ExtendedCycles = 0)")
 			}
 			if tc.status == core.StatusCannotRepair && pastCapped == 0 {
-				t.Errorf("no attempt grew k_past to the window cap %d", opts.MaxWindow)
+				t.Errorf("no attempt grew k_past to the window cap %d", core.MaxWindow)
 			}
 			t.Logf("%s: %d windows, %d solver builds, %d cycles added incrementally, %d attempts at the k_past cap",
 				tc.name, windows, builds, extended, pastCapped)

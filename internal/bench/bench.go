@@ -202,19 +202,6 @@ func (s *stim) row(vals ...uint64) *stim {
 	return s
 }
 
-// rowX appends a row where listed columns (by index) are don't-cares.
-func (s *stim) rowX(vals []uint64, xcols ...int) *stim {
-	cells := make([]bv.XBV, len(s.widths))
-	for i, w := range s.widths {
-		cells[i] = bv.KU(w, vals[i])
-	}
-	for _, c := range xcols {
-		cells[c] = bv.X(s.widths[c])
-	}
-	s.rows = append(s.rows, cells)
-	return s
-}
-
 // repeat appends the same row n times.
 func (s *stim) repeat(n int, vals ...uint64) *stim {
 	for i := 0; i < n; i++ {

@@ -113,13 +113,6 @@ func (b *BV) norm() {
 // Width reports the width in bits.
 func (b BV) Width() int { return b.width }
 
-// Words returns a copy of the little-endian word representation.
-func (b BV) Words() []uint64 {
-	out := make([]uint64, len(b.words))
-	copy(out, b.words)
-	return out
-}
-
 // Uint64 returns the low 64 bits of the value.
 func (b BV) Uint64() uint64 {
 	if len(b.words) == 0 {

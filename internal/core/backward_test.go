@@ -58,11 +58,7 @@ func rebuildWindow(t *testing.T, s *Synthesizer, start, end int) (sat.Status, in
 
 // modelOf reads every synthesis variable from a solver's Sat model.
 func modelOf(s *Synthesizer, solver *smt.Solver) Assignment {
-	a := Assignment{}
-	for _, v := range s.allVars() {
-		a[v.Name] = solver.Value(v)
-	}
-	return a
+	return readModel(s.ctx, solver, s.vars)
 }
 
 // growAndCompare runs one attempt's window sequence around the first
@@ -79,7 +75,7 @@ func growAndCompare(t *testing.T, name string, s *Synthesizer, ff int) (prepends
 		return st
 	}
 	kPast, kFuture := 0, 0
-	for kPast+kFuture <= s.opts.MaxWindow {
+	for kPast+kFuture <= MaxWindow {
 		start, end := max(ff-kPast, 0), min(ff+kFuture+1, s.tr.Len())
 		if ff-kPast < 0 {
 			clamps++
@@ -105,7 +101,7 @@ func growAndCompare(t *testing.T, name string, s *Synthesizer, ff int) (prepends
 				name, start, end, st, minimal, refSt, refMinimal)
 		}
 		if st != sat.Sat {
-			kPast += s.opts.PastStep
+			kPast += pastStep
 			continue
 		}
 		res := s.Validate(model)
@@ -115,7 +111,7 @@ func growAndCompare(t *testing.T, name string, s *Synthesizer, ff int) (prepends
 		if !res.Passed() && res.FirstFailure > ff && res.FirstFailure-ff > kFuture {
 			kFuture = res.FirstFailure - ff
 		} else {
-			kPast += s.opts.PastStep
+			kPast += pastStep
 		}
 	}
 	if s.Stats.SolverBuilds != 1 {
@@ -193,7 +189,7 @@ func TestBackwardGrowthMatchesRebuild(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					s := NewSynthesizer(ctx, isys, vars, ctr, init, DefaultSynthOptions())
+					s := NewSynthesizer(ctx, isys, vars, ctr, init, SynthOptions{MaxSamples: samplesPerWindow})
 					p, a, c := growAndCompare(t, tmpl.Name(), s, ff)
 					prepends, appends, clamps = prepends+p, appends+a, clamps+c
 				}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"rtlrepair/internal/obs"
-	"rtlrepair/internal/synth"
 	"rtlrepair/internal/trace"
 	"rtlrepair/internal/verilog"
 )
@@ -34,18 +33,9 @@ func RepairAll(m *verilog.Module, tr *trace.Trace, opts Options, maxCandidates i
 // collected so far are returned. The effective deadline is the earlier
 // of ctx's deadline and opts.Timeout.
 func RepairAllCtx(ctx context.Context, m *verilog.Module, tr *trace.Trace, opts Options, maxCandidates int) []Candidate {
-	if opts.Timeout == 0 {
-		opts.Timeout = 60 * time.Second
-	}
-	if opts.Templates == nil {
-		opts.Templates = DefaultTemplates()
-	}
+	deadline := opts.prepare(ctx, time.Now())
 	if maxCandidates <= 0 {
 		maxCandidates = 4
-	}
-	deadline := time.Now().Add(opts.Timeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
 	}
 	var stop atomic.Bool
 	defer watchCancel(ctx, &stop)()
@@ -59,57 +49,51 @@ func RepairAllCtx(ctx context.Context, m *verilog.Module, tr *trace.Trace, opts 
 	if base.Passed() {
 		return nil
 	}
+	ff := base.FirstFailure
+	sopts := opts.synthOptions(deadline, &stop)
+	// Sample more aggressively than the single-repair flow.
+	sopts.MaxSamples = maxCandidates * 2
 
 	var out []Candidate
 	seen := map[string]bool{}
-	counter := 0
 	for _, tmpl := range opts.Templates {
 		if len(out) >= maxCandidates || stop.Load() || ctx.Err() != nil || time.Now().After(deadline) {
 			break
 		}
-		vars := NewVarTable(&counter)
-		env := &Env{Info: fe.Info, Lib: opts.Lib, Frozen: opts.frozenSet()}
-		instr, err := tmpl.Instrument(fe.Fixed, env, vars)
-		if err != nil || vars.Empty() {
+		in, err := fe.instrument(tmpl, nil, &opts, obs.Scope{})
+		if err != nil || in.sys == nil {
 			continue
 		}
-		ictx := fe.ctx.Clone()
-		isys, _, err := synth.Elaborate(ictx, instr, synth.Options{Lib: opts.Lib})
+		// Keep every trace-passing repair of the first window that has
+		// any, up to maxCandidates.
+		synthz := NewSynthesizer(in.ctx, in.sys, in.vars, ctr, init, sopts)
+		var found []*Solution
+		err = synthz.growWindows(ff, func(sols []*Solution) (bool, int, error) {
+			latestFuture := -1
+			for _, sol := range sols {
+				run := synthz.Validate(sol.Assign)
+				if run.Passed() {
+					found = append(found, sol)
+				} else if run.FirstFailure > ff && run.FirstFailure > latestFuture {
+					latestFuture = run.FirstFailure
+				}
+			}
+			return len(found) > 0, latestFuture, nil
+		})
 		if err != nil {
 			continue
 		}
-		sopts := DefaultSynthOptions()
-		sopts.Policy = opts.Policy
-		sopts.Seed = opts.Seed
-		sopts.Deadline = deadline
-		sopts.Interrupt = &stop
-		sopts.Certify = opts.Certify
-		// Sample more aggressively than the single-repair flow.
-		sopts.MaxSamples = maxCandidates * 2
-		synthz := NewSynthesizer(ictx, isys, vars, ctr, init, sopts)
-		sols, err := synthz.SampleRepairs(base.FirstFailure, maxCandidates)
-		if err != nil {
-			continue
-		}
-		for _, sol := range sols {
-			repaired, rerr := Resolve(instr, sol.Assign)
-			if rerr != nil {
+		for _, sol := range found[:min(len(found), maxCandidates)] {
+			c := in.candidate(sol, init, ctr)
+			if c == nil {
 				continue
 			}
-			if !verifyRepaired(repaired, ctr, init, opts.Lib) {
-				continue
-			}
-			key := verilog.Print(repaired)
+			key := verilog.Print(c.Repaired)
 			if seen[key] {
 				continue
 			}
 			seen[key] = true
-			out = append(out, Candidate{
-				Repaired:    repaired,
-				Changes:     sol.Changes,
-				Template:    tmpl.Name(),
-				ChangeDescs: vars.EnabledDescs(sol.Assign),
-			})
+			out = append(out, *c)
 			if len(out) >= maxCandidates {
 				break
 			}
@@ -122,60 +106,4 @@ func RepairAllCtx(ctx context.Context, m *verilog.Module, tr *trace.Trace, opts 
 		}
 	}
 	return out
-}
-
-// SampleRepairs runs the windowed synthesizer and keeps collecting
-// validated repairs (not just the first) up to the limit.
-func (s *Synthesizer) SampleRepairs(firstFailure, limit int) ([]*Solution, error) {
-	kPast, kFuture := 0, 0
-	var found []*Solution
-	for {
-		if s.expired() || s.interrupted() {
-			return found, nil
-		}
-		if kPast+kFuture > s.opts.MaxWindow {
-			return found, nil
-		}
-		s.Stats.Windows++
-		start := firstFailure - kPast
-		if start < 0 {
-			start = 0
-		}
-		end := firstFailure + kFuture + 1
-		if end > s.tr.Len() {
-			end = s.tr.Len()
-		}
-		startState := s.prefixState(start)
-		sols, err := s.solveWindow(start, end, startState)
-		if err != nil {
-			return found, nil
-		}
-		if len(sols) == 0 {
-			kPast += s.opts.PastStep
-			continue
-		}
-		latestFuture := -1
-		for _, sol := range sols {
-			res := s.Validate(sol.Assign)
-			if res.Passed() {
-				found = append(found, sol)
-				if len(found) >= limit {
-					return found, nil
-				}
-				continue
-			}
-			if res.FirstFailure > firstFailure && res.FirstFailure > latestFuture {
-				latestFuture = res.FirstFailure
-			}
-		}
-		if len(found) > 0 {
-			// Enough context to find at least one repair: stop growing.
-			return found, nil
-		}
-		if latestFuture > firstFailure && latestFuture-firstFailure > kFuture {
-			kFuture = latestFuture - firstFailure
-		} else {
-			kPast += s.opts.PastStep
-		}
-	}
 }

@@ -1,10 +1,9 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
-	"rtlrepair/internal/smt"
-	"rtlrepair/internal/synth"
 	"rtlrepair/internal/verilog"
 )
 
@@ -23,11 +22,7 @@ func TestRepairAllSamplesDistinctRepairs(t *testing.T) {
 		}
 		seen[src] = true
 		// Every candidate must synthesize and pass the trace.
-		sys, _, err := synth.Elaborate(smt.NewContext(), c.Repaired, synth.Options{})
-		if err != nil {
-			t.Fatalf("candidate does not synthesize: %v", err)
-		}
-		_ = sys
+		checkRepairPasses(t, &Result{Repaired: c.Repaired}, tr)
 		if c.Changes <= 0 {
 			t.Fatalf("candidate with %d changes", c.Changes)
 		}
@@ -46,5 +41,32 @@ func TestRepairAllEmptyForPassingDesign(t *testing.T) {
 	cands := RepairAll(mustParse(t, goodCounter), tr, repairOpts(), 4)
 	if len(cands) != 0 {
 		t.Fatalf("got %d candidates for a passing design", len(cands))
+	}
+}
+
+// TestRepairMultiAndAllCertify runs both entries in self-certifying
+// mode, where a Sat model the reference interpreter rejects, or an Unsat
+// verdict whose DRUP proof does not check, panics. On the two-trace
+// counter RepairMulti's first query is Sat and its minimal-change
+// search's Σφ ≤ 0 query is Unsat, so both checkers run.
+func TestRepairMultiAndAllCertify(t *testing.T) {
+	opts := repairOpts()
+	opts.Certify = true
+	buggy := strings.Replace(goodCounter, "count + 1", "count + 2", 1)
+	res := RepairMulti(mustParse(t, buggy), twoTraces(t), opts)
+	if res.Status != StatusRepaired {
+		t.Fatalf("RepairMulti status = %v (%s)", res.Status, res.Reason)
+	}
+	if res.Certify.ModelsValidated < 1 || res.Certify.UnsatsCertified < 1 {
+		t.Fatalf("RepairMulti certified too little: %+v", res.Certify)
+	}
+	ins, outs := counterIO()
+	tr := recordGolden(t, goodCounter, ins, outs, counterRows())
+	cands := RepairAll(mustParse(t, buggyCounter), tr, opts, 4)
+	if len(cands) == 0 {
+		t.Fatal("RepairAll found no candidates in certifying mode")
+	}
+	for _, c := range cands {
+		checkRepairPasses(t, &Result{Repaired: c.Repaired}, tr)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -11,7 +10,6 @@ import (
 	"rtlrepair/internal/obs"
 	"rtlrepair/internal/sat"
 	"rtlrepair/internal/smt"
-	"rtlrepair/internal/synth"
 	"rtlrepair/internal/trace"
 	"rtlrepair/internal/tsys"
 	"rtlrepair/internal/verilog"
@@ -36,16 +34,7 @@ func RepairMulti(m *verilog.Module, traces []*trace.Trace, opts Options) *Result
 // ctx's deadline and opts.Timeout.
 func RepairMultiCtx(ctx context.Context, m *verilog.Module, traces []*trace.Trace, opts Options) *Result {
 	startTime := time.Now()
-	if opts.Timeout == 0 {
-		opts.Timeout = 60 * time.Second
-	}
-	if opts.Templates == nil {
-		opts.Templates = DefaultTemplates()
-	}
-	deadline := startTime.Add(opts.Timeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
+	deadline := opts.prepare(ctx, startTime)
 	var stop atomic.Bool
 	defer watchCancel(ctx, &stop)()
 	res := &Result{FirstFailure: -1}
@@ -86,25 +75,18 @@ func RepairMultiCtx(ctx context.Context, m *verilog.Module, traces []*trace.Trac
 		return finish()
 	}
 
-	counter := 0
+	sopts := opts.synthOptions(deadline, &stop)
 	for _, tmpl := range opts.Templates {
 		if stop.Load() || ctx.Err() != nil || time.Now().After(deadline) {
 			res.Status = StatusTimeout
 			res.Reason = cancelReason(ctx.Err())
 			return finish()
 		}
-		vars := NewVarTable(&counter)
-		env := &Env{Info: fe.Info, Lib: opts.Lib, Frozen: opts.frozenSet()}
-		instr, err := tmpl.Instrument(fixed, env, vars)
-		if err != nil || vars.Empty() {
+		in, err := fe.instrument(tmpl, nil, &opts, obs.Scope{})
+		if err != nil || in.sys == nil {
 			continue
 		}
-		ictx := fe.ctx.Clone()
-		isys, _, err := synth.Elaborate(ictx, instr, synth.Options{Lib: opts.Lib})
-		if err != nil {
-			continue
-		}
-		sol, err := solveMultiTrace(ictx, isys, vars, ctrs, init, deadline, &stop, opts, res)
+		sol, err := solveMultiTrace(in, ctrs, init, sopts, res)
 		if err != nil {
 			// A timed-out or cancelled query ends the template loop: the
 			// remaining templates share the same exhausted budget. The
@@ -116,50 +98,36 @@ func RepairMultiCtx(ctx context.Context, m *verilog.Module, traces []*trace.Trac
 		if sol == nil {
 			continue
 		}
-		repaired, rerr := Resolve(instr, sol.Assign)
-		if rerr != nil {
-			continue
+		if c := in.candidate(sol, init, ctrs...); c != nil {
+			res.setRepair(c)
+			return finish()
 		}
-		ok := true
-		for _, ctr := range ctrs {
-			if !verifyRepaired(repaired, ctr, init, opts.Lib) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		res.Status = StatusRepaired
-		res.Repaired = repaired
-		res.Changes = sol.Changes
-		res.Template = tmpl.Name()
-		res.ChangeDescs = vars.EnabledDescs(sol.Assign)
-		return finish()
 	}
 	res.Status = StatusCannotRepair
 	res.Reason = "no template found a repair satisfying all traces"
 	return finish()
 }
 
-// solveMultiTrace asserts every trace over its own tagged unrolling and
-// minimizes the shared change count. The solver's SAT/certify counters
-// aggregate onto res whether or not a solution is found — partial work
-// from a timed-out or cancelled query is reported, not dropped.
-func solveMultiTrace(ctx *smt.Context, sys *tsys.System, vars *VarTable, traces []*trace.Trace, init map[string]bv.XBV, deadline time.Time, stop *atomic.Bool, opts Options, res *Result) (*Solution, error) {
+// solveMultiTrace asserts every trace over its own tagged unrolling of
+// the instrumented system and minimizes the shared change count. The
+// solver's SAT/certify counters aggregate onto res whether or not a
+// solution is found — partial work from a timed-out or cancelled query
+// is reported, not dropped.
+func solveMultiTrace(in *instrumented, traces []*trace.Trace, init map[string]bv.XBV, sopts SynthOptions, res *Result) (*Solution, error) {
+	ctx := in.ctx
 	solver := smt.NewSolver(ctx)
 	defer func() {
 		res.SAT.Add(solver.SATStats())
 		res.Certify.Add(solver.CertifyStats())
 	}()
-	if opts.Certify {
+	if sopts.Certify {
 		solver.EnableCertification()
 	}
-	solver.SetDeadline(deadline)
-	solver.SetInterrupt(stop)
+	solver.SetDeadline(sopts.Deadline)
+	solver.SetInterrupt(sopts.Interrupt)
 
 	initTerms := map[*smt.Term]*smt.Term{}
-	for _, st := range sys.States {
+	for _, st := range in.sys.States {
 		v, ok := init[st.Var.Name]
 		if !ok {
 			return nil, fmt.Errorf("core: missing init for %q", st.Var.Name)
@@ -168,51 +136,26 @@ func solveMultiTrace(ctx *smt.Context, sys *tsys.System, vars *VarTable, traces 
 	}
 
 	for ti, tr := range traces {
-		u := tsys.UnrollTagged(ctx, sys, tr.Len()-1, initTerms, fmt.Sprintf("t%d", ti), traceInputs(ctx, tr, 0))
+		u := tsys.UnrollTagged(ctx, in.sys, tr.Len()-1, initTerms, fmt.Sprintf("t%d", ti), traceInputs(ctx, tr, 0))
 		for k := 0; k < tr.Len(); k++ {
 			assertExpected(ctx, solver, tr, k, u, k)
 		}
 	}
 
-	st, err := solver.Check()
+	check := func(assumptions ...*smt.Term) (sat.Status, error) {
+		st, err := solver.Check(assumptions...)
+		return st, stopCause(err)
+	}
+	st, err := check()
 	if err != nil {
-		if errors.Is(err, sat.ErrInterrupted) {
-			return nil, ErrCancelled
-		}
-		return nil, ErrTimeout
+		return nil, err
 	}
 	if st != sat.Sat {
 		return nil, nil
 	}
-	readModel := func() Assignment {
-		a := Assignment{}
-		for _, p := range vars.Phis {
-			if t := ctx.LookupVar(p.Name); t != nil {
-				a[p.Name] = solver.Value(t)
-			}
-		}
-		for _, al := range vars.Alphas {
-			if t := ctx.LookupVar(al.Name); t != nil {
-				a[al.Name] = solver.Value(t)
-			}
-		}
-		return a
+	best, _, err := minimalModel(ctx, solver, in.vars, sopts.NoMinimize, check)
+	if err != nil {
+		return nil, err
 	}
-	best := readModel()
-	bestChanges := vars.Changes(best)
-	sum := sumTerm(ctx, vars)
-	for k := 0; k < bestChanges; k++ {
-		st, err := solver.Check(ctx.Ule(sum, ctx.ConstU(16, uint64(k))))
-		if err != nil {
-			if errors.Is(err, sat.ErrInterrupted) {
-				return nil, ErrCancelled
-			}
-			return nil, ErrTimeout
-		}
-		if st == sat.Sat {
-			best = readModel()
-			break
-		}
-	}
-	return &Solution{Assign: best, Changes: vars.Changes(best)}, nil
+	return &Solution{Assign: best, Changes: in.vars.Changes(best)}, nil
 }

@@ -13,8 +13,6 @@ import (
 	"rtlrepair/internal/bv"
 	"rtlrepair/internal/obs"
 	"rtlrepair/internal/sim"
-	"rtlrepair/internal/smt"
-	"rtlrepair/internal/synth"
 	"rtlrepair/internal/trace"
 )
 
@@ -25,7 +23,7 @@ import (
 // rather than re-interned — and a cooperative stop flag that sibling
 // attempts set once their result makes this one irrelevant:
 //
-//   - an acceptable repair (Σφ ≤ MaxAcceptableChanges) at (pass, i)
+//   - an acceptable repair (Σφ ≤ maxAcceptableChanges) at (pass, i)
 //     cancels the same pass's templates after i and every later pass;
 //   - a large (fallback) repair cancels every later pass, because the
 //     sequential engine never starts the unpruned pass once any repair
@@ -50,7 +48,7 @@ type attempt struct {
 	stop atomic.Bool
 
 	tres      TemplateResult
-	candidate *Result // verified repair (acceptable or fallback), nil otherwise
+	candidate *Candidate // verified repair (acceptable or fallback), nil otherwise
 }
 
 type portfolio struct {
@@ -114,22 +112,11 @@ func runPortfolio(ctx context.Context, res *Result, fe *Frontend,
 		p.obs.End(obs.Int("workers", int64(workers)), obs.Int("attempts", int64(len(p.attempts))))
 	}()
 
-	// Mirror context cancellation onto every attempt's stop flag: the
-	// SAT loops poll the flags, so cancellation is immediate rather than
-	// waiting for the next wall-clock deadline check.
-	if ctx != nil && ctx.Done() != nil {
-		watcher := make(chan struct{})
-		defer close(watcher)
-		go func() {
-			select {
-			case <-ctx.Done():
-				for _, at := range p.attempts {
-					at.stop.Store(true)
-				}
-			case <-watcher:
-			}
-		}()
+	stops := make([]*atomic.Bool, len(p.attempts))
+	for i, at := range p.attempts {
+		stops[i] = &at.stop
 	}
+	defer watchCancel(ctx, stops...)()
 
 	// In-order claiming: an idle worker always takes the highest-priority
 	// pending attempt, so the attempts start in the sequential engine's
@@ -190,7 +177,7 @@ func runPortfolio(ctx context.Context, res *Result, fe *Frontend,
 			if at.pass != pi || at.candidate == nil {
 				continue
 			}
-			if at.candidate.Changes <= opts.MaxAcceptableChanges {
+			if at.candidate.Changes <= maxAcceptableChanges {
 				if acc == nil {
 					acc = at
 				}
@@ -203,13 +190,8 @@ func runPortfolio(ctx context.Context, res *Result, fe *Frontend,
 			pick = fb
 		}
 		if pick != nil {
-			c := pick.candidate
-			res.Status = StatusRepaired
-			res.Repaired = c.Repaired
-			res.Changes = c.Changes
-			res.Template = c.Template
-			res.ChangeDescs = c.ChangeDescs
-			res.Window = c.Window
+			res.setRepair(pick.candidate)
+			res.Window = pick.tres.Stats.FinalWindow
 			return
 		}
 	}
@@ -260,7 +242,7 @@ func (p *portfolio) runAttempt(at *attempt, worker int) {
 		at.tres.Duration = time.Since(start)
 		asc.End(obs.Str("template", at.tmpl.Name()), obs.Int("pass", int64(at.pass)),
 			obs.Int("sites", int64(at.tres.Sites)), obs.Bool("found", at.tres.Found),
-			obs.Bool("cancelled", at.tres.Cancelled), obs.Str("state", at.tres.State))
+			obs.Str("state", at.tres.State))
 		p.obs.Metrics.Add(fmt.Sprintf("portfolio.worker.%d.busy_us", worker),
 			at.tres.Duration.Microseconds())
 		p.obs.Metrics.Add("portfolio.attempts", 1)
@@ -269,7 +251,6 @@ func (p *portfolio) runAttempt(at *attempt, worker int) {
 
 	if at.stop.Load() {
 		at.tres.State = AttemptSkipped
-		at.tres.Cancelled = true
 		at.tres.Err = ErrCancelled
 		return
 	}
@@ -279,44 +260,18 @@ func (p *portfolio) runAttempt(at *attempt, worker int) {
 		return
 	}
 
-	ctx := smt.NewContext()
-	if p.fe != nil && p.fe.ctx != nil {
-		// Layer the attempt's context over the frontend's frozen one:
-		// elaborating the instrumented module then re-interns only what
-		// the template changed, sharing the rest of the term DAG.
-		ctx = p.fe.ctx.Clone()
+	in, err := p.fe.instrument(at.tmpl, at.loc, &p.opts, asc)
+	if in != nil {
+		at.tres.Sites = len(in.vars.Phis)
 	}
-	counter := 0
-	vars := NewVarTable(&counter)
-	env := &Env{Info: p.fe.Info, Lib: p.opts.Lib, Frozen: p.opts.frozenSet(), Loc: at.loc}
-	ispan := asc.Start("instrument")
-	instr, err := at.tmpl.Instrument(p.fe.Fixed, env, vars)
-	ispan.End(obs.Int("sites", int64(len(vars.Phis))))
-	if err != nil {
+	if err != nil || in.sys == nil {
 		at.tres.Err = err
 		return
 	}
-	at.tres.Sites = len(vars.Phis)
-	if vars.Empty() {
-		return
-	}
-	espan := asc.Start("elaborate")
-	isys, _, err := synth.Elaborate(ctx, instr, synth.Options{Lib: p.opts.Lib})
-	espan.End()
-	if err != nil {
-		at.tres.Err = err
-		return
-	}
-	sopts := DefaultSynthOptions()
-	sopts.Policy = p.opts.Policy
-	sopts.Seed = p.opts.Seed
-	sopts.Deadline = p.deadline
-	sopts.NoMinimize = p.opts.NoMinimize
-	sopts.Interrupt = &at.stop
-	sopts.Certify = p.opts.Certify
+	sopts := p.opts.synthOptions(p.deadline, &at.stop)
 	sopts.SharedPrefix = p.prefix
 	sopts.Obs = asc
-	synthz := NewSynthesizer(ctx, isys, vars, p.ctr, p.init, sopts)
+	synthz := NewSynthesizer(in.ctx, in.sys, in.vars, p.ctr, p.init, sopts)
 	var sol *Solution
 	if p.opts.Basic {
 		sol, err = synthz.Basic()
@@ -327,7 +282,6 @@ func (p *portfolio) runAttempt(at *attempt, worker int) {
 	if err != nil {
 		at.tres.Err = err
 		if errors.Is(err, ErrCancelled) {
-			at.tres.Cancelled = true
 			at.tres.State = AttemptCancelled
 		}
 		return
@@ -337,24 +291,9 @@ func (p *portfolio) runAttempt(at *attempt, worker int) {
 	}
 	at.tres.Found = true
 	at.tres.Changes = sol.Changes
-
-	repaired, rerr := Resolve(instr, sol.Assign)
-	if rerr != nil {
-		return
+	if at.candidate = in.candidate(sol, p.init, p.ctr); at.candidate != nil {
+		p.cancelSiblings(at)
 	}
-	// Final guard: the patched source must re-elaborate and pass.
-	if !verifyRepaired(repaired, p.ctr, p.init, p.opts.Lib) {
-		return
-	}
-	at.candidate = &Result{
-		Status:      StatusRepaired,
-		Repaired:    repaired,
-		Changes:     sol.Changes,
-		Template:    at.tmpl.Name(),
-		ChangeDescs: vars.EnabledDescs(sol.Assign),
-		Window:      synthz.Stats.FinalWindow,
-	}
-	p.cancelSiblings(at)
 }
 
 // cancelSiblings stops every attempt whose result provably cannot win
@@ -362,7 +301,7 @@ func (p *portfolio) runAttempt(at *attempt, worker int) {
 // beat it — earlier templates of the same pass, or any template of an
 // earlier pass — keep running.
 func (p *portfolio) cancelSiblings(at *attempt) {
-	acceptable := at.candidate.Changes <= p.opts.MaxAcceptableChanges
+	acceptable := at.candidate.Changes <= maxAcceptableChanges
 	for _, other := range p.attempts {
 		if other == at {
 			continue

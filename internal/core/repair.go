@@ -75,9 +75,6 @@ type Options struct {
 	Templates []Template
 	// Lib provides instantiated modules.
 	Lib map[string]*verilog.Module
-	// MaxAcceptableChanges: larger repairs are kept only as fallbacks
-	// while smaller templates are tried (Σφ > 3 rule, Figure 3).
-	MaxAcceptableChanges int
 	// Frozen names signals whose driving logic must not be repaired.
 	// Used with BMC counterexample traces so the property expression
 	// itself cannot be weakened (see internal/bmc).
@@ -103,6 +100,35 @@ type Options struct {
 	// no frontend cost. The artifact must have been built from the same
 	// module and lib with the same NoPreprocess setting.
 	Frontend *Frontend
+}
+
+// maxAcceptableChanges is Figure 3's Σφ > 3 rule: larger repairs are
+// kept only as fallbacks while smaller templates are tried.
+const maxAcceptableChanges = 3
+
+// prepare fills in the default timeout (60 s, as in §6.3) and template
+// sequence, and returns the run's deadline: the earlier of ctx's
+// deadline and start plus the timeout.
+func (o *Options) prepare(ctx context.Context, start time.Time) time.Time {
+	if o.Timeout == 0 {
+		o.Timeout = 60 * time.Second
+	}
+	if o.Templates == nil {
+		o.Templates = DefaultTemplates()
+	}
+	deadline := start.Add(o.Timeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
+	}
+	return deadline
+}
+
+// synthOptions returns the synthesis options of one attempt of the run:
+// its seed, deadline and stop flag, the minimization and certification
+// switches, and the single-repair flow's sample budget.
+func (o *Options) synthOptions(deadline time.Time, stop *atomic.Bool) SynthOptions {
+	return SynthOptions{Seed: o.Seed, Deadline: deadline, MaxSamples: samplesPerWindow,
+		NoMinimize: o.NoMinimize, Interrupt: stop, Certify: o.Certify}
 }
 
 // frozenSet converts the Frozen option into the template Env form.
@@ -158,9 +184,6 @@ type TemplateResult struct {
 	// Worker is the portfolio worker that ran the attempt (0 when
 	// sequential).
 	Worker int
-	// Cancelled is true when the portfolio stopped the attempt because a
-	// sibling's repair made its outcome irrelevant.
-	Cancelled bool
 	// State is AttemptRan, AttemptCancelled, or AttemptSkipped.
 	State string
 }
@@ -315,6 +338,86 @@ func RehydrateFrontend(fixed *verilog.Module, lib map[string]*verilog.Module, fi
 	return fe
 }
 
+// instrumented is one template applied to a frontend's design: the
+// instrumented source, the synthesis variables it introduced, and its
+// elaboration.
+type instrumented struct {
+	tmpl Template
+	src  *verilog.Module
+	vars *VarTable
+	ctx  *smt.Context
+	sys  *tsys.System // nil when the template found no site
+	lib  map[string]*verilog.Module
+}
+
+// instrument applies tmpl to the preprocessed design, with sites outside
+// loc pruned (nil loc prunes nothing), and elaborates the result on a
+// context layered over the frontend's frozen one, so elaboration
+// re-interns only what the template changed and shares the rest of the
+// term DAG. The two steps record "instrument" and "elaborate" spans
+// under sc. A template that finds no site returns with a nil sys. The
+// result is nil only when instrumentation itself fails.
+func (fe *Frontend) instrument(tmpl Template, loc *analysis.Localization, opts *Options, sc obs.Scope) (*instrumented, error) {
+	counter := 0
+	in := &instrumented{tmpl: tmpl, vars: NewVarTable(&counter), lib: opts.Lib}
+	env := &Env{Info: fe.Info, Lib: opts.Lib, Frozen: opts.frozenSet(), Loc: loc}
+	span := sc.Start("instrument")
+	src, err := tmpl.Instrument(fe.Fixed, env, in.vars)
+	span.End(obs.Int("sites", int64(len(in.vars.Phis))))
+	if err != nil {
+		return nil, err
+	}
+	in.src = src
+	if in.vars.Empty() {
+		return in, nil
+	}
+	in.ctx = fe.ctx.Clone()
+	span = sc.Start("elaborate")
+	sys, _, err := synth.Elaborate(in.ctx, src, synth.Options{Lib: opts.Lib})
+	span.End()
+	if err != nil {
+		return in, err
+	}
+	in.sys = sys
+	return in, nil
+}
+
+// candidate resolves a solution into the instrumented source and checks
+// the patched module as the final guard: it must re-elaborate and pass
+// every trace from the concrete initial state init. It returns nil when
+// either fails.
+func (in *instrumented) candidate(sol *Solution, init map[string]bv.XBV, traces ...*trace.Trace) *Candidate {
+	repaired, err := Resolve(in.src, sol.Assign)
+	if err != nil {
+		return nil
+	}
+	sys, _, err := synth.Elaborate(smt.NewContext(), repaired, synth.Options{Lib: in.lib})
+	if err != nil {
+		return nil
+	}
+	prog := sim.Compile(sys)
+	for _, tr := range traces {
+		// States may differ (e.g. pruning); keep matching names only.
+		cs := sim.NewSim(prog, sim.Zero, 0)
+		for name, v := range init {
+			if sys.StateByName(name) != nil {
+				cs.SetState(name, v)
+			}
+		}
+		if !sim.RunTraceFrom(cs, tr, 0, sim.RunOptions{Policy: sim.Zero}).Passed() {
+			return nil
+		}
+	}
+	return &Candidate{Repaired: repaired, Changes: sol.Changes, Template: in.tmpl.Name(),
+		ChangeDescs: in.vars.EnabledDescs(sol.Assign)}
+}
+
+// setRepair records c as the run's repair.
+func (res *Result) setRepair(c *Candidate) {
+	res.Status = StatusRepaired
+	res.Repaired, res.Changes, res.Template, res.ChangeDescs = c.Repaired, c.Changes, c.Template, c.ChangeDescs
+}
+
 // Repair runs the full RTL-Repair flow of Figure 3 on a buggy module and
 // an I/O trace.
 func Repair(m *verilog.Module, tr *trace.Trace, opts Options) *Result {
@@ -329,10 +432,11 @@ func cancelReason(err error) string {
 	return "timeout"
 }
 
-// watchCancel mirrors ctx cancellation onto a cooperative stop flag so
-// the SAT search loops (which poll the flag) notice immediately. The
-// returned release func stops the watcher; callers must invoke it.
-func watchCancel(ctx context.Context, flag *atomic.Bool) (release func()) {
+// watchCancel mirrors ctx cancellation onto cooperative stop flags so
+// the SAT search loops (which poll the flags) notice immediately rather
+// than at the next wall-clock deadline check. The returned release func
+// stops the watcher; callers must invoke it.
+func watchCancel(ctx context.Context, flags ...*atomic.Bool) (release func()) {
 	if ctx == nil || ctx.Done() == nil {
 		return func() {}
 	}
@@ -340,7 +444,9 @@ func watchCancel(ctx context.Context, flag *atomic.Bool) (release func()) {
 	go func() {
 		select {
 		case <-ctx.Done():
-			flag.Store(true)
+			for _, flag := range flags {
+				flag.Store(true)
+			}
 		case <-done:
 		}
 	}()
@@ -368,19 +474,7 @@ func RepairCtx(ctx context.Context, m *verilog.Module, tr *trace.Trace, opts Opt
 	}
 	sc = sc.WithLabel(m.Name).Start("repair")
 	startTime := time.Now()
-	if opts.Timeout == 0 {
-		opts.Timeout = 60 * time.Second
-	}
-	if opts.Templates == nil {
-		opts.Templates = DefaultTemplates()
-	}
-	if opts.MaxAcceptableChanges == 0 {
-		opts.MaxAcceptableChanges = 3
-	}
-	deadline := startTime.Add(opts.Timeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
+	deadline := opts.prepare(ctx, startTime)
 	res := &Result{FirstFailure: -1}
 	finish := func() *Result {
 		res.Duration = time.Since(startTime)
@@ -514,20 +608,4 @@ func failingOutputs(run *sim.RunResult, tr *trace.Trace) []string {
 		}
 	}
 	return out
-}
-
-// verifyRepaired re-elaborates a patched module and checks the trace.
-func verifyRepaired(m *verilog.Module, tr *trace.Trace, init map[string]bv.XBV, lib map[string]*verilog.Module) bool {
-	sys, _, err := synth.Elaborate(smt.NewContext(), m, synth.Options{Lib: lib})
-	if err != nil {
-		return false
-	}
-	// States may differ (e.g. pruning); keep matching names only.
-	cs := sim.NewCycleSim(sys, sim.Zero, 0)
-	for name, v := range init {
-		if sys.StateByName(name) != nil {
-			cs.SetState(name, v)
-		}
-	}
-	return sim.RunTraceFrom(cs, tr, 0, sim.RunOptions{Policy: sim.Zero}).Passed()
 }

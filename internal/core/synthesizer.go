@@ -16,26 +16,33 @@ import (
 	"rtlrepair/internal/tsys"
 )
 
+// The paper's synthesis constants (§4.3, §4.4).
+const (
+	// maxChanges caps the minimal-change linear search.
+	maxChanges = 10
+	// MaxWindow is the largest k_past+k_future before giving up (§4.4).
+	MaxWindow = 32
+	// pastStep is the k_past increment.
+	pastStep = 2
+	// samplesPerWindow is how many minimal repairs the single-repair flow
+	// validates per window before advancing (its MaxSamples).
+	samplesPerWindow = 4
+	// maxBasicSteps caps the basic synthesizer's full unrolling; longer
+	// traces are reported as timeouts (the paper's basic synthesizer
+	// times out on exactly these benchmarks, §6.3).
+	maxBasicSteps = 1500
+)
+
 // SynthOptions configures the repair synthesizer.
 type SynthOptions struct {
-	// Policy resolves unknown initial states and undriven inputs (§4.3).
-	Policy sim.UnknownPolicy
-	Seed   int64
+	// Seed seeds the validation simulator and the re-concretizations of
+	// the robustness check.
+	Seed int64
 	// Deadline bounds the whole synthesis (zero = none).
 	Deadline time.Time
-	// MaxChanges caps the minimal-change linear search.
-	MaxChanges int
-	// MaxWindow is the largest k_past+k_future before giving up (§4.4).
-	MaxWindow int
-	// PastStep is the k_past increment.
-	PastStep int
 	// MaxSamples bounds how many minimal repairs are validated per
 	// window before advancing.
 	MaxSamples int
-	// MaxBasicSteps caps the basic synthesizer's full unrolling; longer
-	// traces are reported as timeouts (the paper's basic synthesizer
-	// times out on exactly these benchmarks, §6.3).
-	MaxBasicSteps int
 	// NoMinimize skips the minimal-change search (ablation of §4.3's
 	// Max-SMT-style minimization): the first satisfying assignment is
 	// used, however many changes it makes.
@@ -62,19 +69,6 @@ type SynthOptions struct {
 	Obs obs.Scope
 }
 
-// DefaultSynthOptions mirrors the paper's constants: window cap 32, past
-// step 2, four failing repairs per window.
-func DefaultSynthOptions() SynthOptions {
-	return SynthOptions{
-		Policy:        sim.Randomize,
-		MaxChanges:    10,
-		MaxWindow:     32,
-		PastStep:      2,
-		MaxSamples:    4,
-		MaxBasicSteps: 1500,
-	}
-}
-
 // Solution is a satisfying synthesis-variable assignment.
 type Solution struct {
 	Assign  Assignment
@@ -83,10 +77,8 @@ type Solution struct {
 
 // SynthStats reports work done by the synthesizer.
 type SynthStats struct {
-	SolverChecks int
-	Windows      int
-	FinalWindow  [2]int // k_past, k_future
-	Unrollings   int
+	Windows     int
+	FinalWindow [2]int // k_past, k_future
 	// SolverBuilds counts window solvers built: 1 once the first window
 	// is encoded, 0 before. Window growth at either end adds cycles to
 	// that one live solver instead of rebuilding it.
@@ -229,22 +221,6 @@ func (s *Synthesizer) stopErr() error {
 		return ErrTimeout
 	}
 	return nil
-}
-
-// allVars returns every synthesis variable term.
-func (s *Synthesizer) allVars() []*smt.Term {
-	var out []*smt.Term
-	for _, p := range s.vars.Phis {
-		if t := s.ctx.LookupVar(p.Name); t != nil {
-			out = append(out, t)
-		}
-	}
-	for _, a := range s.vars.Alphas {
-		if t := s.ctx.LookupVar(a.Name); t != nil {
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 // sumTerm builds Σ cost·φ over a variable table as a 16-bit term. The
@@ -529,30 +505,82 @@ func assertExpected(ctx *smt.Context, solver *smt.Solver, tr *trace.Trace, cycle
 }
 
 // check runs one query on the live window solver under the window's
-// start-state binding and the given assumptions, mapping low-level
-// errors to the synthesizer's timeout/cancellation errors.
+// start-state binding and the given assumptions.
 func (s *Synthesizer) check(assumptions ...*smt.Term) (sat.Status, error) {
-	s.Stats.SolverChecks++
 	solver := s.win.solver
 	// The binding goes first: the solver decides assumptions in order,
 	// so the start state is fixed before any change bound.
 	st, err := solver.Check(append(append([]*smt.Term{}, s.win.bind...), assumptions...)...)
 	s.Stats.SAT = solver.SATStats()
 	s.Stats.Certify = solver.CertifyStats()
-	if err != nil {
-		if errors.Is(err, sat.ErrInterrupted) {
-			return st, ErrCancelled
-		}
-		return st, ErrTimeout
+	return st, stopCause(err)
+}
+
+// stopCause maps a solver error to the synthesizer's cancellation or
+// timeout error (nil stays nil).
+func stopCause(err error) error {
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, sat.ErrInterrupted):
+		return ErrCancelled
 	}
-	return st, nil
+	return ErrTimeout
+}
+
+// readModel reads every synthesis variable of vars from the solver's
+// last Sat model.
+func readModel(ctx *smt.Context, solver *smt.Solver, vars *VarTable) Assignment {
+	a := Assignment{}
+	for _, p := range vars.Phis {
+		if t := ctx.LookupVar(p.Name); t != nil {
+			a[p.Name] = solver.Value(t)
+		}
+	}
+	for _, al := range vars.Alphas {
+		if t := ctx.LookupVar(al.Name); t != nil {
+			a[al.Name] = solver.Value(t)
+		}
+	}
+	return a
+}
+
+// minimalModel is the minimal-change linear search of §4.3 on a solver
+// whose last check was Sat: it checks Σ cost·φ ≤ k for k = 0, 1, …
+// below the first model's change count, up to maxChanges, and keeps the
+// first Sat model. It returns that model and the bound Σ cost·φ ≤ k it
+// meets, under which further minimal repairs can be sampled. With
+// noMinimize the first model is returned as is, with a nil bound. check
+// runs one query under the given assumptions.
+func minimalModel(ctx *smt.Context, solver *smt.Solver, vars *VarTable, noMinimize bool,
+	check func(...*smt.Term) (sat.Status, error)) (Assignment, *smt.Term, error) {
+	// The sum is built even with noMinimize: term ids order Eq operands,
+	// so skipping it would change how later windows are encoded.
+	sum := sumTerm(ctx, vars)
+	best := readModel(ctx, solver, vars)
+	first := vars.Changes(best)
+	if noMinimize {
+		return best, nil, nil
+	}
+	minimal := first
+	for k := 0; k < first && k <= maxChanges; k++ {
+		st, err := check(ctx.Ule(sum, ctx.ConstU(16, uint64(k))))
+		if err != nil {
+			return nil, nil, err
+		}
+		if st == sat.Sat {
+			best = readModel(ctx, solver, vars)
+			minimal = k
+			break
+		}
+	}
+	return best, ctx.Ule(sum, ctx.ConstU(16, uint64(minimal))), nil
 }
 
 // solveWindow grows the live encoding to cycles [start, end) from the
 // given start state and returns up to MaxSamples minimal solutions, or
 // nil when the window is unsatisfiable.
 func (s *Synthesizer) solveWindow(start, end int, startState map[string]bv.XBV) (sols []*Solution, err error) {
-	s.Stats.Unrollings++
 	wsc := s.opts.Obs.WithLabel(fmt.Sprintf("w%d-%d", start, end)).Start("window")
 	wsc.Event(obs.EvProgress, "window.solve",
 		obs.Int("cycle_start", int64(start)), obs.Int("cycle_end", int64(end)))
@@ -565,8 +593,6 @@ func (s *Synthesizer) solveWindow(start, end int, startState map[string]bv.XBV) 
 	if err != nil {
 		return nil, err
 	}
-	solver := w.solver
-
 	st, err := s.check()
 	if err != nil {
 		return nil, err
@@ -574,57 +600,18 @@ func (s *Synthesizer) solveWindow(start, end int, startState map[string]bv.XBV) 
 	if st != sat.Sat {
 		return nil, nil
 	}
-
-	// Minimal-change linear search (§4.3): Σφ ≤ k for k = 0, 1, 2, …
-	sum := sumTerm(s.ctx, s.vars)
-	vars := s.allVars()
-	readModel := func() Assignment {
-		a := Assignment{}
-		for _, v := range vars {
-			a[v.Name] = solver.Value(v)
-		}
-		return a
-	}
-	best := readModel()
-	bestChanges := s.vars.Changes(best)
-	minimal := bestChanges
-	if s.opts.NoMinimize {
-		return []*Solution{{Assign: best, Changes: bestChanges}}, nil
-	}
-	for k := 0; k < bestChanges && k <= s.opts.MaxChanges; k++ {
-		st, err := s.check(s.ctx.Ule(sum, s.ctx.ConstU(16, uint64(k))))
-		if err != nil {
-			return nil, err
-		}
-		if st == sat.Sat {
-			best = readModel()
-			minimal = k
-			break
-		}
+	best, bound, err := minimalModel(s.ctx, w.solver, s.vars, s.opts.NoMinimize, s.check)
+	if err != nil {
+		return nil, err
 	}
 	sols = []*Solution{{Assign: best, Changes: s.vars.Changes(best)}}
-
+	if s.opts.NoMinimize {
+		return sols, nil
+	}
 	// Sample further minimal repairs by blocking found ones (§4.4:
 	// "we generally sample all minimal repairs for a given window").
-	bound := s.ctx.Ule(sum, s.ctx.ConstU(16, uint64(minimal)))
-	for len(sols) < s.opts.MaxSamples {
-		solver.Assert(s.blockingClause(sols[len(sols)-1].Assign))
-		st, err := s.check(bound)
-		if err != nil {
-			return nil, err
-		}
-		if st != sat.Sat {
-			break
-		}
-		a := readModel()
-		sols = append(sols, &Solution{Assign: a, Changes: s.vars.Changes(a)})
-	}
-	if len(sols) == s.opts.MaxSamples {
-		// The enumeration stopped on the sample budget, not on UNSAT:
-		// remember where it left off so Windowed can ask for more.
-		s.sampling = samplingState{ok: true, bound: bound, last: sols[len(sols)-1].Assign}
-	}
-	return sols, nil
+	s.sampling = samplingState{ok: true, bound: bound, last: best}
+	return s.drawSamples(sols)
 }
 
 // moreSamples continues the minimal-repair enumeration of the current
@@ -641,11 +628,17 @@ func (s *Synthesizer) moreSamples() (sols []*Solution, err error) {
 		xsc.Event(obs.EvProgress, "window.extra", obs.Int("solutions", int64(len(sols))))
 		xsc.End(obs.Int("solutions", int64(len(sols))))
 	}()
-	solver := s.win.solver
-	solver.SetObs(xsc)
-	vars := s.allVars()
+	s.win.solver.SetObs(xsc)
+	return s.drawSamples(nil)
+}
+
+// drawSamples extends sols with further minimal repairs of the live
+// window until it holds MaxSamples: each draw blocks the last repair
+// found and asks for another under the window's change bound. An Unsat
+// answer ends the window's enumeration.
+func (s *Synthesizer) drawSamples(sols []*Solution) ([]*Solution, error) {
 	for len(sols) < s.opts.MaxSamples {
-		solver.Assert(s.blockingClause(s.sampling.last))
+		s.win.solver.Assert(s.blockingClause(s.sampling.last))
 		st, err := s.check(s.sampling.bound)
 		if err != nil {
 			return nil, err
@@ -654,10 +647,7 @@ func (s *Synthesizer) moreSamples() (sols []*Solution, err error) {
 			s.sampling.ok = false
 			break
 		}
-		a := Assignment{}
-		for _, v := range vars {
-			a[v.Name] = solver.Value(v)
-		}
+		a := readModel(s.ctx, s.win.solver, s.vars)
 		s.sampling.last = a
 		sols = append(sols, &Solution{Assign: a, Changes: s.vars.Changes(a)})
 	}
@@ -704,7 +694,7 @@ func (s *Synthesizer) Basic() (*Solution, error) {
 	if err := s.stopErr(); err != nil {
 		return nil, err
 	}
-	if s.opts.MaxBasicSteps > 0 && s.tr.Len() > s.opts.MaxBasicSteps {
+	if s.tr.Len() > maxBasicSteps {
 		return nil, ErrTimeout
 	}
 	sols, err := s.solveWindow(0, s.tr.Len(), s.init)
@@ -763,77 +753,82 @@ func (s *Synthesizer) validateBatch(sols []*Solution, firstFailure int, fragile 
 // remembered as a fragile fallback and returned when the search
 // exhausts its window or time budget without a robust alternative.
 func (s *Synthesizer) Windowed(firstFailure int) (*Solution, error) {
-	kPast, kFuture := 0, 0
-	var fragile *Solution // passes the trace, fails re-concretization
-	for {
-		if s.interrupted() {
-			return nil, ErrCancelled
-		}
-		if s.expired() {
-			if fragile != nil {
-				return fragile, nil
-			}
-			return nil, ErrTimeout
-		}
-		if kPast+kFuture > s.opts.MaxWindow {
-			// Give up growing (§4.4: max window size 32).
-			return fragile, nil
-		}
-		s.Stats.Windows++
-		s.opts.Obs.Metrics.Add("synth.windows", 1)
-		s.Stats.FinalWindow = [2]int{kPast, kFuture}
-		start := firstFailure - kPast
-		if start < 0 {
-			start = 0
-		}
-		end := firstFailure + kFuture + 1
-		if end > s.tr.Len() {
-			end = s.tr.Len()
-		}
-		startState := s.prefixState(start)
-		sols, err := s.solveWindow(start, end, startState)
-		if err != nil {
-			if errors.Is(err, ErrTimeout) && fragile != nil {
-				return fragile, nil
-			}
-			return nil, err
-		}
-		if len(sols) == 0 {
-			// No repair matches this window: assume a state update in
-			// the past went wrong and widen backwards.
-			kPast += s.opts.PastStep
-			continue
-		}
+	var robustSol, fragile *Solution // fragile passes the trace, fails re-concretization
+	err := s.growWindows(firstFailure, func(sols []*Solution) (bool, int, error) {
 		latestFuture := -1
 		// When every sample passes the trace but none is robust, the
 		// window is rich in trace-equivalent repairs; keep enumerating
 		// from the live encoding before growing the window.
 		extendBudget := 3 * s.opts.MaxSamples
 		for len(sols) > 0 {
-			var robustSol *Solution
 			var allPassed bool
 			robustSol, fragile, allPassed, latestFuture = s.validateBatch(sols, firstFailure, fragile, latestFuture)
 			if robustSol != nil {
-				return robustSol, nil
+				return true, latestFuture, nil
 			}
 			if !allPassed || len(sols) < s.opts.MaxSamples || extendBudget <= 0 {
 				break
 			}
 			extendBudget -= len(sols)
-			sols, err = s.moreSamples()
-			if err != nil {
-				if errors.Is(err, ErrTimeout) && fragile != nil {
-					return fragile, nil
-				}
-				return nil, err
+			var err error
+			if sols, err = s.moreSamples(); err != nil {
+				return false, latestFuture, err
 			}
 		}
-		if latestFuture > firstFailure && latestFuture-firstFailure > kFuture {
+		return false, latestFuture, nil
+	})
+	switch {
+	case robustSol != nil:
+		return robustSol, nil
+	case err == nil || errors.Is(err, ErrTimeout) && fragile != nil:
+		return fragile, nil
+	}
+	return nil, err
+}
+
+// growWindows is the window growth of §4.4 around the first output
+// divergence ff. It solves the windows [ff-k_past, ff+k_future] from
+// k_past = k_future = 0 and hands each window's minimal repairs to try,
+// which reports whether the search is done and the latest cycle past ff
+// at which one of them failed the trace. A repair failing past the
+// window's future boundary grows k_future to that cycle; an Unsat window
+// or any other failure grows k_past by pastStep. The search gives up,
+// returning nil, once k_past+k_future exceeds MaxWindow; it returns
+// ErrCancelled or ErrTimeout when interrupted or out of time.
+func (s *Synthesizer) growWindows(ff int, try func(sols []*Solution) (done bool, latestFuture int, err error)) error {
+	kPast, kFuture := 0, 0
+	for {
+		if err := s.stopErr(); err != nil {
+			return err
+		}
+		if kPast+kFuture > MaxWindow {
+			return nil
+		}
+		s.Stats.Windows++
+		s.opts.Obs.Metrics.Add("synth.windows", 1)
+		s.Stats.FinalWindow = [2]int{kPast, kFuture}
+		start := max(ff-kPast, 0)
+		end := min(ff+kFuture+1, s.tr.Len())
+		sols, err := s.solveWindow(start, end, s.prefixState(start))
+		if err != nil {
+			return err
+		}
+		latestFuture := -1
+		if len(sols) > 0 {
+			var done bool
+			if done, latestFuture, err = try(sols); done || err != nil {
+				return err
+			}
+		}
+		if latestFuture > ff && latestFuture-ff > kFuture {
 			// A repair fixed the original failure but failed later: the
 			// window is missing future context.
-			kFuture = latestFuture - firstFailure
+			kFuture = latestFuture - ff
 		} else {
-			kPast += s.opts.PastStep
+			// No repair matches this window, or its repairs fail too early:
+			// assume a state update in the past went wrong and widen
+			// backwards.
+			kPast += pastStep
 		}
 	}
 }

@@ -31,7 +31,7 @@ func buildSynth(t *testing.T, buggySrc, goldenSrc string, tmpl Template,
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultSynthOptions()
+	opts := SynthOptions{MaxSamples: samplesPerWindow}
 	opts.Seed = 3
 	init, ctr := Concretize(isys, tr, sim.Randomize, opts.Seed)
 	return NewSynthesizer(ctx, isys, vars, ctr, init, opts), vars
@@ -94,7 +94,7 @@ func TestSolveWindowUnsatForImpossibleWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultSynthOptions()
+	opts := SynthOptions{MaxSamples: samplesPerWindow}
 	init, ctr := Concretize(isys, tr, sim.Randomize, 1)
 	s := NewSynthesizer(ctx, isys, vars, ctr, init, opts)
 	sols, err := s.solveWindow(0, ctr.Len(), s.init)

@@ -7,7 +7,6 @@ package netlist
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"rtlrepair/internal/smt"
@@ -504,18 +503,4 @@ func (n *Netlist) WriteVerilog(name string) string {
 	}
 	fmt.Fprintf(&sb, "endmodule\n")
 	return sb.String()
-}
-
-// SortedStateNames lists DFF word names (for debugging).
-func (n *Netlist) SortedStateNames() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, d := range n.DFFs {
-		if !seen[d.Name] {
-			seen[d.Name] = true
-			out = append(out, d.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

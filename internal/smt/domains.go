@@ -46,9 +46,6 @@ func boolFact(b bool) Fact { return constFact(bv.FromBool(b)) }
 // seeds uninitialized state and free inputs with it).
 func TopFact(w int) Fact { return topFact(w) }
 
-// ConstFact is the exported singleton element for value v.
-func ConstFact(v bv.BV) Fact { return constFact(v) }
-
 // Same reports channel-wise equality of two facts (not lattice
 // equivalence — normalize first for that; every Fact produced by this
 // package is already normalized). BV holds a word slice, so == is

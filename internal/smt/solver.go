@@ -626,9 +626,6 @@ func (s *Solver) Value(t *Term) bv.BV {
 	})
 }
 
-// NumSATVars reports the size of the underlying SAT instance (for stats).
-func (s *Solver) NumSATVars() int { return s.sat.NumVars() }
-
 // Stats returns the underlying SAT search statistics.
 func (s *Solver) Stats() (conflicts, decisions, propagations int64) { return s.sat.Stats() }
 

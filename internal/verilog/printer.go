@@ -22,13 +22,6 @@ func PrintExpr(e Expr) string {
 	return p.sb.String()
 }
 
-// PrintStmt renders a single statement at the given indent level.
-func PrintStmt(s Stmt) string {
-	p := &printer{}
-	p.stmt(s, 0)
-	return p.sb.String()
-}
-
 type printer struct {
 	sb strings.Builder
 }

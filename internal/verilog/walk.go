@@ -21,14 +21,6 @@ func LHSBaseNames(lhs Expr) []string {
 	return nil
 }
 
-// AssignsWholeSignal reports whether an lvalue overwrites the named
-// signal completely: only a plain identifier target does. Bit and part
-// selects keep the other bits, so the previous value still matters.
-func AssignsWholeSignal(lhs Expr, name string) bool {
-	id, ok := lhs.(*Ident)
-	return ok && id.Name == name
-}
-
 // WalkExpr calls f for e and every sub-expression, depth-first. If f
 // returns false the walk does not descend into that expression.
 func WalkExpr(e Expr, f func(Expr) bool) { walkExpr(e, f) }
