@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"rtlrepair/internal/bv"
 	"rtlrepair/internal/smt"
 	"rtlrepair/internal/synth"
 	"rtlrepair/internal/tsys"
@@ -356,5 +355,3 @@ func exprText(e verilog.Expr) string {
 	}
 	return strings.TrimSpace(s)
 }
-
-var _ = bv.Zero // keep bv import if future transfers need it

@@ -59,7 +59,7 @@ func (a *analyzer) driverPass() {
 		case *verilog.ContAssign:
 			a.recordContTarget(it.LHS, it.Pos, rec, declared)
 		case *verilog.Always:
-			for _, tgt := range stmtTargetNames(it.Body) {
+			for _, tgt := range verilog.StmtTargetNames(it.Body) {
 				if !declared(tgt, it.Pos) {
 					continue
 				}
@@ -260,39 +260,6 @@ func baseIdent(e verilog.Expr) string {
 		return id.Name
 	}
 	return ""
-}
-
-// stmtTargetNames lists base names assigned under a statement.
-func stmtTargetNames(s verilog.Stmt) []string {
-	seen := map[string]bool{}
-	var out []string
-	var rec func(verilog.Stmt)
-	rec = func(s verilog.Stmt) {
-		switch s := s.(type) {
-		case *verilog.Block:
-			for _, inner := range s.Stmts {
-				rec(inner)
-			}
-		case *verilog.If:
-			rec(s.Then)
-			rec(s.Else)
-		case *verilog.Case:
-			for _, item := range s.Items {
-				rec(item.Body)
-			}
-		case *verilog.For:
-			rec(s.Body)
-		case *verilog.Assign:
-			for _, n := range verilog.LHSBaseNames(s.LHS) {
-				if !seen[n] {
-					seen[n] = true
-					out = append(out, n)
-				}
-			}
-		}
-	}
-	rec(s)
-	return out
 }
 
 func boolInt(b bool) int {

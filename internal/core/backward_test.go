@@ -9,7 +9,6 @@ import (
 	"rtlrepair/internal/sat"
 	"rtlrepair/internal/sim"
 	"rtlrepair/internal/smt"
-	"rtlrepair/internal/synth"
 	"rtlrepair/internal/tsys"
 )
 
@@ -61,77 +60,86 @@ func modelOf(s *Synthesizer, solver *smt.Solver) Assignment {
 	return readModel(s.ctx, solver, s.vars)
 }
 
-// growAndCompare runs one attempt's window sequence around the first
-// failure ff, comparing every window with rebuildWindow. It returns how
-// many windows prepended cycles, appended cycles, and had their start
-// clamped at cycle 0.
-func growAndCompare(t *testing.T, name string, s *Synthesizer, ff int) (prepends, appends, clamps int) {
+// growAndCompare runs growWindows around the first failure ff, deciding
+// each window on its first minimal model: the search ends on a robust
+// repair, and a model that fails the trace reports its failure cycle.
+// It then compares every window the search solved with rebuildWindow.
+// The windows are read back from rec, the synthesizer's recorder: each
+// "window.solve" event gives a window's cycle_start and cycle_end, and
+// the "window" span end its solutions, zero for an Unsat window. It
+// returns how many windows prepended cycles, appended cycles, and had
+// their start clamped at cycle 0.
+func growAndCompare(t *testing.T, name string, s *Synthesizer, rec *obs.Recorder, ff int) (prepends, appends, clamps int) {
 	t.Helper()
-	check := func(assumptions ...*smt.Term) sat.Status {
-		st, err := s.check(assumptions...)
-		if err != nil {
-			t.Fatal(err)
+	var minimal []int // the live minimal Σ cost·φ of each Sat window
+	err := s.growWindows(ff, func(sols []*Solution) (bool, int, error) {
+		minimal = append(minimal, sols[0].Changes)
+		res := s.Validate(sols[0].Assign)
+		if res.Passed() {
+			return s.robust(sols[0].Assign), -1, nil
 		}
-		return st
-	}
-	kPast, kFuture := 0, 0
-	for kPast+kFuture <= MaxWindow {
-		start, end := max(ff-kPast, 0), min(ff+kFuture+1, s.tr.Len())
-		if ff-kPast < 0 {
-			clamps++
-		}
-		if s.win != nil && start < s.win.start {
-			prepends++
-		}
-		if s.win != nil && end > s.win.end {
-			appends++
-		}
-		if _, err := s.encodeWindow(start, end, s.prefixState(start), obs.Scope{}); err != nil {
-			t.Fatal(err)
-		}
-		st, minimal := check(), -1
-		var model Assignment
-		if st == sat.Sat {
-			model = modelOf(s, s.win.solver)
-			minimal = minimalChanges(t, s, check, s.vars.Changes(model))
-		}
-		refSt, refMinimal := rebuildWindow(t, s, start, end)
-		if st != refSt || minimal != refMinimal {
-			t.Fatalf("%s window [%d, %d): live %v Σφ=%d, rebuilt %v Σφ=%d",
-				name, start, end, st, minimal, refSt, refMinimal)
-		}
-		if st != sat.Sat {
-			kPast += pastStep
-			continue
-		}
-		res := s.Validate(model)
-		if res.Passed() && s.robust(model) {
-			break
-		}
-		if !res.Passed() && res.FirstFailure > ff && res.FirstFailure-ff > kFuture {
-			kFuture = res.FirstFailure - ff
-		} else {
-			kPast += pastStep
-		}
+		return false, res.FirstFailure, nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if s.Stats.SolverBuilds != 1 {
 		t.Errorf("%s: %d solver builds, want 1", name, s.Stats.SolverBuilds)
+	}
+
+	type window struct{ start, end, solutions int }
+	var wins []window
+	for _, ev := range rec.Events() {
+		a := obs.AttrMap(ev.Attrs)
+		switch {
+		case ev.Kind == obs.EvProgress && ev.Name == "window.solve":
+			wins = append(wins, window{start: int(a["cycle_start"].(int64)), end: int(a["cycle_end"].(int64))})
+		case ev.Kind == obs.EvSpanEnd && ev.Name == "window":
+			wins[len(wins)-1].solutions = int(a["solutions"].(int64))
+		}
+	}
+	kPast, sats := 0, 0
+	for i, w := range wins {
+		if i > 0 {
+			// Growing k_future moves the end; every other step grows k_past.
+			if w.end > wins[i-1].end {
+				appends++
+			} else {
+				kPast += pastStep
+			}
+			if w.start < wins[i-1].start {
+				prepends++
+			}
+		}
+		if ff-kPast < 0 {
+			clamps++
+		}
+		st, live := sat.Unsat, -1
+		if w.solutions > 0 {
+			st, live = sat.Sat, minimal[sats]
+			sats++
+		}
+		refSt, refMinimal := rebuildWindow(t, s, w.start, w.end)
+		if st != refSt || live != refMinimal {
+			t.Fatalf("%s window [%d, %d): live %v Σφ=%d, rebuilt %v Σφ=%d",
+				name, w.start, w.end, st, live, refSt, refMinimal)
+		}
+	}
+	if sats != len(minimal) {
+		t.Fatalf("%s: %d Sat windows recorded, %d solved", name, sats, len(minimal))
 	}
 	return prepends, appends, clamps
 }
 
 // TestBackwardGrowthMatchesRebuild drives the live window solver of
 // every attempt RepairCtx runs (each template, localized and unpruned)
-// through Windowed's growth policy, decided on each window's first
-// minimal model: k_past grows when the window is Unsat or the model is
-// not a robust repair, k_future grows when the model fails past the
-// current future boundary. At every window the grown encoding — earlier
-// cycles prepended and linked to the old start variables, the start
-// state bound by assumption — must agree with a fresh encoding from the
-// concrete start state on status and minimal Σ cost·φ. C3 grows only
-// k_past; i2c_w2 and fsm_w1 mix both and clamp the start at cycle 0; D4
-// mixes both. No sampling runs, so no blocking clause enters the
-// comparison.
+// through growWindows, the growth rule Windowed and RepairAll run. At
+// every window the grown encoding — earlier cycles prepended and linked
+// to the old start variables, the start state bound by assumption —
+// must agree with a fresh encoding from the concrete start state on
+// status and minimal Σ cost·φ. C3 grows only k_past; i2c_w2 and fsm_w1
+// mix both and clamp the start at cycle 0; D4 mixes both. MaxSamples is
+// 1, so no blocking clause enters the comparison.
 func TestBackwardGrowthMatchesRebuild(t *testing.T) {
 	if testing.Short() {
 		t.Skip("encodes benchmark designs window by window")
@@ -178,19 +186,16 @@ func TestBackwardGrowthMatchesRebuild(t *testing.T) {
 			var prepends, appends, clamps int
 			for _, l := range []*analysis.Localization{loc, nil} {
 				for _, tmpl := range DefaultTemplates() {
-					ctx := fe.ctx.Clone()
-					counter := 0
-					vars := NewVarTable(&counter)
-					instr, err := tmpl.Instrument(fe.Fixed, &Env{Info: fe.Info, Lib: lib, Loc: l}, vars)
-					if err != nil || vars.Empty() {
+					in, err := fe.instrument(tmpl, l, &Options{Lib: lib}, obs.Scope{})
+					if in == nil || in.vars.Empty() {
 						continue
 					}
-					isys, _, err := synth.Elaborate(ctx, instr, synth.Options{Lib: lib})
 					if err != nil {
 						t.Fatal(err)
 					}
-					s := NewSynthesizer(ctx, isys, vars, ctr, init, SynthOptions{MaxSamples: samplesPerWindow})
-					p, a, c := growAndCompare(t, tmpl.Name(), s, ff)
+					rec := obs.NewRecorder(0)
+					s := NewSynthesizer(in.ctx, in.sys, in.vars, ctr, init, SynthOptions{MaxSamples: 1, Obs: obs.Scope{Rec: rec}})
+					p, a, c := growAndCompare(t, tmpl.Name(), s, rec, ff)
 					prepends, appends, clamps = prepends+p, appends+a, clamps+c
 				}
 			}

@@ -1,11 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
-	"sync/atomic"
-	"time"
+	"slices"
 
-	"rtlrepair/internal/obs"
 	"rtlrepair/internal/trace"
 	"rtlrepair/internal/verilog"
 )
@@ -31,60 +30,44 @@ func RepairAll(m *verilog.Module, tr *trace.Trace, opts Options, maxCandidates i
 // or deadline-expired ctx stops the sampling promptly (the cancellation
 // trips the SAT search's cooperative interrupt flag) and the candidates
 // collected so far are returned. The effective deadline is the earlier
-// of ctx's deadline and opts.Timeout.
+// of ctx's deadline and opts.Timeout. It shares RepairCtx's start and
+// finish steps; the root span and metrics report repaired when any
+// candidate is returned.
 func RepairAllCtx(ctx context.Context, m *verilog.Module, tr *trace.Trace, opts Options, maxCandidates int) []Candidate {
-	deadline := opts.prepare(ctx, time.Now())
 	if maxCandidates <= 0 {
 		maxCandidates = 4
 	}
-	var stop atomic.Bool
-	defer watchCancel(ctx, &stop)()
-
-	fe := newFrontend(obs.Scope{}, m, opts.Lib, opts.NoPreprocess)
-	if fe.Reason != "" {
+	r, done := startRun(ctx, m, []*trace.Trace{tr}, opts)
+	if done {
+		r.finish()
 		return nil
 	}
-	init, ctr := Concretize(fe.Sys, tr, opts.Policy, opts.Seed)
-	base := runConcrete(fe.Sys, ctr, init)
-	if base.Passed() {
-		return nil
-	}
-	ff := base.FirstFailure
-	sopts := opts.synthOptions(deadline, &stop)
-	// Sample more aggressively than the single-repair flow.
-	sopts.MaxSamples = maxCandidates * 2
-
+	ff, ctr := r.res.FirstFailure, r.ctrs[0]
 	var out []Candidate
 	seen := map[string]bool{}
-	for _, tmpl := range opts.Templates {
-		if len(out) >= maxCandidates || stop.Load() || ctx.Err() != nil || time.Now().After(deadline) {
-			break
-		}
-		in, err := fe.instrument(tmpl, nil, &opts, obs.Scope{})
-		if err != nil || in.sys == nil {
-			continue
-		}
-		// Keep every trace-passing repair of the first window that has
-		// any, up to maxCandidates.
-		synthz := NewSynthesizer(in.ctx, in.sys, in.vars, ctr, init, sopts)
+	if !r.eachTemplate(func(in *instrumented, sopts SynthOptions) bool {
+		// Sample more aggressively than the single-repair flow, and keep
+		// every trace-passing repair of the first window that has any.
+		sopts.MaxSamples = maxCandidates * 2
+		synthz := NewSynthesizer(in.ctx, in.sys, in.vars, ctr, r.init, sopts)
 		var found []*Solution
-		err = synthz.growWindows(ff, func(sols []*Solution) (bool, int, error) {
+		err := synthz.growWindows(ff, func(sols []*Solution) (bool, int, error) {
 			latestFuture := -1
 			for _, sol := range sols {
-				run := synthz.Validate(sol.Assign)
-				if run.Passed() {
+				vr := synthz.Validate(sol.Assign)
+				if vr.Passed() {
 					found = append(found, sol)
-				} else if run.FirstFailure > ff && run.FirstFailure > latestFuture {
-					latestFuture = run.FirstFailure
+				} else if vr.FirstFailure > ff && vr.FirstFailure > latestFuture {
+					latestFuture = vr.FirstFailure
 				}
 			}
 			return len(found) > 0, latestFuture, nil
 		})
 		if err != nil {
-			continue
+			return false
 		}
 		for _, sol := range found[:min(len(found), maxCandidates)] {
-			c := in.candidate(sol, init, ctr)
+			c := in.candidate(sol, r.init, ctr)
 			if c == nil {
 				continue
 			}
@@ -95,15 +78,18 @@ func RepairAllCtx(ctx context.Context, m *verilog.Module, tr *trace.Trace, opts 
 			seen[key] = true
 			out = append(out, *c)
 			if len(out) >= maxCandidates {
-				break
+				return true
 			}
 		}
+		return false
+	}) {
+		r.res.Status = StatusCannotRepair
 	}
 	// Order by change count (stable within templates).
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Changes < out[j-1].Changes; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
+	slices.SortStableFunc(out, func(a, b Candidate) int { return cmp.Compare(a.Changes, b.Changes) })
+	if len(out) > 0 {
+		r.res.setRepair(&out[0])
 	}
+	r.finish()
 	return out
 }

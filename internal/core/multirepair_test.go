@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"rtlrepair/internal/obs"
 	"rtlrepair/internal/verilog"
 )
 
@@ -68,5 +70,58 @@ func TestRepairMultiAndAllCertify(t *testing.T) {
 	}
 	for _, c := range cands {
 		checkRepairPasses(t, &Result{Repaired: c.Repaired}, tr)
+	}
+}
+
+// TestRepairAllRecordsUnderScope: RepairAllCtx records into the
+// context's private recorder and registry; its root span reports
+// repaired because it returned candidates.
+func TestRepairAllRecordsUnderScope(t *testing.T) {
+	ins, outs := counterIO()
+	tr := recordGolden(t, goodCounter, ins, outs, counterRows())
+	rec, reg := obs.NewRecorder(0), obs.NewRegistry()
+	ctx := obs.NewContext(context.Background(), obs.Scope{Rec: rec, Metrics: reg})
+	cands := RepairAllCtx(ctx, mustParse(t, buggyCounter), tr, repairOpts(), 16)
+	if len(cands) == 0 {
+		t.Fatal("no candidates")
+	}
+	var tried []string
+	for _, tmpl := range DefaultTemplates() {
+		tried = append(tried, tmpl.Name())
+	}
+	checkRunRecorded(t, rec, reg, "first_counter", tried)
+	if reg.Counter("repair.status.repaired") != 1 {
+		t.Fatal("repair.status.repaired not counted")
+	}
+}
+
+// TestRepairAllHonoursFrontend: with opts.Frontend set RepairAllCtx
+// reuses the artifact instead of preprocessing again, and samples the
+// same candidates as with its own frontend.
+func TestRepairAllHonoursFrontend(t *testing.T) {
+	ins, outs := counterIO()
+	tr := recordGolden(t, goodCounter, ins, outs, counterRows())
+	repairWith := func(fe bool) ([]Candidate, int) {
+		m := mustParse(t, buggyCounter)
+		opts := repairOpts()
+		if fe {
+			opts.Frontend = NewFrontend(m, nil, false)
+		}
+		rec := obs.NewRecorder(0)
+		cands := RepairAllCtx(obs.NewContext(context.Background(), obs.Scope{Rec: rec}), m, tr, opts, 4)
+		return cands, len(spanEnds(rec, "preprocess"))
+	}
+	inline, inlineSpans := repairWith(false)
+	cands, spans := repairWith(true)
+	if inlineSpans != 1 || spans != 0 {
+		t.Fatalf("preprocess spans: %d inline, %d with a pre-built frontend; want 1 and 0", inlineSpans, spans)
+	}
+	if len(cands) == 0 || len(cands) != len(inline) {
+		t.Fatalf("%d candidates with the frontend, %d inline", len(cands), len(inline))
+	}
+	for i := range cands {
+		if verilog.Print(cands[i].Repaired) != verilog.Print(inline[i].Repaired) {
+			t.Fatalf("candidate %d differs from the inline run", i)
+		}
 	}
 }

@@ -3,11 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
-	"time"
 
 	"rtlrepair/internal/bv"
-	"rtlrepair/internal/obs"
 	"rtlrepair/internal/sat"
 	"rtlrepair/internal/smt"
 	"rtlrepair/internal/trace"
@@ -31,81 +28,38 @@ func RepairMulti(m *verilog.Module, traces []*trace.Trace, opts Options) *Result
 // (via the solver's cooperative interrupt flag) and the result reports
 // StatusTimeout with the partial SAT/certify statistics accumulated so
 // far aggregated onto it. The effective deadline is the earlier of
-// ctx's deadline and opts.Timeout.
+// ctx's deadline and opts.Timeout. It shares RepairCtx's start and
+// finish steps, so it honours opts.Frontend and records under ctx's obs
+// scope.
 func RepairMultiCtx(ctx context.Context, m *verilog.Module, traces []*trace.Trace, opts Options) *Result {
-	startTime := time.Now()
-	deadline := opts.prepare(ctx, startTime)
-	var stop atomic.Bool
-	defer watchCancel(ctx, &stop)()
-	res := &Result{FirstFailure: -1}
-	finish := func() *Result {
-		res.Duration = time.Since(startTime)
-		return res
+	r, done := startRun(ctx, m, traces, opts)
+	if done {
+		return r.finish()
 	}
-	if len(traces) == 0 {
-		res.Status = StatusNoRepairNeeded
-		res.Repaired = m
-		return finish()
-	}
-
-	fe := newFrontend(obs.Scope{}, m, opts.Lib, opts.NoPreprocess)
-	if fe.Reason != "" {
-		res.Status = StatusCannotRepair
-		res.Reason = fe.Reason
-		return finish()
-	}
-	fixed, sys := fe.Fixed, fe.Sys
-
-	// Concretize all traces with one shared initial state.
-	init, _ := Concretize(sys, traces[0], opts.Policy, opts.Seed)
-	ctrs := make([]*trace.Trace, len(traces))
-	for i, tr := range traces {
-		_, ctrs[i] = Concretize(sys, tr, opts.Policy, opts.Seed)
-	}
-	allPass := true
-	for _, ctr := range ctrs {
-		if !runConcrete(sys, ctr, init).Passed() {
-			allPass = false
-			break
-		}
-	}
-	if allPass {
-		res.Status = StatusNoRepairNeeded
-		res.Repaired = fixed
-		return finish()
-	}
-
-	sopts := opts.synthOptions(deadline, &stop)
-	for _, tmpl := range opts.Templates {
-		if stop.Load() || ctx.Err() != nil || time.Now().After(deadline) {
-			res.Status = StatusTimeout
-			res.Reason = cancelReason(ctx.Err())
-			return finish()
-		}
-		in, err := fe.instrument(tmpl, nil, &opts, obs.Scope{})
-		if err != nil || in.sys == nil {
-			continue
-		}
-		sol, err := solveMultiTrace(in, ctrs, init, sopts, res)
+	res := r.res
+	if !r.eachTemplate(func(in *instrumented, sopts SynthOptions) bool {
+		sol, err := solveMultiTrace(in, r.ctrs, r.init, sopts, res)
 		if err != nil {
 			// A timed-out or cancelled query ends the template loop: the
 			// remaining templates share the same exhausted budget. The
 			// solver statistics accumulated so far stay on res.
 			res.Status = StatusTimeout
 			res.Reason = cancelReason(ctx.Err())
-			return finish()
+			return true
 		}
 		if sol == nil {
-			continue
+			return false
 		}
-		if c := in.candidate(sol, init, ctrs...); c != nil {
+		c := in.candidate(sol, r.init, r.ctrs...)
+		if c != nil {
 			res.setRepair(c)
-			return finish()
 		}
+		return c != nil
+	}) {
+		res.Status = StatusCannotRepair
+		res.Reason = "no template found a repair satisfying all traces"
 	}
-	res.Status = StatusCannotRepair
-	res.Reason = "no template found a repair satisfying all traces"
-	return finish()
+	return r.finish()
 }
 
 // solveMultiTrace asserts every trace over its own tagged unrolling of
@@ -125,6 +79,7 @@ func solveMultiTrace(in *instrumented, traces []*trace.Trace, init map[string]bv
 	}
 	solver.SetDeadline(sopts.Deadline)
 	solver.SetInterrupt(sopts.Interrupt)
+	solver.SetObs(sopts.Obs)
 
 	initTerms := map[*smt.Term]*smt.Term{}
 	for _, st := range in.sys.States {

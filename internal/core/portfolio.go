@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -10,10 +9,7 @@ import (
 	"time"
 
 	"rtlrepair/internal/analysis"
-	"rtlrepair/internal/bv"
 	"rtlrepair/internal/obs"
-	"rtlrepair/internal/sim"
-	"rtlrepair/internal/trace"
 )
 
 // The portfolio engine runs the template loop of Figure 3 as a set of
@@ -52,12 +48,7 @@ type attempt struct {
 }
 
 type portfolio struct {
-	fe       *Frontend
-	ctr      *trace.Trace
-	init     map[string]bv.XBV
-	baseRun  *sim.RunResult
-	deadline time.Time
-	opts     Options
+	r        *run
 	attempts []*attempt
 	prefix   *PrefixCache // shared encode prefix (window start states)
 	obs      obs.Scope    // the "portfolio" span's scope
@@ -80,34 +71,24 @@ func speculationCapacity() int {
 	return min(runtime.NumCPU(), runtime.GOMAXPROCS(0))
 }
 
-// runPortfolio fills res with the outcome of running every
-// (pass, template) attempt concurrently on at most the given number of
-// workers. res already carries the preprocessing/localization results. A
-// cancelled ctx is mirrored onto every attempt's cooperative stop flag,
-// so running SAT searches abort at their next poll; the per-attempt
-// statistics accumulated up to that point still aggregate onto res.
-func runPortfolio(ctx context.Context, res *Result, fe *Frontend,
-	ctr *trace.Trace, init map[string]bv.XBV, baseRun *sim.RunResult,
-	deadline time.Time, opts Options, passes []*analysis.Localization, workers int,
-	sc obs.Scope) {
-
-	p := &portfolio{
-		fe:       fe,
-		ctr:      ctr,
-		init:     init,
-		baseRun:  baseRun,
-		deadline: deadline,
-		opts:     opts,
-		prefix:   NewPrefixCache(fe.Sys, ctr, init),
-	}
+// runPortfolio fills the run's result with the outcome of running
+// every (pass, template) attempt concurrently on at most the run's
+// worker count. The result already carries the preprocessing and
+// localization results. A cancelled ctx is mirrored onto every attempt's
+// cooperative stop flag, so running SAT searches abort at their next
+// poll; the per-attempt statistics accumulated up to that point still
+// aggregate onto the result.
+func (r *run) runPortfolio(passes []*analysis.Localization) {
+	res := r.res
+	p := &portfolio{r: r, prefix: NewPrefixCache(r.fe.Sys, r.ctrs[0], r.init)}
 	for pi, loc := range passes {
-		for ti, tmpl := range opts.Templates {
+		for ti, tmpl := range r.opts.Templates {
 			p.attempts = append(p.attempts, &attempt{pass: pi, tmplIdx: ti, tmpl: tmpl, loc: loc})
 		}
 	}
 	// The goroutine count is the speculation throttle.
-	workers = min(workers, speculationCapacity(), len(p.attempts))
-	p.obs = sc.Start("portfolio")
+	workers := min(r.opts.workerCount(), speculationCapacity(), len(p.attempts))
+	p.obs = r.sc.Start("portfolio")
 	defer func() {
 		p.obs.End(obs.Int("workers", int64(workers)), obs.Int("attempts", int64(len(p.attempts))))
 	}()
@@ -116,7 +97,7 @@ func runPortfolio(ctx context.Context, res *Result, fe *Frontend,
 	for i, at := range p.attempts {
 		stops[i] = &at.stop
 	}
-	defer watchCancel(ctx, stops...)()
+	defer watchCancel(r.ctx, stops...)()
 
 	// In-order claiming: an idle worker always takes the highest-priority
 	// pending attempt, so the attempts start in the sequential engine's
@@ -201,12 +182,10 @@ func runPortfolio(ctx context.Context, res *Result, fe *Frontend,
 	// with the partial SAT/certify statistics already aggregated above.
 	// (Sibling cancellation cannot reach here — it only happens after a
 	// candidate was stored, which returns StatusRepaired.)
-	if ctx != nil && ctx.Err() != nil {
-		res.Status = StatusTimeout
-		res.Reason = cancelReason(ctx.Err())
+	if r.cancelled() {
 		return
 	}
-	if time.Now().After(deadline) {
+	if time.Now().After(r.deadline) {
 		res.Status = StatusTimeout
 		res.Reason = "timeout"
 		return
@@ -254,13 +233,14 @@ func (p *portfolio) runAttempt(at *attempt, worker int) {
 		at.tres.Err = ErrCancelled
 		return
 	}
-	if time.Now().After(p.deadline) {
+	r := p.r
+	if time.Now().After(r.deadline) {
 		at.tres.State = AttemptSkipped
 		at.tres.Err = ErrTimeout
 		return
 	}
 
-	in, err := p.fe.instrument(at.tmpl, at.loc, &p.opts, asc)
+	in, err := r.fe.instrument(at.tmpl, at.loc, &r.opts, asc)
 	if in != nil {
 		at.tres.Sites = len(in.vars.Phis)
 	}
@@ -268,15 +248,15 @@ func (p *portfolio) runAttempt(at *attempt, worker int) {
 		at.tres.Err = err
 		return
 	}
-	sopts := p.opts.synthOptions(p.deadline, &at.stop)
+	sopts := r.opts.synthOptions(r.deadline, &at.stop)
 	sopts.SharedPrefix = p.prefix
 	sopts.Obs = asc
-	synthz := NewSynthesizer(in.ctx, in.sys, in.vars, p.ctr, p.init, sopts)
+	synthz := NewSynthesizer(in.ctx, in.sys, in.vars, r.ctrs[0], r.init, sopts)
 	var sol *Solution
-	if p.opts.Basic {
+	if r.opts.Basic {
 		sol, err = synthz.Basic()
 	} else {
-		sol, err = synthz.Windowed(p.baseRun.FirstFailure)
+		sol, err = synthz.Windowed(r.res.FirstFailure)
 	}
 	at.tres.Stats = synthz.Stats
 	if err != nil {
@@ -291,7 +271,7 @@ func (p *portfolio) runAttempt(at *attempt, worker int) {
 	}
 	at.tres.Found = true
 	at.tres.Changes = sol.Changes
-	if at.candidate = in.candidate(sol, p.init, p.ctr); at.candidate != nil {
+	if at.candidate = in.candidate(sol, r.init, r.ctrs[0]); at.candidate != nil {
 		p.cancelSiblings(at)
 	}
 }

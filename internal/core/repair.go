@@ -466,86 +466,21 @@ func watchCancel(ctx context.Context, flags ...*atomic.Bool) (release func()) {
 // counters land in the scope's metrics registry. A context without a
 // recorder (or context.Background()) records into obs.Default().
 func RepairCtx(ctx context.Context, m *verilog.Module, tr *trace.Trace, opts Options) *Result {
-	sc := obs.FromContext(ctx)
-	if sc.Rec == nil {
-		// The flight recorder is always on: callers that did not thread a
-		// scope still feed the process-wide ring.
-		sc.Rec = obs.Default()
+	r, done := startRun(ctx, m, []*trace.Trace{tr}, opts)
+	if done {
+		return r.finish()
 	}
-	sc = sc.WithLabel(m.Name).Start("repair")
-	startTime := time.Now()
-	deadline := opts.prepare(ctx, startTime)
-	res := &Result{FirstFailure: -1}
-	finish := func() *Result {
-		res.Duration = time.Since(startTime)
-		attrs := []obs.Attr{obs.Str("design", m.Name), obs.Str("status", res.Status.String()),
-			obs.Int("changes", int64(res.Changes))}
-		if res.Template != "" {
-			attrs = append(attrs, obs.Str("template", res.Template))
-		}
-		sc.End(attrs...)
-		recordRepairMetrics(sc.Metrics, res)
-		return res
-	}
-
-	// 1+2. Frontend: static-analysis preprocessing (§4.1) plus
-	// elaboration, possibly served from a shared pre-built artifact (the
-	// serving layer's content-addressed cache).
-	fe := opts.Frontend
-	if fe == nil {
-		fe = newFrontend(sc, m, opts.Lib, opts.NoPreprocess)
-	}
-	res.Fixes, res.Diagnostics = fe.Fixes, fe.Diagnostics
-	if fe.Reason != "" {
-		res.Status = StatusCannotRepair
-		res.Reason = fe.Reason
-		return finish()
-	}
-	fixed, sys := fe.Fixed, fe.Sys
-	if err := ctx.Err(); err != nil {
-		res.Status = StatusTimeout
-		res.Reason = cancelReason(err)
-		return finish()
-	}
-
-	// 3. Concretize unknowns and check the current behaviour.
-	span := sc.Start("concretize")
-	init, ctr := Concretize(sys, tr, opts.Policy, opts.Seed)
-	baseRun := runConcrete(sys, ctr, init)
-	span.End(obs.Int("cycles", int64(ctr.Len())), obs.Int("first_failure", int64(baseRun.FirstFailure)))
-	if baseRun.Passed() {
-		if len(res.Fixes) > 0 {
-			res.Status = StatusPreprocessed
-			res.Repaired = fixed
-			res.Changes = len(res.Fixes)
-			for _, f := range res.Fixes {
-				res.ChangeDescs = append(res.ChangeDescs, f.Desc)
-			}
-		} else {
-			// The synthesized circuit already passes: report "no repair
-			// needed" with zero changes (this is how the tool behaves on
-			// shift_k1, where it is in fact wrong — see §6.2).
-			res.Status = StatusNoRepairNeeded
-			res.Repaired = fixed
-		}
-		return finish()
-	}
-	res.FirstFailure = baseRun.FirstFailure
-	if err := ctx.Err(); err != nil {
-		res.Status = StatusTimeout
-		res.Reason = cancelReason(err)
-		return finish()
-	}
+	res := r.res
 
 	// 4. Fault localization: the cone of influence of the failing
 	// output columns, ranked by the static-analysis diagnostics.
 	// Templates prune instrumentation sites outside the cone. If the
 	// pruned search fails, a second unpruned pass runs, so localization
 	// can shrink the SMT problem but never lose a repair.
-	if !opts.NoLocalize {
-		span := sc.Start("localize")
-		res.Localization = analysis.Localize(fixed, opts.Lib,
-			failingOutputs(baseRun, ctr), res.Diagnostics)
+	if !r.opts.NoLocalize {
+		span := r.sc.Start("localize")
+		res.Localization = analysis.Localize(r.fe.Fixed, r.opts.Lib,
+			failingOutputs(r.base, r.ctrs[0]), res.Diagnostics)
 		if loc := res.Localization; loc != nil {
 			span.End(obs.Int("cone", int64(len(loc.Cone))), obs.Int("flagged", int64(len(loc.Flagged))))
 		} else {
@@ -564,8 +499,161 @@ func RepairCtx(ctx context.Context, m *verilog.Module, tr *trace.Trace, opts Opt
 	// selected repair is identical either way because every attempt is
 	// computed on its own context and the selection is a deterministic
 	// function of the attempt results.
-	runPortfolio(ctx, res, fe, ctr, init, baseRun, deadline, opts, passes, opts.workerCount(), sc)
-	return finish()
+	r.runPortfolio(passes)
+	return r.finish()
+}
+
+// run is the per-call state every repair entry shares: the options with
+// their defaults filled in, the root "repair" span, the frontend, the
+// traces concretized from trace 0's initial state, the base run of the
+// first failing trace, and the result being built.
+type run struct {
+	ctx      context.Context
+	design   string
+	opts     Options
+	sc       obs.Scope // the root "repair" span
+	start    time.Time
+	deadline time.Time
+	fe       *Frontend
+	init     map[string]bv.XBV
+	ctrs     []*trace.Trace
+	base     *sim.RunResult
+	res      *Result
+}
+
+// startRun is the start step of every repair entry. It opens the root
+// "repair" span under ctx's obs scope, fills in the option defaults,
+// takes opts.Frontend or builds the frontend, concretizes every trace
+// from trace 0's initial state and runs the base checks. It reports done
+// when the verdict is settled before any template runs: CannotRepair on
+// a failed frontend, Timeout on a done ctx, and Preprocessed or
+// NoRepairNeeded when every trace passes.
+func startRun(ctx context.Context, m *verilog.Module, traces []*trace.Trace, opts Options) (r *run, done bool) {
+	sc := obs.FromContext(ctx)
+	if sc.Rec == nil {
+		// The flight recorder is always on: callers that did not thread a
+		// scope still feed the process-wide ring.
+		sc.Rec = obs.Default()
+	}
+	r = &run{ctx: ctx, design: m.Name, opts: opts, sc: sc.WithLabel(m.Name).Start("repair"),
+		start: time.Now(), res: &Result{FirstFailure: -1}}
+	r.deadline = r.opts.prepare(ctx, r.start)
+	res := r.res
+
+	// 1+2. Frontend: static-analysis preprocessing (§4.1) plus
+	// elaboration, possibly served from a shared pre-built artifact (the
+	// serving layer's content-addressed cache).
+	if r.fe = opts.Frontend; r.fe == nil {
+		r.fe = newFrontend(r.sc, m, opts.Lib, opts.NoPreprocess)
+	}
+	res.Fixes, res.Diagnostics = r.fe.Fixes, r.fe.Diagnostics
+	if r.fe.Reason != "" {
+		res.Status = StatusCannotRepair
+		res.Reason = r.fe.Reason
+		return r, true
+	}
+	if r.cancelled() {
+		return r, true
+	}
+
+	// 3. Concretize unknowns and check the current behaviour on every
+	// trace, each started from trace 0's initial state.
+	span := r.sc.Start("concretize")
+	cycles := 0
+	for i, tr := range traces {
+		init, ctr := Concretize(r.fe.Sys, tr, opts.Policy, opts.Seed)
+		if i == 0 {
+			r.init = init
+		}
+		r.ctrs = append(r.ctrs, ctr)
+		cycles += ctr.Len()
+	}
+	for _, ctr := range r.ctrs {
+		if r.base = runConcrete(r.fe.Sys, ctr, r.init); !r.base.Passed() {
+			res.FirstFailure = r.base.FirstFailure
+			break
+		}
+	}
+	span.End(obs.Int("cycles", int64(cycles)), obs.Int("first_failure", int64(res.FirstFailure)))
+	if res.FirstFailure < 0 {
+		res.Repaired = r.fe.Fixed
+		if len(res.Fixes) > 0 {
+			res.Status = StatusPreprocessed
+			res.Changes = len(res.Fixes)
+			for _, f := range res.Fixes {
+				res.ChangeDescs = append(res.ChangeDescs, f.Desc)
+			}
+		} else {
+			// The synthesized circuit already passes: report "no repair
+			// needed" with zero changes (this is how the tool behaves on
+			// shift_k1, where it is in fact wrong — see §6.2).
+			res.Status = StatusNoRepairNeeded
+		}
+		return r, true
+	}
+	return r, r.cancelled()
+}
+
+// cancelled settles Timeout and reports true once the run's ctx is done.
+func (r *run) cancelled() bool {
+	err := r.ctx.Err()
+	if err != nil {
+		r.res.Status = StatusTimeout
+		r.res.Reason = cancelReason(err)
+	}
+	return err != nil
+}
+
+// eachTemplate is the sequential template loop of RepairMulti and
+// RepairAll. It instruments the run's templates in order, unpruned, each
+// under an "attempt" span labelled p0:<template>, skips those with no
+// site, and hands the others to try with the attempt's synthesis
+// options until try reports the search done. Before each template it
+// checks the stop flag, which mirrors ctx, and the deadline; once either
+// has tripped it settles Timeout. It reports whether the loop ended
+// before the last template.
+func (r *run) eachTemplate(try func(in *instrumented, sopts SynthOptions) (done bool)) bool {
+	var stop atomic.Bool
+	defer watchCancel(r.ctx, &stop)()
+	for _, tmpl := range r.opts.Templates {
+		if stop.Load() || r.ctx.Err() != nil || time.Now().After(r.deadline) {
+			r.res.Status = StatusTimeout
+			r.res.Reason = cancelReason(r.ctx.Err())
+			return true
+		}
+		asc := r.sc.WithLabel("p0:" + tmpl.Name()).Start("attempt")
+		in, err := r.fe.instrument(tmpl, nil, &r.opts, asc)
+		done, sites := false, 0
+		if in != nil {
+			sites = len(in.vars.Phis)
+		}
+		if err == nil && in.sys != nil {
+			sopts := r.opts.synthOptions(r.deadline, &stop)
+			sopts.Obs = asc
+			done = try(in, sopts)
+		}
+		asc.End(obs.Str("template", tmpl.Name()), obs.Int("pass", 0), obs.Int("sites", int64(sites)))
+		if done {
+			return true
+		}
+	}
+	return false
+}
+
+// finish is the finish step of every repair entry: it stamps the run's
+// duration, ends the root span with the verdict and rolls the result
+// into the scope's metrics registry.
+func (r *run) finish() *Result {
+	res := r.res
+	res.Duration = time.Since(r.start)
+	attrs := []obs.Attr{obs.Str("design", r.design), obs.Str("status", res.Status.String()),
+		obs.Int("changes", int64(res.Changes))}
+	if res.Template != "" {
+		attrs = append(attrs, obs.Str("template", res.Template))
+	}
+	r.sc.End(attrs...)
+	recordRepairMetrics(r.sc.Metrics, res)
+	return res
 }
 
 // recordRepairMetrics rolls one repair outcome into a metrics registry.

@@ -208,7 +208,7 @@ func stmtTargets(s verilog.Stmt) []string {
 				rec(item.Body)
 			}
 		case *verilog.Assign:
-			for _, n := range lhsBaseNames(s.LHS) {
+			for _, n := range verilog.LHSBaseNames(s.LHS) {
 				if !seen[n] {
 					seen[n] = true
 					out = append(out, n)
@@ -218,24 +218,6 @@ func stmtTargets(s verilog.Stmt) []string {
 	}
 	rec(s)
 	return out
-}
-
-func lhsBaseNames(lhs verilog.Expr) []string {
-	switch l := lhs.(type) {
-	case *verilog.Ident:
-		return []string{l.Name}
-	case *verilog.Index:
-		return lhsBaseNames(l.X)
-	case *verilog.PartSelect:
-		return lhsBaseNames(l.X)
-	case *verilog.Concat:
-		var out []string
-		for _, p := range l.Parts {
-			out = append(out, lhsBaseNames(p)...)
-		}
-		return out
-	}
-	return nil
 }
 
 func clip(s string) string {

@@ -40,7 +40,7 @@ func (ReplaceLiterals) Instrument(m *verilog.Module, env *Env, vars *VarTable) (
 	for _, it := range out.Items {
 		switch it := it.(type) {
 		case *verilog.ContAssign:
-			if anyFrozen(env, it.LHS) || !env.InCone(lhsBaseNames(it.LHS)...) {
+			if anyFrozen(env, it.LHS) || !env.InCone(verilog.LHSBaseNames(it.LHS)...) {
 				continue
 			}
 			it.RHS = rewriteRValue(it.RHS, rewrite)
@@ -55,7 +55,7 @@ func (ReplaceLiterals) Instrument(m *verilog.Module, env *Env, vars *VarTable) (
 
 // anyFrozen reports whether an lvalue touches a frozen signal.
 func anyFrozen(env *Env, lhs verilog.Expr) bool {
-	for _, name := range lhsBaseNames(lhs) {
+	for _, name := range verilog.LHSBaseNames(lhs) {
 		if env.IsFrozen(name) {
 			return true
 		}
@@ -97,7 +97,7 @@ func rewriteStmtRValues(s verilog.Stmt, env *Env, f func(verilog.Expr) verilog.E
 			rewriteStmtRValues(s.Items[i].Body, env, f)
 		}
 	case *verilog.Assign:
-		if anyFrozen(env, s.LHS) || !env.InCone(lhsBaseNames(s.LHS)...) {
+		if anyFrozen(env, s.LHS) || !env.InCone(verilog.LHSBaseNames(s.LHS)...) {
 			return
 		}
 		s.RHS = rewriteRValue(s.RHS, f)

@@ -8,10 +8,10 @@ package eval
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"rtlrepair/internal/bench"
-	"rtlrepair/internal/bv"
 	"rtlrepair/internal/cirfix"
 	"rtlrepair/internal/core"
 	"rtlrepair/internal/netlist"
@@ -20,8 +20,6 @@ import (
 	"rtlrepair/internal/sim"
 	"rtlrepair/internal/smt"
 	"rtlrepair/internal/synth"
-	"rtlrepair/internal/trace"
-	"rtlrepair/internal/tsys"
 	"rtlrepair/internal/verilog"
 )
 
@@ -421,12 +419,8 @@ func (d durations) median() time.Duration {
 	if len(d) == 0 {
 		return 0
 	}
-	s := append(durations{}, d...)
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+	s := slices.Clone(d)
+	slices.Sort(s)
 	return s[len(s)/2]
 }
 
@@ -439,9 +433,3 @@ func (d durations) max() time.Duration {
 	}
 	return m
 }
-
-var (
-	_ = bv.Zero
-	_ = trace.New
-	_ = tsys.System{}
-)

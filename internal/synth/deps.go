@@ -58,7 +58,7 @@ func Deps(m *verilog.Module) *DepGraph {
 			}
 		case *verilog.Always:
 			targets := map[string]bool{}
-			for _, s := range blockTargetNames(it.Body) {
+			for _, s := range verilog.StmtTargetNames(it.Body) {
 				targets[s] = true
 			}
 			reads := map[string]bool{}
@@ -94,40 +94,6 @@ func (g *DepGraph) notePos(name string, pos verilog.Pos) {
 	if _, ok := g.Pos[name]; !ok {
 		g.Pos[name] = pos
 	}
-}
-
-// blockTargetNames lists the base names assigned anywhere under a
-// statement (like blockTargets, but tolerant: it never fails).
-func blockTargetNames(s verilog.Stmt) []string {
-	seen := map[string]bool{}
-	var out []string
-	var rec func(verilog.Stmt)
-	rec = func(s verilog.Stmt) {
-		switch s := s.(type) {
-		case *verilog.Block:
-			for _, inner := range s.Stmts {
-				rec(inner)
-			}
-		case *verilog.If:
-			rec(s.Then)
-			rec(s.Else)
-		case *verilog.Case:
-			for _, item := range s.Items {
-				rec(item.Body)
-			}
-		case *verilog.For:
-			rec(s.Body)
-		case *verilog.Assign:
-			for _, n := range verilog.LHSBaseNames(s.LHS) {
-				if !seen[n] {
-					seen[n] = true
-					out = append(out, n)
-				}
-			}
-		}
-	}
-	rec(s)
-	return out
 }
 
 // stmtReads collects the names a statement reads *before* they are

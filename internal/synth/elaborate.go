@@ -455,9 +455,6 @@ func (e *elab) aliasOf(name string) string {
 	return name
 }
 
-// lhsNames returns all base signal names assigned by an lvalue.
-func lhsNames(lhs verilog.Expr) []string { return verilog.LHSBaseNames(lhs) }
-
 // synthVar returns (creating on demand) the synthesis parameter variable
 // for a SynthHole.
 func (e *elab) synthVar(name string, width int) *smt.Term {
@@ -740,13 +737,13 @@ func blockTargets(a *verilog.Always) ([]string, error) {
 		if !ok {
 			return
 		}
-		for _, name := range lhsNames(as.LHS) {
+		for _, name := range verilog.LHSBaseNames(as.LHS) {
 			if !seen[name] {
 				seen[name] = true
 				out = append(out, name)
 			}
 		}
-		if len(lhsNames(as.LHS)) == 0 {
+		if len(verilog.LHSBaseNames(as.LHS)) == 0 {
 			werr = errf("unsupported", "%v: unsupported assignment target", as.Pos)
 		}
 	})

@@ -21,6 +21,41 @@ func LHSBaseNames(lhs Expr) []string {
 	return nil
 }
 
+// StmtTargetNames returns the base signal names assigned anywhere under
+// a statement, including for-loop bodies, each once, in first-assignment
+// order.
+func StmtTargetNames(s Stmt) []string {
+	seen := map[string]bool{}
+	var out []string
+	var rec func(Stmt)
+	rec = func(s Stmt) {
+		switch s := s.(type) {
+		case *Block:
+			for _, inner := range s.Stmts {
+				rec(inner)
+			}
+		case *If:
+			rec(s.Then)
+			rec(s.Else)
+		case *Case:
+			for _, item := range s.Items {
+				rec(item.Body)
+			}
+		case *For:
+			rec(s.Body)
+		case *Assign:
+			for _, n := range LHSBaseNames(s.LHS) {
+				if !seen[n] {
+					seen[n] = true
+					out = append(out, n)
+				}
+			}
+		}
+	}
+	rec(s)
+	return out
+}
+
 // WalkExpr calls f for e and every sub-expression, depth-first. If f
 // returns false the walk does not descend into that expression.
 func WalkExpr(e Expr, f func(Expr) bool) { walkExpr(e, f) }
