@@ -63,7 +63,9 @@ func modelOf(s *Synthesizer, solver *smt.Solver) Assignment {
 // growAndCompare runs growWindows around the first failure ff, deciding
 // each window on its first minimal model: the search ends on a robust
 // repair, and a model that fails the trace reports its failure cycle.
-// It then compares every window the search solved with rebuildWindow.
+// It then compares every window the search solved with rebuildWindow,
+// and fails if an Unsat window repeats the one before it: once the start
+// is clamped at cycle 0, growWindows must stop rather than re-solve it.
 // The windows are read back from rec, the synthesizer's recorder: each
 // "window.solve" event gives a window's cycle_start and cycle_end, and
 // the "window" span end its solutions, zero for an Unsat window. It
@@ -109,6 +111,9 @@ func growAndCompare(t *testing.T, name string, s *Synthesizer, rec *obs.Recorder
 			}
 			if w.start < wins[i-1].start {
 				prepends++
+			}
+			if w.solutions == 0 && w == wins[i-1] {
+				t.Errorf("%s: Unsat window [%d, %d) solved twice in a row", name, w.start, w.end)
 			}
 		}
 		if ff-kPast < 0 {

@@ -813,6 +813,13 @@ func (s *Synthesizer) growWindows(ff int, try func(sols []*Solution) (done bool,
 		if err != nil {
 			return err
 		}
+		if len(sols) == 0 && start == 0 {
+			// Unsat with the start clamped at cycle 0: growing k_past
+			// cannot move the start, k_future grows only on a Sat window,
+			// and the solver only gains clauses, so every later window is
+			// this same Unsat window.
+			return nil
+		}
 		latestFuture := -1
 		if len(sols) > 0 {
 			var done bool

@@ -36,8 +36,8 @@ func randomClause(rng *rand.Rand, vars []int) []Lit {
 
 func countDeletes(p *Proof) int {
 	n := 0
-	for _, st := range p.Steps {
-		if st.Kind == StepDelete {
+	for i := 0; i < p.Len(); i++ {
+		if kind, _ := p.Step(i); kind == StepDelete {
 			n++
 		}
 	}
@@ -133,21 +133,25 @@ func TestReduceDBSearchPinned(t *testing.T) {
 }
 
 // TestProofDeterministic solves the same instance twice: reduceDB's
-// deletion steps must come out in the same order.
+// deletion steps must come out in the same order, so the two flat logs
+// agree in every step's kind and end offset and in every literal.
 func TestProofDeterministic(t *testing.T) {
-	var steps [2][]ProofStep
-	for i := range steps {
+	var proofs [2]*Proof
+	for i := range proofs {
 		s := New()
-		proof := s.StartProof()
+		proofs[i] = s.StartProof()
 		reduceDBInstance(s)
 		mustSolve(t, s)
-		steps[i] = proof.Steps
 	}
-	if countDeletes(&Proof{Steps: steps[0]}) == 0 {
+	if countDeletes(proofs[0]) == 0 {
 		t.Fatal("reduceDB never ran")
 	}
-	if !reflect.DeepEqual(steps[0], steps[1]) {
-		t.Fatal("two identical solves logged different proofs")
+	a, b := proofs[0], proofs[1]
+	if !reflect.DeepEqual(a.steps, b.steps) {
+		t.Fatal("two identical solves logged different step kinds or offsets")
+	}
+	if !reflect.DeepEqual(a.lits, b.lits) {
+		t.Fatal("two identical solves logged different literals")
 	}
 }
 

@@ -25,6 +25,11 @@ import (
 // assumptions for an assumption-relative Unsat. Soundness rests only on
 // the checker's propagation, not on any solver internals: if the check
 // passes, the axioms (plus assumptions) are genuinely unsatisfiable.
+//
+// Both sides are flat. The log is one literal buffer plus an 8-byte
+// record per step, and the checker keeps its clauses in its own arena
+// with dense, variable-indexed assignments and a hash table of arena
+// offsets for deletions, so neither allocates per step nor uses a map.
 
 // StepKind discriminates proof log entries.
 type StepKind uint8
@@ -39,10 +44,12 @@ const (
 	StepDelete
 )
 
-// ProofStep is one entry of a DRUP proof log.
-type ProofStep struct {
-	Kind StepKind
-	Lits []Lit
+// proofStep is one log entry: its kind and the end offset of its
+// literals in Proof.lits. The step's literals start where the previous
+// step's end.
+type proofStep struct {
+	end  uint32
+	kind StepKind
 }
 
 // Proof is an in-memory DRUP proof log: an ordered interleaving of
@@ -51,14 +58,29 @@ type ProofStep struct {
 // lazily, so certifying a sequence of Unsat answers costs one forward
 // pass over the log overall, not one pass per answer.
 type Proof struct {
-	Steps []ProofStep
+	lits  []Lit // every step's literals, back to back
+	steps []proofStep
+}
+
+// Len reports the number of steps in the log.
+func (p *Proof) Len() int { return len(p.steps) }
+
+// Step returns the kind and literals of step i. The literals alias the
+// log and must not be modified.
+func (p *Proof) Step(i int) (StepKind, []Lit) {
+	start := uint32(0)
+	if i > 0 {
+		start = p.steps[i-1].end
+	}
+	st := p.steps[i]
+	return st.kind, p.lits[start:st.end:st.end]
 }
 
 // NumLearned counts learned-clause additions in the log.
 func (p *Proof) NumLearned() int {
 	n := 0
-	for _, st := range p.Steps {
-		if st.Kind == StepLearn {
+	for _, st := range p.steps {
+		if st.kind == StepLearn {
 			n++
 		}
 	}
@@ -66,9 +88,8 @@ func (p *Proof) NumLearned() int {
 }
 
 func (p *Proof) add(kind StepKind, lits []Lit) {
-	cp := make([]Lit, len(lits))
-	copy(cp, lits)
-	p.Steps = append(p.Steps, ProofStep{Kind: kind, Lits: cp})
+	p.lits = append(p.lits, lits...)
+	p.steps = append(p.steps, proofStep{end: uint32(len(p.lits)), kind: kind})
 }
 
 // StartProof enables DRUP proof logging on the solver and returns the
@@ -103,70 +124,79 @@ func (s *Solver) Proof() *Proof { return s.proof }
 
 // ---------------------------------------------------------------------
 // Forward RUP checker.
+//
+// The checker shares only the Lit and lbool types with the solver; its
+// clause store, watches and propagation are its own.
 
-// checkerClause is a clause in the checker's database. Watches point at
-// lits[0] and lits[1]; unit clauses are applied directly to the trail.
-type checkerClause struct {
-	lits    []Lit
-	deleted bool
+// Checker clause store: a clause at arena offset c is the header word
+// arena[c] = size<<1 | chkDeleted, then its size literals. Deleted
+// clauses stay in place; their watchers are dropped when next visited.
+const chkDeleted = 1
+
+// chkWatch is a watch-list entry: the arena offset of a clause and a
+// literal of it whose truth satisfies the clause without a visit.
+type chkWatch struct {
+	c       uint32
+	blocker Lit
 }
+
+// A deletion table slot holds a clause's arena offset plus one, so the
+// zero slot is empty; chkTomb marks a deleted entry.
+const chkTomb = ^uint32(0)
 
 // Checker verifies a DRUP proof log by forward replay. It maintains its
 // own assignment (the unit-propagation fixed point of the active
 // database) and two-watched-literal scheme, fully independent of the
 // solver that produced the log.
 type Checker struct {
-	proof   *Proof
-	cursor  int // next unconsumed proof step
-	clauses []*checkerClause
-	// byKey groups active clauses by a cheap key for deletion lookup.
-	byKey   map[string][]*checkerClause
-	watches map[Lit][]*checkerClause
-	assigns map[int]lbool
+	proof  *Proof
+	cursor int // next unconsumed proof step
+
+	arena   []Lit        // clause store, see chkDeleted
+	watches [][]chkWatch // indexed by literal
+	assigns []lbool      // indexed by var, grown on demand
+	mark    []bool       // indexed by literal; all false between calls
 	trail   []Lit
 	qhead   int
+	buf     []Lit // the normalized clause of the current step
+
+	// table finds a live clause by its literal set for deletion: open
+	// addressing with linear probing, keyed by a commutative hash.
+	table []uint32
+	live  int // live entries in table
+	used  int // live entries plus tombstones
+
 	// conflict is true once the active database propagates to a
 	// contradiction at the root level: every clause is trivially RUP.
 	conflict bool
-	// Stats.
-	checked int // learned clauses verified
+	checked  int // learned clauses verified
 }
 
 // NewChecker returns a checker that will consume the given proof log.
 func NewChecker(p *Proof) *Checker {
-	return &Checker{
-		proof:   p,
-		byKey:   map[string][]*checkerClause{},
-		watches: map[Lit][]*checkerClause{},
-		assigns: map[int]lbool{},
-	}
+	return &Checker{proof: p}
 }
 
 // Checked reports how many learned clauses have been RUP-verified.
 func (c *Checker) Checked() int { return c.checked }
 
-func clauseKey(lits []Lit) string {
-	// Order-insensitive key: sorted literal dump. Clause widths are
-	// small; an insertion sort avoids allocation churn.
-	cp := make([]Lit, len(lits))
-	copy(cp, lits)
-	for i := 1; i < len(cp); i++ {
-		for j := i; j > 0 && cp[j] < cp[j-1]; j-- {
-			cp[j], cp[j-1] = cp[j-1], cp[j]
+// reserve grows the per-variable and per-literal arrays to cover lits.
+func (c *Checker) reserve(lits []Lit) {
+	n := len(c.assigns)
+	for _, l := range lits {
+		if v := l.Var(); v >= n {
+			n = v + 1
 		}
 	}
-	b := make([]byte, 0, len(cp)*3)
-	for _, l := range cp {
-		b = append(b, byte(l), byte(l>>8), byte(l>>16), byte(l>>24))
+	for len(c.assigns) < n {
+		c.assigns = append(c.assigns, lUndef)
+		c.watches = append(c.watches, nil, nil)
+		c.mark = append(c.mark, false, false)
 	}
-	return string(b)
 }
 
 func (c *Checker) value(l Lit) lbool {
-	a, ok := c.assigns[l.Var()]
-	if !ok || a == lUndef {
-		return lUndef
-	}
+	a := c.assigns[l.Var()]
 	if l.Neg() {
 		return a.neg()
 	}
@@ -182,144 +212,217 @@ func (c *Checker) assign(l Lit) {
 	c.trail = append(c.trail, l)
 }
 
-// propagate runs unit propagation to a fixed point. It returns false on
-// conflict.
-func (c *Checker) propagate() bool {
-	for c.qhead < len(c.trail) {
-		p := c.trail[c.qhead]
-		c.qhead++
-		ws := c.watches[p]
-		kept := ws[:0]
-		for i := 0; i < len(ws); i++ {
-			cl := ws[i]
-			if cl.deleted {
-				continue
-			}
-			if cl.lits[0] == p.Not() {
-				cl.lits[0], cl.lits[1] = cl.lits[1], cl.lits[0]
-			}
-			first := cl.lits[0]
-			if c.value(first) == lTrue {
-				kept = append(kept, cl)
-				continue
-			}
-			found := false
-			for k := 2; k < len(cl.lits); k++ {
-				if c.value(cl.lits[k]) != lFalse {
-					cl.lits[1], cl.lits[k] = cl.lits[k], cl.lits[1]
-					c.watches[cl.lits[1].Not()] = append(c.watches[cl.lits[1].Not()], cl)
-					found = true
-					break
-				}
-			}
-			if found {
-				continue
-			}
-			kept = append(kept, cl)
-			if c.value(first) == lFalse {
-				kept = append(kept, ws[i+1:]...)
-				c.watches[p] = kept
-				c.qhead = len(c.trail)
-				return false
-			}
-			c.assign(first)
+// normalize copies lits into c.buf without duplicate literals and
+// reports false for a tautology. Axioms are logged verbatim, so they can
+// carry duplicates; a duplicate would break the two-watched-literal
+// scheme (both watches landing on one literal suppresses unit
+// propagation), and a tautology constrains nothing. The literals of
+// c.buf stay marked until unmark.
+func (c *Checker) normalize(lits []Lit) bool {
+	c.reserve(lits)
+	c.buf = c.buf[:0]
+	for _, l := range lits {
+		if c.mark[l] {
+			continue
 		}
-		c.watches[p] = kept
+		if c.mark[l.Not()] {
+			c.unmark()
+			return false
+		}
+		c.mark[l] = true
+		c.buf = append(c.buf, l)
 	}
 	return true
 }
 
-// normClause removes duplicate literals and detects tautologies
-// (returning ok=false for them). Axioms are logged verbatim, so they can
-// carry duplicates; a duplicate would break the two-watched-literal
-// scheme below (both watches landing on one literal suppresses unit
-// propagation), and a tautology constrains nothing.
-func normClause(lits []Lit) (norm []Lit, ok bool) {
-	norm = make([]Lit, 0, len(lits))
-	for _, l := range lits {
-		dup := false
-		for _, o := range norm {
-			if o == l {
-				dup = true
-				break
-			}
-			if o == l.Not() {
-				return nil, false
-			}
-		}
-		if !dup {
-			norm = append(norm, l)
-		}
+func (c *Checker) unmark() {
+	for _, l := range c.buf {
+		c.mark[l] = false
 	}
-	return norm, true
 }
 
-// addClause inserts a clause into the active database and propagates
-// any immediate consequence. A root-level conflict flips c.conflict.
-func (c *Checker) addClause(lits []Lit) {
-	if c.conflict {
-		return
+// clauseHash is an order-insensitive hash of a duplicate-free literal
+// set: the sum of a 64-bit mix of each literal.
+func clauseHash(lits []Lit) uint64 {
+	var h uint64
+	for _, l := range lits {
+		x := uint64(uint32(l)) + 0x9e3779b97f4a7c15
+		x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+		x = (x ^ x>>27) * 0x94d049bb133111eb
+		h += x ^ x>>31
 	}
-	lits, ok := normClause(lits)
-	if !ok {
-		return // tautology: vacuously true, adds no propagation power
+	return h
+}
+
+// lits returns the literals of the clause at arena offset cr.
+func (c *Checker) lits(cr uint32) []Lit {
+	n := uint32(c.arena[cr]) >> 1
+	return c.arena[cr+1 : cr+1+n]
+}
+
+// insert records the clause at arena offset cr in the deletion table.
+func (c *Checker) insert(cr uint32, h uint64) {
+	if 2*(c.used+1) > len(c.table) {
+		c.rehash()
 	}
-	cl := &checkerClause{lits: lits}
-	key := clauseKey(lits)
-	c.byKey[key] = append(c.byKey[key], cl)
+	mask := uint64(len(c.table) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		if c.table[i] == 0 {
+			c.table[i] = cr + 1
+			c.live++
+			c.used++
+			return
+		}
+	}
+}
+
+// rehash rebuilds the deletion table without tombstones, sized so that
+// at most a quarter of it is live.
+func (c *Checker) rehash() {
+	old := c.table
+	n := 64
+	for n < 4*(c.live+1) {
+		n *= 2
+	}
+	c.table = make([]uint32, n)
+	c.live, c.used = 0, 0
+	for _, ref := range old {
+		if ref != 0 && ref != chkTomb {
+			c.insert(ref-1, clauseHash(c.lits(ref-1)))
+		}
+	}
+}
+
+// addClause inserts the normalized clause c.buf into the active
+// database and propagates any immediate consequence. A root-level
+// conflict flips c.conflict.
+func (c *Checker) addClause() {
+	cr := uint32(len(c.arena))
+	c.arena = append(c.arena, Lit(len(c.buf)<<1))
+	c.arena = append(c.arena, c.buf...)
+	c.insert(cr, clauseHash(c.buf))
+	lits := c.lits(cr)
 	// Place two unassigned-or-true literals first for watching.
 	j := 0
-	for i, l := range cl.lits {
+	for i, l := range lits {
 		if c.value(l) != lFalse {
-			cl.lits[i], cl.lits[j] = cl.lits[j], cl.lits[i]
+			lits[i], lits[j] = lits[j], lits[i]
 			j++
 			if j == 2 {
 				break
 			}
 		}
 	}
-	switch {
-	case len(cl.lits) == 0 || j == 0:
+	if len(lits) >= 2 {
+		c.watch(cr, lits)
+	}
+	switch j {
+	case 0:
 		// Empty or fully falsified at root: contradiction.
 		c.conflict = true
-		return
-	case len(cl.lits) == 1 || j == 1:
+	case 1:
 		// Unit (or effectively unit): assign and propagate.
-		if c.value(cl.lits[0]) == lUndef {
-			c.assign(cl.lits[0])
-		}
-		if len(cl.lits) >= 2 {
-			c.watch(cl)
+		if c.value(lits[0]) == lUndef {
+			c.assign(lits[0])
 		}
 		if !c.propagate() {
 			c.conflict = true
 		}
-	default:
-		c.watch(cl)
 	}
 }
 
-func (c *Checker) watch(cl *checkerClause) {
-	c.watches[cl.lits[0].Not()] = append(c.watches[cl.lits[0].Not()], cl)
-	c.watches[cl.lits[1].Not()] = append(c.watches[cl.lits[1].Not()], cl)
+func (c *Checker) watch(cr uint32, lits []Lit) {
+	c.watches[lits[0].Not()] = append(c.watches[lits[0].Not()], chkWatch{cr, lits[1]})
+	c.watches[lits[1].Not()] = append(c.watches[lits[1].Not()], chkWatch{cr, lits[0]})
 }
 
-func (c *Checker) deleteClause(lits []Lit) {
-	lits, ok := normClause(lits)
-	if !ok {
-		return // tautologies were never added
+// deleteClause removes one live clause whose literal set equals the
+// normalized, still-marked c.buf. Deleting an unknown clause is
+// harmless for UNSAT soundness (it only ever weakens the database), so
+// a miss is ignored.
+func (c *Checker) deleteClause() {
+	if len(c.table) == 0 {
+		return
 	}
-	key := clauseKey(lits)
-	list := c.byKey[key]
-	for i, cl := range list {
-		if !cl.deleted {
-			cl.deleted = true
-			c.byKey[key] = append(list[:i], list[i+1:]...)
-			return
+	h := clauseHash(c.buf)
+	mask := uint64(len(c.table) - 1)
+	for i := h & mask; c.table[i] != 0; i = (i + 1) & mask {
+		ref := c.table[i]
+		if ref == chkTomb || !c.sameSet(ref-1) {
+			continue
+		}
+		c.arena[ref-1] |= chkDeleted
+		c.table[i] = chkTomb
+		c.live--
+		return
+	}
+}
+
+// sameSet reports whether the clause at cr has exactly the marked
+// literals of c.buf. Both are duplicate-free, so equal sizes and
+// inclusion suffice.
+func (c *Checker) sameSet(cr uint32) bool {
+	lits := c.lits(cr)
+	if len(lits) != len(c.buf) {
+		return false
+	}
+	for _, l := range lits {
+		if !c.mark[l] {
+			return false
 		}
 	}
-	// Deleting an unknown clause is harmless for UNSAT soundness (it
-	// only ever weakens the database); ignore.
+	return true
+}
+
+// propagate runs unit propagation to a fixed point. It returns false on
+// conflict.
+func (c *Checker) propagate() bool {
+	for c.qhead < len(c.trail) {
+		p := c.trail[c.qhead]
+		c.qhead++
+		falseLit := p.Not()
+		ws := c.watches[p]
+		j := 0 // ws[:j] holds the watchers p keeps
+	next:
+		for i := 0; i < len(ws); i++ {
+			w := ws[i]
+			if c.value(w.blocker) == lTrue {
+				ws[j] = w
+				j++
+				continue
+			}
+			if c.arena[w.c]&chkDeleted != 0 {
+				continue
+			}
+			lits := c.lits(w.c)
+			if lits[0] == falseLit {
+				lits[0], lits[1] = lits[1], lits[0]
+			}
+			first := lits[0]
+			if first != w.blocker && c.value(first) == lTrue {
+				ws[j] = chkWatch{w.c, first}
+				j++
+				continue
+			}
+			for k := 2; k < len(lits); k++ {
+				if c.value(lits[k]) != lFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					c.watches[lits[1].Not()] = append(c.watches[lits[1].Not()], chkWatch{w.c, first})
+					continue next
+				}
+			}
+			ws[j] = chkWatch{w.c, first}
+			j++
+			if c.value(first) == lFalse {
+				j += copy(ws[j:], ws[i+1:])
+				c.watches[p] = ws[:j]
+				return false
+			}
+			c.assign(first)
+		}
+		c.watches[p] = ws[:j]
+	}
+	return true
 }
 
 // isRUP checks the reverse-unit-propagation property of a clause:
@@ -329,6 +432,7 @@ func (c *Checker) isRUP(lits []Lit) bool {
 	if c.conflict {
 		return true
 	}
+	c.reserve(lits)
 	mark := len(c.trail)
 	qmark := c.qhead
 	ok := false
@@ -347,9 +451,8 @@ func (c *Checker) isRUP(lits []Lit) bool {
 	if !ok {
 		ok = !c.propagate()
 	}
-	// Rewind.
-	for i := len(c.trail) - 1; i >= mark; i-- {
-		delete(c.assigns, c.trail[i].Var())
+	for _, l := range c.trail[mark:] {
+		c.assigns[l.Var()] = lUndef
 	}
 	c.trail = c.trail[:mark]
 	c.qhead = qmark
@@ -359,19 +462,27 @@ func (c *Checker) isRUP(lits []Lit) bool {
 // advance consumes all unconsumed proof steps, verifying each learned
 // clause's RUP property before admitting it to the database.
 func (c *Checker) advance() error {
-	for ; c.cursor < len(c.proof.Steps); c.cursor++ {
-		st := c.proof.Steps[c.cursor]
-		switch st.Kind {
-		case StepOrig:
-			c.addClause(st.Lits)
+	for ; c.cursor < c.proof.Len(); c.cursor++ {
+		kind, lits := c.proof.Step(c.cursor)
+		switch kind {
 		case StepLearn:
-			if !c.isRUP(st.Lits) {
-				return fmt.Errorf("sat: proof step %d: learned clause %v is not RUP", c.cursor, st.Lits)
+			if !c.isRUP(lits) {
+				return fmt.Errorf("sat: proof step %d: learned clause %v is not RUP", c.cursor, lits)
 			}
 			c.checked++
-			c.addClause(st.Lits)
+			fallthrough
+		case StepOrig:
+			if c.conflict || !c.normalize(lits) {
+				continue // tautologies add no propagation power
+			}
+			c.addClause()
+			c.unmark()
 		case StepDelete:
-			c.deleteClause(st.Lits)
+			if !c.normalize(lits) {
+				continue // tautologies were never added
+			}
+			c.deleteClause()
+			c.unmark()
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -126,6 +127,24 @@ func TestProofReduceDBDeletions(t *testing.T) {
 	}
 }
 
+// TestCheckerReplayAllocs pins the flat checker: replaying the reduceDB
+// instance's proof allocates only when an arena, a watch list or the
+// deletion table grows, far less than once per step.
+func TestCheckerReplayAllocs(t *testing.T) {
+	s := New()
+	proof := s.StartProof()
+	reduceDBInstance(s)
+	mustSolve(t, s)
+	allocs := testing.AllocsPerRun(2, func() {
+		if err := NewChecker(proof).advance(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > float64(proof.Len())/2 {
+		t.Fatalf("replaying %d steps allocated %.0f times", proof.Len(), allocs)
+	}
+}
+
 // TestProofTamperedRejected pins the negative direction: a proof whose
 // learned clause does not have the RUP property must be rejected.
 func TestProofTamperedRejected(t *testing.T) {
@@ -141,6 +160,66 @@ func TestProofTamperedRejected(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "not RUP") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// TestProofFlippedLiteralRejected tampers with a real proof: the
+// reduceDB instance's log with the first literal of one learned step
+// flipped, the first learned step after the first deletion, so the
+// check runs against a database the deletion table has changed. The
+// checker must reject exactly that step as not RUP.
+func TestProofFlippedLiteralRejected(t *testing.T) {
+	s := New()
+	proof := s.StartProof()
+	reduceDBInstance(s)
+	mustSolve(t, s)
+	target, deleted := -1, false
+	for i := 0; i < proof.Len() && target < 0; i++ {
+		switch kind, _ := proof.Step(i); kind {
+		case StepDelete:
+			deleted = true
+		case StepLearn:
+			if deleted {
+				target = i
+			}
+		}
+	}
+	if target < 0 {
+		t.Fatal("no learned step after a deletion")
+	}
+	tampered := &Proof{}
+	for i := 0; i < proof.Len(); i++ {
+		kind, lits := proof.Step(i)
+		if i == target {
+			lits = append([]Lit(nil), lits...)
+			lits[0] = lits[0].Not()
+		}
+		tampered.add(kind, lits)
+	}
+	err := NewChecker(tampered).CheckUnsat(nil)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("proof step %d: ", target)) ||
+		!strings.Contains(err.Error(), "not RUP") {
+		t.Fatalf("flipped literal in step %d: got %v, want that step rejected as not RUP", target, err)
+	}
+}
+
+// TestProofDeleteOneOfTwoCopies logs (x ∨ y) twice and deletes it once
+// with its literals permuted and duplicated: one copy must stay, so
+// (x ∨ y) is still RUP. A second deletion removes the last copy.
+func TestProofDeleteOneOfTwoCopies(t *testing.T) {
+	x, y := PosLit(0), PosLit(1)
+	p := &Proof{}
+	p.add(StepOrig, []Lit{x, y})
+	p.add(StepOrig, []Lit{x, y})
+	p.add(StepDelete, []Lit{y, x, y})
+	c := NewChecker(p)
+	assumps := []Lit{x.Not(), y.Not()}
+	if err := c.CheckUnsat(assumps); err != nil {
+		t.Fatalf("one delete removed both copies: %v", err)
+	}
+	p.add(StepDelete, []Lit{x, y})
+	if err := c.CheckUnsat(assumps); err == nil {
+		t.Fatal("(x ∨ y) still RUP after both copies were deleted")
 	}
 }
 

@@ -103,7 +103,7 @@ func (s *Solver) CertifyStats() CertifyStats {
 	st := s.certStats
 	if s.checker != nil {
 		st.LearnedChecked = s.checker.Checked()
-		st.ProofSteps = len(s.sat.Proof().Steps)
+		st.ProofSteps = s.sat.Proof().Len()
 	}
 	return st
 }
