@@ -46,21 +46,29 @@ func countDeletes(p *Proof) int {
 
 // checkArena verifies the clause memory between Solve calls: every
 // clause of clauses and learnts is live and watched by exactly its
-// first two literals, every watcher points at such a clause, and every
-// reason is live.
+// first two literals, every watcher points at such a clause, a watcher
+// carries crefBinary exactly when its clause has two literals and then
+// holds the other literal as its blocker, and every reason is live.
 func checkArena(t *testing.T, s *Solver) {
 	t.Helper()
 	watched := map[cref]int{}
 	for li, ws := range s.watches {
 		for _, w := range ws {
-			if h := uint32(s.arena[w.c]); h&(hdrDeleted|hdrMoved|hdrLocked) != 0 {
-				t.Fatalf("watcher on literal %d points at clause %d with header flags %#x", li, w.c, h&0xf)
+			c := w.c &^ crefBinary
+			if h := uint32(s.arena[c]); h&(hdrDeleted|hdrMoved|hdrLocked) != 0 {
+				t.Fatalf("watcher on literal %d points at clause %d with header flags %#x", li, c, h&0xf)
 			}
-			lits := s.lits(w.c)
+			lits := s.lits(c)
 			if lits[0].Not() != Lit(li) && lits[1].Not() != Lit(li) {
 				t.Fatalf("watcher on literal %d points at clause %v, which does not watch it", li, lits)
 			}
-			watched[w.c]++
+			if bin := w.c&crefBinary != 0; bin != (len(lits) == 2) {
+				t.Fatalf("watcher on literal %d of clause %v has binary flag %v", li, lits, bin)
+			}
+			if other := lits[0] ^ lits[1] ^ Lit(li).Not(); len(lits) == 2 && w.blocker != other {
+				t.Fatalf("binary watcher on literal %d of clause %v has blocker %d, want %d", li, lits, w.blocker, other)
+			}
+			watched[c]++
 		}
 	}
 	n := 0

@@ -28,7 +28,7 @@ import (
 //
 // Both sides are flat. The log is one literal buffer plus an 8-byte
 // record per step, and the checker keeps its clauses in its own arena
-// with dense, variable-indexed assignments and a hash table of arena
+// with dense, literal-indexed assignments and a hash table of arena
 // offsets for deletions, so neither allocates per step nor uses a map.
 
 // StepKind discriminates proof log entries.
@@ -154,7 +154,7 @@ type Checker struct {
 
 	arena   []Lit        // clause store, see chkDeleted
 	watches [][]chkWatch // indexed by literal
-	assigns []lbool      // indexed by var, grown on demand
+	vals    []lbool      // indexed by literal like Solver.vals, grown on demand
 	mark    []bool       // indexed by literal; all false between calls
 	trail   []Lit
 	qhead   int
@@ -180,35 +180,26 @@ func NewChecker(p *Proof) *Checker {
 // Checked reports how many learned clauses have been RUP-verified.
 func (c *Checker) Checked() int { return c.checked }
 
-// reserve grows the per-variable and per-literal arrays to cover lits.
+// reserve grows the per-literal arrays to cover both literals of every
+// variable in lits.
 func (c *Checker) reserve(lits []Lit) {
-	n := len(c.assigns)
+	n := len(c.vals)
 	for _, l := range lits {
-		if v := l.Var(); v >= n {
-			n = v + 1
+		if m := int(l|1) + 1; m > n {
+			n = m
 		}
 	}
-	for len(c.assigns) < n {
-		c.assigns = append(c.assigns, lUndef)
+	for len(c.vals) < n {
+		c.vals = append(c.vals, lUndef, lUndef)
 		c.watches = append(c.watches, nil, nil)
 		c.mark = append(c.mark, false, false)
 	}
 }
 
-func (c *Checker) value(l Lit) lbool {
-	a := c.assigns[l.Var()]
-	if l.Neg() {
-		return a.neg()
-	}
-	return a
-}
+func (c *Checker) value(l Lit) lbool { return c.vals[l] }
 
 func (c *Checker) assign(l Lit) {
-	if l.Neg() {
-		c.assigns[l.Var()] = lFalse
-	} else {
-		c.assigns[l.Var()] = lTrue
-	}
+	c.vals[l], c.vals[l^1] = lTrue, lFalse
 	c.trail = append(c.trail, l)
 }
 
@@ -452,7 +443,7 @@ func (c *Checker) isRUP(lits []Lit) bool {
 		ok = !c.propagate()
 	}
 	for _, l := range c.trail[mark:] {
-		c.assigns[l.Var()] = lUndef
+		c.vals[l], c.vals[l^1] = lUndef, lUndef
 	}
 	c.trail = c.trail[:mark]
 	c.qhead = qmark

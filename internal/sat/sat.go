@@ -81,25 +81,22 @@ const (
 	lFalse
 )
 
-func (b lbool) neg() lbool {
-	switch b {
-	case lTrue:
-		return lFalse
-	case lFalse:
-		return lTrue
-	}
-	return lUndef
-}
-
 // Clause memory (MiniSat's layout). Every clause lives in the solver's
 // arena: a header word, then its literals inline, then — for a learnt
 // clause — its float64 activity split over two words. A cref is the
 // arena offset of a clause's header, so watchers and reasons hold no
-// pointers and reaching a clause's literals is one load.
+// pointers and reaching a clause's literals is one load. Offsets stay
+// below 2^31, which leaves the top bit free for crefBinary.
 type cref uint32
 
 // crefUndef is the reason of a decision, an assumption or a root fact.
 const crefUndef = ^cref(0)
+
+// crefBinary marks a watcher of a two-literal clause. Such a watcher's
+// blocker is the clause's other literal, so propagate decides the clause
+// from the blocker alone and never reads the arena. Reasons and clause
+// lists hold plain crefs; only watchers carry the flag.
+const crefBinary = cref(1) << 31
 
 // Header flags; the clause size fills the bits above hdrSizeShift.
 const (
@@ -121,7 +118,7 @@ func clauseWords(h uint32) cref {
 }
 
 // watcher is 8 bytes and pointer-free: watch lists cost no GC marking
-// and no write barriers.
+// and no write barriers. c carries crefBinary for a binary clause.
 type watcher struct {
 	c       cref
 	blocker Lit
@@ -133,7 +130,7 @@ type Solver struct {
 	clauses  []cref      // original clauses, in AddClause order
 	learnts  []cref      // learned clauses, in derivation order
 	watches  [][]watcher // indexed by literal
-	assigns  []lbool     // indexed by var
+	vals     []lbool     // indexed by literal: vals[l] and vals[l^1] are opposite or both lUndef
 	phase    []bool      // saved phase, indexed by var
 	level    []int       // decision level per var
 	reason   []cref      // antecedent per var
@@ -217,12 +214,12 @@ func New() *Solver {
 }
 
 // NumVars reports the number of allocated variables.
-func (s *Solver) NumVars() int { return len(s.assigns) }
+func (s *Solver) NumVars() int { return len(s.phase) }
 
 // NewVar allocates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
-	v := len(s.assigns)
-	s.assigns = append(s.assigns, lUndef)
+	v := len(s.phase)
+	s.vals = append(s.vals, lUndef, lUndef)
 	s.phase = append(s.phase, false)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, crefUndef)
@@ -233,16 +230,7 @@ func (s *Solver) NewVar() int {
 	return v
 }
 
-func (s *Solver) value(l Lit) lbool {
-	a := s.assigns[l.Var()]
-	if a == lUndef {
-		return lUndef
-	}
-	if l.Neg() {
-		return a.neg()
-	}
-	return a
-}
+func (s *Solver) value(l Lit) lbool { return s.vals[l] }
 
 // AddClause adds a clause. Returns false if the formula became trivially
 // unsatisfiable.
@@ -316,8 +304,8 @@ func (s *Solver) alloc(lits []Lit, learnt bool) cref {
 	if learnt {
 		h |= hdrLearnt
 	}
-	if uint64(c)+uint64(clauseWords(h)) >= uint64(crefUndef) {
-		panic("sat: clause arena exceeds 2^32 words")
+	if uint64(c)+uint64(clauseWords(h)) > uint64(crefBinary) {
+		panic("sat: clause arena exceeds 2^31 words")
 	}
 	s.arena = append(s.arena, Lit(h))
 	s.arena = append(s.arena, lits...)
@@ -348,8 +336,12 @@ func (s *Solver) setClaActivity(c cref, a float64) {
 
 func (s *Solver) attach(c cref) {
 	lits := s.lits(c)
-	s.watches[lits[0].Not()] = append(s.watches[lits[0].Not()], watcher{c, lits[1]})
-	s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{c, lits[0]})
+	wc := c
+	if len(lits) == 2 {
+		wc |= crefBinary
+	}
+	s.watches[lits[0].Not()] = append(s.watches[lits[0].Not()], watcher{wc, lits[1]})
+	s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{wc, lits[0]})
 }
 
 func (s *Solver) enqueue(l Lit, from cref) bool {
@@ -360,11 +352,7 @@ func (s *Solver) enqueue(l Lit, from cref) bool {
 		return false
 	}
 	v := l.Var()
-	if l.Neg() {
-		s.assigns[v] = lFalse
-	} else {
-		s.assigns[v] = lTrue
-	}
+	s.vals[l], s.vals[l^1] = lTrue, lFalse
 	s.level[v] = s.decisionLevel()
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
@@ -376,6 +364,7 @@ func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 // propagate runs unit propagation to a fixpoint and returns the
 // conflicting clause, or crefUndef.
 func (s *Solver) propagate() cref {
+	vals := s.vals
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
@@ -386,9 +375,27 @@ func (s *Solver) propagate() cref {
 	next:
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if s.value(w.blocker) == lTrue {
+			bv := vals[w.blocker]
+			if bv == lTrue {
 				ws[j] = w
 				j++
+				continue
+			}
+			if w.c&crefBinary != 0 {
+				// The blocker is the other literal: unit or conflicting.
+				c := w.c &^ crefBinary
+				ws[j] = w
+				j++
+				if bv == lFalse {
+					// Leave the clause in the order the general case's
+					// swap would, so analyze sees the same conflict.
+					s.arena[c+1], s.arena[c+2] = w.blocker, falseLit
+					j += copy(ws[j:], ws[i+1:])
+					s.watches[p] = ws[:j]
+					s.qhead = len(s.trail)
+					return c
+				}
+				s.enqueue(w.blocker, c)
 				continue
 			}
 			c := w.c
@@ -398,14 +405,14 @@ func (s *Solver) propagate() cref {
 				lits[0], lits[1] = lits[1], lits[0]
 			}
 			first := lits[0]
-			if first != w.blocker && s.value(first) == lTrue {
+			if first != w.blocker && vals[first] == lTrue {
 				ws[j] = watcher{c, first}
 				j++
 				continue
 			}
 			// Look for a new watch.
 			for k := 2; k < len(lits); k++ {
-				if s.value(lits[k]) != lFalse {
+				if vals[lits[k]] != lFalse {
 					lits[1], lits[k] = lits[k], lits[1]
 					s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{c, first})
 					continue next
@@ -414,7 +421,7 @@ func (s *Solver) propagate() cref {
 			// Unit or conflicting.
 			ws[j] = watcher{c, first}
 			j++
-			if s.value(first) == lFalse {
+			if vals[first] == lFalse {
 				// Conflict: keep remaining watchers and bail.
 				j += copy(ws[j:], ws[i+1:])
 				s.watches[p] = ws[:j]
@@ -549,9 +556,10 @@ func (s *Solver) backtrackTo(level int) {
 	}
 	bound := s.trailLim[level]
 	for i := len(s.trail) - 1; i >= bound; i-- {
-		v := s.trail[i].Var()
-		s.phase[v] = s.assigns[v] == lTrue
-		s.assigns[v] = lUndef
+		l := s.trail[i]
+		v := l.Var()
+		s.phase[v] = !l.Neg()
+		s.vals[l], s.vals[l^1] = lUndef, lUndef
 		s.reason[v] = crefUndef
 		s.heap.insertIfAbsent(v)
 	}
@@ -566,7 +574,7 @@ func (s *Solver) pickBranchVar() int {
 		if !ok {
 			return -1
 		}
-		if s.assigns[v] == lUndef {
+		if s.vals[PosLit(v)] == lUndef {
 			return v
 		}
 	}
@@ -654,9 +662,10 @@ func (s *Solver) compact(live int) {
 	for li, ws := range s.watches {
 		kept := ws[:0]
 		for _, w := range ws {
-			if s.arena[w.c]&hdrDeleted == 0 {
-				w.c, to = s.reloc(w.c, to)
-				kept = append(kept, w)
+			c, bin := w.c&^crefBinary, w.c&crefBinary
+			if s.arena[c]&hdrDeleted == 0 {
+				c, to = s.reloc(c, to)
+				kept = append(kept, watcher{c | bin, w.blocker})
 			}
 		}
 		s.watches[li] = kept
@@ -702,7 +711,7 @@ func (s *Solver) Solve(assumptions ...Lit) (st Status, err error) {
 	var cell *obs.SolverCell
 	if rec := s.Obs.Rec; rec != nil {
 		span := s.Obs.Start("sat.solve")
-		vars, clauses := int64(len(s.assigns)), s.added
+		vars, clauses := int64(s.NumVars()), s.added
 		cell = rec.RegisterSolver(s.Obs.Label, s.Obs.Worker)
 		cell.SetCNF(vars, clauses)
 		before := s.Statistics()
@@ -718,11 +727,11 @@ func (s *Solver) Solve(assumptions ...Lit) (st Status, err error) {
 				obs.Int("cnf_clauses", clauses))
 		}()
 	}
+	s.failed = nil
 	if !s.ok {
 		return Unsat, nil
 	}
 	s.backtrackTo(0)
-	s.failed = nil
 	s.assumptionLevel = 0
 
 	restarts := int64(0)
@@ -877,7 +886,7 @@ func (s *Solver) computeFailed(assumptions []Lit) {
 func (s *Solver) FailedAssumptions() []Lit { return s.failed }
 
 // Value reports the model value of variable v after a Sat answer.
-func (s *Solver) Value(v int) bool { return s.assigns[v] == lTrue }
+func (s *Solver) Value(v int) bool { return s.vals[PosLit(v)] == lTrue }
 
 // Stats reports search statistics.
 func (s *Solver) Stats() (conflicts, decisions, propagations int64) {
@@ -913,7 +922,7 @@ func (s *Solver) Statistics() Statistics {
 		Learned:      s.learned,
 		LearnedLive:  int64(len(s.learnts)),
 		Clauses:      s.added,
-		Vars:         int64(len(s.assigns)),
+		Vars:         int64(s.NumVars()),
 	}
 }
 

@@ -176,6 +176,81 @@ func TestRandom3SATAgainstBruteForce(t *testing.T) {
 	}
 }
 
+const maxFuzzOps = 64
+
+// solveMatchesBruteForce decodes a small incremental session over at most
+// eight variables and replays it on one solver. data[0] picks the
+// variable count; then each header byte b is one operation:
+//   - b%4 < 3 adds a clause of 1 + (b>>2)%3 literals, one byte each;
+//   - b%4 == 3 solves under (b>>2)%4 assumptions, one byte each.
+//
+// A literal byte x is variable (x>>1) mod the count, negated if x&1. A
+// final Solve without assumptions follows. Every verdict must match
+// brute force over the clauses so far plus the assumptions; a Sat model
+// must satisfy both, and FailedAssumptions must be a subset of the
+// assumptions.
+func solveMatchesBruteForce(t *testing.T, data []byte) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	nv := int(next()%8) + 1
+	lit := func() Lit { b := next(); return MkLit(int(b>>1)%nv, b&1 == 1) }
+	s := New()
+	for i := 0; i < nv; i++ {
+		s.NewVar()
+	}
+	var cnf [][]Lit
+	solve := func(assumps []Lit) {
+		st := mustSolve(t, s, assumps...)
+		query := append([][]Lit(nil), cnf...)
+		for _, a := range assumps {
+			query = append(query, []Lit{a})
+		}
+		if want := bruteForce(nv, query); (st == Sat) != want {
+			t.Fatalf("verdict %v under assumptions %v, brute force says sat=%v on %v", st, assumps, want, cnf)
+		}
+		if st == Sat {
+			checkModel(t, s, cnf, assumps)
+		}
+		for _, f := range s.FailedAssumptions() {
+			if !refHas(assumps, f) {
+				t.Fatalf("failed assumption %d is not among %v", f, assumps)
+			}
+		}
+		checkArena(t, s)
+	}
+	for ops := 0; len(data) > 0 && ops < maxFuzzOps; ops++ {
+		b := next()
+		if b%4 == 3 {
+			assumps := make([]Lit, (b>>2)%4)
+			for i := range assumps {
+				assumps[i] = lit()
+			}
+			solve(assumps)
+			continue
+		}
+		cl := make([]Lit, 1+int(b>>2)%3)
+		for i := range cl {
+			cl[i] = lit()
+		}
+		cnf = append(cnf, cl)
+		s.AddClause(cl...)
+	}
+	solve(nil)
+}
+
+// FuzzSolverMatchesBruteForce differentially tests incremental solving on
+// unit, binary and ternary clauses against enumeration; the seed corpus
+// is in testdata/fuzz.
+func FuzzSolverMatchesBruteForce(f *testing.F) {
+	f.Fuzz(solveMatchesBruteForce)
+}
+
 func TestAssumptions(t *testing.T) {
 	s := New()
 	a, b, c := s.NewVar(), s.NewVar(), s.NewVar()

@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -41,6 +42,29 @@ func TestHashConsing(t *testing.T) {
 	}
 	if c.Var("x", 4) != x {
 		t.Fatal("variable lookup must return the same term")
+	}
+}
+
+// TestKeyText pins the hash-cons key text, op:width:hi:lo then one id
+// per argument, all in decimal.
+func TestKeyText(t *testing.T) {
+	c := NewContext()
+	x, y := c.Var("x", 4), c.Var("y", 4)
+	x.id, y.id = 7, 1<<40
+	for _, tc := range []struct {
+		op            Op
+		width, hi, lo int
+		args          []*Term
+		want          string
+	}{
+		{OpAdd, 4, 0, 0, []*Term{x, y}, fmt.Sprintf("%d:4:0:0:7:1099511627776", OpAdd)},
+		{OpExtract, 3, 2, 0, []*Term{x}, fmt.Sprintf("%d:3:2:0:7", OpExtract)},
+		{OpNot, 128, 0, 0, []*Term{y}, fmt.Sprintf("%d:128:0:0:1099511627776", OpNot)},
+		{OpAnd, 1, -1, 0, nil, fmt.Sprintf("%d:1:-1:0", OpAnd)},
+	} {
+		if got := c.key(tc.op, tc.width, tc.args, tc.hi, tc.lo); got != tc.want {
+			t.Errorf("key = %q, want %q", got, tc.want)
+		}
 	}
 }
 

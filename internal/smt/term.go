@@ -8,6 +8,7 @@ package smt
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"rtlrepair/internal/bv"
@@ -198,13 +199,21 @@ func (c *Context) LookupVar(name string) *Term {
 	return nil
 }
 
+// key is a term's hash-cons key, op:width:hi:lo:id… in decimal.
 func (c *Context) key(op Op, width int, args []*Term, hi, lo int) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d:%d:%d:%d", op, width, hi, lo)
+	var buf [64]byte
+	b := strconv.AppendUint(buf[:0], uint64(op), 10)
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(width), 10)
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(hi), 10)
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(lo), 10)
 	for _, a := range args {
-		fmt.Fprintf(&sb, ":%d", a.id)
+		b = append(b, ':')
+		b = strconv.AppendUint(b, a.id, 10)
 	}
-	return sb.String()
+	return string(b)
 }
 
 func (c *Context) mk(op Op, width int, args ...*Term) *Term {
