@@ -1,8 +1,10 @@
 package sat
 
 import (
+	"math/bits"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"unsafe"
 )
@@ -34,9 +36,11 @@ func randomClause(rng *rand.Rand, vars []int) []Lit {
 	return cl
 }
 
-func countDeletes(p *Proof) int {
+// countDeletes counts the deletion steps of p from step from on, which
+// no checker may have consumed yet.
+func countDeletes(p *Proof, from int) int {
 	n := 0
-	for i := 0; i < p.Len(); i++ {
+	for i := from; i < p.Len(); i++ {
 		if kind, _ := p.Step(i); kind == StepDelete {
 			n++
 		}
@@ -44,16 +48,62 @@ func countDeletes(p *Proof) int {
 	return n
 }
 
+// checkWatchStore verifies the watch pool: every list's chunk lies in
+// the pool and has a power-of-two capacity of at least its length, no
+// two live chunks overlap, and no free-list chunk overlaps a live chunk
+// or another free one.
+func checkWatchStore(t *testing.T, ws *watchStore) {
+	t.Helper()
+	type chunk struct {
+		off, size uint32
+		what      string
+	}
+	var chunks []chunk
+	for li, h := range ws.lists {
+		if h.cap == 0 {
+			if h.n != 0 {
+				t.Fatalf("literal %d has %d watchers and no chunk", li, h.n)
+			}
+			continue
+		}
+		if bits.OnesCount32(h.cap) != 1 || h.n > h.cap {
+			t.Fatalf("literal %d has %d watchers in a chunk of %d", li, h.n, h.cap)
+		}
+		chunks = append(chunks, chunk{h.off, h.cap, "live"})
+	}
+	for k, f := range ws.free {
+		for steps := 0; f != 0; steps++ {
+			if steps > len(ws.pool) || int(f-1) >= len(ws.pool) {
+				t.Fatalf("free list %d is cyclic or leaves the pool", k)
+			}
+			chunks = append(chunks, chunk{f - 1, 1 << k, "free"})
+			f = uint32(ws.pool[f-1].c)
+		}
+	}
+	sort.Slice(chunks, func(i, j int) bool { return chunks[i].off < chunks[j].off })
+	for i, ch := range chunks {
+		if uint64(ch.off)+uint64(ch.size) > uint64(len(ws.pool)) {
+			t.Fatalf("%s chunk [%d, +%d) leaves the pool of %d", ch.what, ch.off, ch.size, len(ws.pool))
+		}
+		if i > 0 && chunks[i-1].off+chunks[i-1].size > ch.off {
+			p := chunks[i-1]
+			t.Fatalf("%s chunk [%d, +%d) overlaps %s chunk [%d, +%d)", p.what, p.off, p.size, ch.what, ch.off, ch.size)
+		}
+	}
+}
+
 // checkArena verifies the clause memory between Solve calls: every
 // clause of clauses and learnts is live and watched by exactly its
 // first two literals, every watcher points at such a clause, a watcher
 // carries crefBinary exactly when its clause has two literals and then
-// holds the other literal as its blocker, and every reason is live.
+// holds the other literal as its blocker, every reason is live, and the
+// watch pool holds its invariants.
 func checkArena(t *testing.T, s *Solver) {
 	t.Helper()
+	checkWatchStore(t, &s.watches)
 	watched := map[cref]int{}
-	for li, ws := range s.watches {
-		for _, w := range ws {
+	for li := range s.watches.lists {
+		for _, w := range s.watches.list(Lit(li)) {
 			c := w.c &^ crefBinary
 			if h := uint32(s.arena[c]); h&(hdrDeleted|hdrMoved|hdrLocked) != 0 {
 				t.Fatalf("watcher on literal %d points at clause %d with header flags %#x", li, c, h&0xf)
@@ -133,7 +183,7 @@ func TestReduceDBSearchPinned(t *testing.T) {
 	if got := s.Statistics(); got != want {
 		t.Fatalf("search moved:\n got %+v\nwant %+v", got, want)
 	}
-	if countDeletes(proof) == 0 {
+	if countDeletes(proof, 0) == 0 {
 		t.Fatal("reduceDB never ran")
 	}
 	checkModel(t, s, cnf, nil)
@@ -151,7 +201,7 @@ func TestProofDeterministic(t *testing.T) {
 		reduceDBInstance(s)
 		mustSolve(t, s)
 	}
-	if countDeletes(proofs[0]) == 0 {
+	if countDeletes(proofs[0], 0) == 0 {
 		t.Fatal("reduceDB never ran")
 	}
 	a, b := proofs[0], proofs[1]
@@ -174,10 +224,12 @@ func TestSolveAfterCompaction(t *testing.T) {
 	if st := mustSolve(t, s); st != Sat {
 		t.Fatalf("status = %v", st)
 	}
-	deletes := countDeletes(proof)
-	if deletes == 0 {
+	// The checker releases the steps it consumes, so deletions are
+	// counted before each check.
+	if countDeletes(proof, 0) == 0 {
 		t.Fatal("reduceDB never ran")
 	}
+	counted, deletesAfter := proof.Len(), 0
 	checker := NewChecker(proof)
 	rng := rand.New(rand.NewSource(3))
 	vars := make([]int, s.NumVars())
@@ -206,17 +258,22 @@ func TestSolveAfterCompaction(t *testing.T) {
 			t.Fatalf("round %d: verdict %v, fresh solver says %v", round, st, want)
 		}
 		verdicts[st]++
+		deletesAfter += countDeletes(proof, counted)
+		counted = proof.Len()
 		if st == Sat {
 			checkModel(t, s, cnf, assumps)
-		} else if err := checker.CheckUnsat(assumps); err != nil {
-			t.Fatalf("round %d: certificate rejected: %v", round, err)
+		} else {
+			if err := checker.CheckUnsat(assumps); err != nil {
+				t.Fatalf("round %d: certificate rejected: %v", round, err)
+			}
+			checkChecker(t, checker)
 		}
 		checkArena(t, s)
 	}
 	if verdicts[Sat] == 0 || verdicts[Unsat] == 0 {
 		t.Errorf("verdicts %v: want both Sat and Unsat rounds", verdicts)
 	}
-	if countDeletes(proof) == deletes {
+	if deletesAfter == 0 {
 		t.Error("reduceDB never ran again after the first compaction")
 	}
 }

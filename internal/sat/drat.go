@@ -28,8 +28,10 @@ import (
 //
 // Both sides are flat. The log is one literal buffer plus an 8-byte
 // record per step, and the checker keeps its clauses in its own arena
-// with dense, literal-indexed assignments and a hash table of arena
-// offsets for deletions, so neither allocates per step nor uses a map.
+// with dense, literal-indexed assignments, a watch pool (watch.go) and
+// a hash table of arena offsets for deletions, so neither allocates per
+// step nor uses a map. The checker releases the steps it has consumed,
+// so the log holds only the steps since the last check.
 
 // StepKind discriminates proof log entries.
 type StepKind uint8
@@ -46,7 +48,7 @@ const (
 
 // proofStep is one log entry: its kind and the end offset of its
 // literals in Proof.lits. The step's literals start where the previous
-// step's end.
+// retained step's end.
 type proofStep struct {
 	end  uint32
 	kind StepKind
@@ -54,20 +56,27 @@ type proofStep struct {
 
 // Proof is an in-memory DRUP proof log: an ordered interleaving of
 // axiom additions, learned-clause additions and deletions. It grows
-// monotonically across incremental Solve calls; a Checker consumes it
-// lazily, so certifying a sequence of Unsat answers costs one forward
-// pass over the log overall, not one pass per answer.
+// across incremental Solve calls; a Checker consumes it lazily, so
+// certifying a sequence of Unsat answers costs one forward pass over
+// the log overall, not one pass per answer. Steps a Checker has
+// consumed are released: the log keeps only the steps after them, and
+// their buffers are reused for the steps that follow.
 type Proof struct {
-	lits  []Lit // every step's literals, back to back
-	steps []proofStep
+	lits     []Lit // every retained step's literals, back to back
+	steps    []proofStep
+	released int // steps dropped from the front of steps
 }
 
-// Len reports the number of steps in the log.
-func (p *Proof) Len() int { return len(p.steps) }
+// Len reports the number of steps ever logged, released ones included.
+func (p *Proof) Len() int { return p.released + len(p.steps) }
 
-// Step returns the kind and literals of step i. The literals alias the
-// log and must not be modified.
+// Step returns the kind and literals of step i, which must not have
+// been released. The literals alias the log and must not be modified.
 func (p *Proof) Step(i int) (StepKind, []Lit) {
+	i -= p.released
+	if i < 0 {
+		panic(fmt.Sprintf("sat: proof step %d was released", i+p.released))
+	}
 	start := uint32(0)
 	if i > 0 {
 		start = p.steps[i-1].end
@@ -76,7 +85,7 @@ func (p *Proof) Step(i int) (StepKind, []Lit) {
 	return st.kind, p.lits[start:st.end:st.end]
 }
 
-// NumLearned counts learned-clause additions in the log.
+// NumLearned counts learned-clause additions among the retained steps.
 func (p *Proof) NumLearned() int {
 	n := 0
 	for _, st := range p.steps {
@@ -90,6 +99,22 @@ func (p *Proof) NumLearned() int {
 func (p *Proof) add(kind StepKind, lits []Lit) {
 	p.lits = append(p.lits, lits...)
 	p.steps = append(p.steps, proofStep{end: uint32(len(p.lits)), kind: kind})
+}
+
+// release drops every step before step n, moving the later ones to the
+// front of the buffers.
+func (p *Proof) release(n int) {
+	k := n - p.released
+	if k <= 0 {
+		return
+	}
+	cut := p.steps[k-1].end
+	p.steps = p.steps[:copy(p.steps, p.steps[k:])]
+	for i := range p.steps {
+		p.steps[i].end -= cut
+	}
+	p.lits = p.lits[:copy(p.lits, p.lits[cut:])]
+	p.released = n
 }
 
 // StartProof enables DRUP proof logging on the solver and returns the
@@ -125,20 +150,14 @@ func (s *Solver) Proof() *Proof { return s.proof }
 // ---------------------------------------------------------------------
 // Forward RUP checker.
 //
-// The checker shares only the Lit and lbool types with the solver; its
-// clause store, watches and propagation are its own.
+// The checker shares only the Lit and lbool types and the watch-list
+// container (watch.go) with the solver; its clause store, watch lists
+// and propagation are its own.
 
 // Checker clause store: a clause at arena offset c is the header word
 // arena[c] = size<<1 | chkDeleted, then its size literals. Deleted
 // clauses stay in place; their watchers are dropped when next visited.
 const chkDeleted = 1
-
-// chkWatch is a watch-list entry: the arena offset of a clause and a
-// literal of it whose truth satisfies the clause without a visit.
-type chkWatch struct {
-	c       uint32
-	blocker Lit
-}
 
 // A deletion table slot holds a clause's arena offset plus one, so the
 // zero slot is empty; chkTomb marks a deleted entry.
@@ -152,10 +171,10 @@ type Checker struct {
 	proof  *Proof
 	cursor int // next unconsumed proof step
 
-	arena   []Lit        // clause store, see chkDeleted
-	watches [][]chkWatch // indexed by literal
-	vals    []lbool      // indexed by literal like Solver.vals, grown on demand
-	mark    []bool       // indexed by literal; all false between calls
+	arena   []Lit      // clause store, see chkDeleted
+	watches watchStore // watchers hold arena offsets, see watch.go
+	vals    []lbool    // indexed by literal like Solver.vals, grown on demand
+	mark    []bool     // indexed by literal; all false between calls
 	trail   []Lit
 	qhead   int
 	buf     []Lit // the normalized clause of the current step
@@ -191,7 +210,7 @@ func (c *Checker) reserve(lits []Lit) {
 	}
 	for len(c.vals) < n {
 		c.vals = append(c.vals, lUndef, lUndef)
-		c.watches = append(c.watches, nil, nil)
+		c.watches.addVar()
 		c.mark = append(c.mark, false, false)
 	}
 }
@@ -246,20 +265,20 @@ func clauseHash(lits []Lit) uint64 {
 }
 
 // lits returns the literals of the clause at arena offset cr.
-func (c *Checker) lits(cr uint32) []Lit {
-	n := uint32(c.arena[cr]) >> 1
+func (c *Checker) lits(cr cref) []Lit {
+	n := cref(c.arena[cr]) >> 1
 	return c.arena[cr+1 : cr+1+n]
 }
 
 // insert records the clause at arena offset cr in the deletion table.
-func (c *Checker) insert(cr uint32, h uint64) {
+func (c *Checker) insert(cr cref, h uint64) {
 	if 2*(c.used+1) > len(c.table) {
 		c.rehash()
 	}
 	mask := uint64(len(c.table) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
 		if c.table[i] == 0 {
-			c.table[i] = cr + 1
+			c.table[i] = uint32(cr) + 1
 			c.live++
 			c.used++
 			return
@@ -279,7 +298,7 @@ func (c *Checker) rehash() {
 	c.live, c.used = 0, 0
 	for _, ref := range old {
 		if ref != 0 && ref != chkTomb {
-			c.insert(ref-1, clauseHash(c.lits(ref-1)))
+			c.insert(cref(ref-1), clauseHash(c.lits(cref(ref-1))))
 		}
 	}
 }
@@ -288,7 +307,7 @@ func (c *Checker) rehash() {
 // database and propagates any immediate consequence. A root-level
 // conflict flips c.conflict.
 func (c *Checker) addClause() {
-	cr := uint32(len(c.arena))
+	cr := cref(len(c.arena))
 	c.arena = append(c.arena, Lit(len(c.buf)<<1))
 	c.arena = append(c.arena, c.buf...)
 	c.insert(cr, clauseHash(c.buf))
@@ -322,9 +341,9 @@ func (c *Checker) addClause() {
 	}
 }
 
-func (c *Checker) watch(cr uint32, lits []Lit) {
-	c.watches[lits[0].Not()] = append(c.watches[lits[0].Not()], chkWatch{cr, lits[1]})
-	c.watches[lits[1].Not()] = append(c.watches[lits[1].Not()], chkWatch{cr, lits[0]})
+func (c *Checker) watch(cr cref, lits []Lit) {
+	c.watches.push(lits[0].Not(), watcher{cr, lits[1]})
+	c.watches.push(lits[1].Not(), watcher{cr, lits[0]})
 }
 
 // deleteClause removes one live clause whose literal set equals the
@@ -339,7 +358,7 @@ func (c *Checker) deleteClause() {
 	mask := uint64(len(c.table) - 1)
 	for i := h & mask; c.table[i] != 0; i = (i + 1) & mask {
 		ref := c.table[i]
-		if ref == chkTomb || !c.sameSet(ref-1) {
+		if ref == chkTomb || !c.sameSet(cref(ref-1)) {
 			continue
 		}
 		c.arena[ref-1] |= chkDeleted
@@ -352,7 +371,7 @@ func (c *Checker) deleteClause() {
 // sameSet reports whether the clause at cr has exactly the marked
 // literals of c.buf. Both are duplicate-free, so equal sizes and
 // inclusion suffice.
-func (c *Checker) sameSet(cr uint32) bool {
+func (c *Checker) sameSet(cr cref) bool {
 	lits := c.lits(cr)
 	if len(lits) != len(c.buf) {
 		return false
@@ -372,7 +391,7 @@ func (c *Checker) propagate() bool {
 		p := c.trail[c.qhead]
 		c.qhead++
 		falseLit := p.Not()
-		ws := c.watches[p]
+		ws := c.watches.list(p)
 		j := 0 // ws[:j] holds the watchers p keeps
 	next:
 		for i := 0; i < len(ws); i++ {
@@ -391,27 +410,29 @@ func (c *Checker) propagate() bool {
 			}
 			first := lits[0]
 			if first != w.blocker && c.value(first) == lTrue {
-				ws[j] = chkWatch{w.c, first}
+				ws[j] = watcher{w.c, first}
 				j++
 				continue
 			}
 			for k := 2; k < len(lits); k++ {
 				if c.value(lits[k]) != lFalse {
 					lits[1], lits[k] = lits[k], lits[1]
-					c.watches[lits[1].Not()] = append(c.watches[lits[1].Not()], chkWatch{w.c, first})
+					c.watches.push(lits[1].Not(), watcher{w.c, first})
+					// The push may have moved the pool, but not p's chunk.
+					ws = c.watches.list(p)
 					continue next
 				}
 			}
-			ws[j] = chkWatch{w.c, first}
+			ws[j] = watcher{w.c, first}
 			j++
 			if c.value(first) == lFalse {
 				j += copy(ws[j:], ws[i+1:])
-				c.watches[p] = ws[:j]
+				c.watches.setLen(p, j)
 				return false
 			}
 			c.assign(first)
 		}
-		c.watches[p] = ws[:j]
+		c.watches.setLen(p, j)
 	}
 	return true
 }
@@ -451,7 +472,8 @@ func (c *Checker) isRUP(lits []Lit) bool {
 }
 
 // advance consumes all unconsumed proof steps, verifying each learned
-// clause's RUP property before admitting it to the database.
+// clause's RUP property before admitting it to the database, and
+// releases the consumed steps from the log.
 func (c *Checker) advance() error {
 	for ; c.cursor < c.proof.Len(); c.cursor++ {
 		kind, lits := c.proof.Step(c.cursor)
@@ -476,6 +498,7 @@ func (c *Checker) advance() error {
 			c.unmark()
 		}
 	}
+	c.proof.release(c.cursor)
 	return nil
 }
 

@@ -3,6 +3,7 @@ package sat
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -110,16 +111,18 @@ func TestProofReduceDBDeletions(t *testing.T) {
 	proof := s.StartProof()
 	reduceDBInstance(s)
 	st := mustSolve(t, s)
-	if countDeletes(proof) == 0 {
+	if countDeletes(proof, 0) == 0 {
 		t.Skip("instance solved without triggering reduceDB")
 	}
+	learned := proof.NumLearned() // before the checker releases the steps
 	c := NewChecker(proof)
 	if err := c.advance(); err != nil {
 		t.Fatalf("learned steps rejected with deletions interleaved: %v", err)
 	}
-	if c.Checked() != proof.NumLearned() {
-		t.Fatalf("checked %d of %d learned clauses", c.Checked(), proof.NumLearned())
+	if c.Checked() != learned {
+		t.Fatalf("checked %d of %d learned clauses", c.Checked(), learned)
 	}
+	checkChecker(t, c)
 	if st == Unsat {
 		if err := c.CheckUnsat(nil); err != nil {
 			t.Fatalf("unsat certificate rejected: %v", err)
@@ -128,20 +131,95 @@ func TestProofReduceDBDeletions(t *testing.T) {
 }
 
 // TestCheckerReplayAllocs pins the flat checker: replaying the reduceDB
-// instance's proof allocates only when an arena, a watch list or the
-// deletion table grows, far less than once per step.
+// instance's proof allocates only when an arena, the watch pool or the
+// deletion table grows, far less than once per step. A checker releases
+// the steps it consumes, so each replay gets its own copy of the log.
 func TestCheckerReplayAllocs(t *testing.T) {
 	s := New()
 	proof := s.StartProof()
 	reduceDBInstance(s)
 	mustSolve(t, s)
-	allocs := testing.AllocsPerRun(2, func() {
-		if err := NewChecker(proof).advance(); err != nil {
+	var copies [3]*Proof // AllocsPerRun calls the function runs+1 times
+	for i := range copies {
+		copies[i] = &Proof{lits: slices.Clone(proof.lits), steps: slices.Clone(proof.steps)}
+	}
+	run := 0
+	allocs := testing.AllocsPerRun(len(copies)-1, func() {
+		if err := NewChecker(copies[run]).advance(); err != nil {
 			t.Fatal(err)
 		}
+		run++
 	})
 	if allocs > float64(proof.Len())/2 {
 		t.Fatalf("replaying %d steps allocated %.0f times", proof.Len(), allocs)
+	}
+}
+
+// TestProofReleasedAfterCheck: once CheckUnsat has consumed the log, the
+// log retains no step, while Len still counts every step and later
+// steps keep their numbers and are checked as before.
+func TestProofReleasedAfterCheck(t *testing.T) {
+	s := New()
+	proof := s.StartProof()
+	c := NewChecker(proof)
+	pigeonhole(s, 6, 5)
+	sel := s.NewVar()
+	s.AddClause(NegLit(sel), PosLit(0))
+	if st := mustSolve(t, s, PosLit(sel), NegLit(0)); st != Unsat {
+		t.Fatalf("status = %v", st)
+	}
+	n := proof.Len()
+	if err := c.CheckUnsat([]Lit{PosLit(sel), NegLit(0)}); err != nil {
+		t.Fatalf("certificate rejected: %v", err)
+	}
+	if len(proof.steps) != 0 || len(proof.lits) != 0 {
+		t.Fatalf("log retains %d steps and %d literals after the check", len(proof.steps), len(proof.lits))
+	}
+	if proof.Len() != n {
+		t.Fatalf("Len = %d after the check, want %d", proof.Len(), n)
+	}
+	if st := mustSolve(t, s); st != Unsat {
+		t.Fatalf("status = %v", st)
+	}
+	if proof.Len() <= n || len(proof.steps) != proof.Len()-n {
+		t.Fatalf("Len %d (was %d) with %d steps retained", proof.Len(), n, len(proof.steps))
+	}
+	if kind, _ := proof.Step(n); kind != StepLearn {
+		t.Fatalf("step %d is %v, want the first learned step after the check", n, kind)
+	}
+	if err := c.CheckUnsat(nil); err != nil {
+		t.Fatalf("second certificate rejected: %v", err)
+	}
+	if len(proof.steps) != 0 || proof.Len() <= n {
+		t.Fatalf("log retains %d steps, Len %d", len(proof.steps), proof.Len())
+	}
+	checkChecker(t, c)
+}
+
+// checkChecker is checkArena's twin for a Checker: the watch pool holds
+// its invariants, every watcher of a live clause sits on the negation
+// of one of the clause's first two literals, and every live clause of
+// two or more literals has exactly two watchers.
+func checkChecker(t *testing.T, c *Checker) {
+	t.Helper()
+	checkWatchStore(t, &c.watches)
+	watched := map[cref]int{}
+	for li := range c.watches.lists {
+		for _, w := range c.watches.list(Lit(li)) {
+			if c.arena[w.c]&chkDeleted != 0 {
+				continue // dropped when propagation next visits it
+			}
+			lits := c.lits(w.c)
+			if lits[0].Not() != Lit(li) && lits[1].Not() != Lit(li) {
+				t.Fatalf("watcher on literal %d points at clause %v, which does not watch it", li, lits)
+			}
+			watched[w.c]++
+		}
+	}
+	for cr := cref(0); int(cr) < len(c.arena); cr += 1 + cref(c.arena[cr])>>1 {
+		if c.arena[cr]&chkDeleted == 0 && len(c.lits(cr)) >= 2 && watched[cr] != 2 {
+			t.Fatalf("clause %v has %d watchers, want 2", c.lits(cr), watched[cr])
+		}
 	}
 }
 

@@ -189,6 +189,7 @@ func checkMatchesReference(t *testing.T, data []byte) {
 	if refFail >= 0 {
 		return
 	}
+	checkChecker(t, c)
 	target := make([]Lit, len(assumps))
 	for i, a := range assumps {
 		target[i] = a.Not()

@@ -117,23 +117,16 @@ func clauseWords(h uint32) cref {
 	return n
 }
 
-// watcher is 8 bytes and pointer-free: watch lists cost no GC marking
-// and no write barriers. c carries crefBinary for a binary clause.
-type watcher struct {
-	c       cref
-	blocker Lit
-}
-
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
-	arena    []Lit       // every clause, see cref
-	clauses  []cref      // original clauses, in AddClause order
-	learnts  []cref      // learned clauses, in derivation order
-	watches  [][]watcher // indexed by literal
-	vals     []lbool     // indexed by literal: vals[l] and vals[l^1] are opposite or both lUndef
-	phase    []bool      // saved phase, indexed by var
-	level    []int       // decision level per var
-	reason   []cref      // antecedent per var
+	arena    []Lit      // every clause, see cref
+	clauses  []cref     // original clauses, in AddClause order
+	learnts  []cref     // learned clauses, in derivation order
+	watches  watchStore // see watch.go
+	vals     []lbool    // indexed by literal: vals[l] and vals[l^1] are opposite or both lUndef
+	phase    []bool     // saved phase, indexed by var
+	level    []int      // decision level per var
+	reason   []cref     // antecedent per var
 	trail    []Lit
 	trailLim []int
 	qhead    int
@@ -225,7 +218,7 @@ func (s *Solver) NewVar() int {
 	s.reason = append(s.reason, crefUndef)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
-	s.watches = append(s.watches, nil, nil)
+	s.watches.addVar()
 	s.heap.insert(v)
 	return v
 }
@@ -340,8 +333,8 @@ func (s *Solver) attach(c cref) {
 	if len(lits) == 2 {
 		wc |= crefBinary
 	}
-	s.watches[lits[0].Not()] = append(s.watches[lits[0].Not()], watcher{wc, lits[1]})
-	s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{wc, lits[0]})
+	s.watches.push(lits[0].Not(), watcher{wc, lits[1]})
+	s.watches.push(lits[1].Not(), watcher{wc, lits[0]})
 }
 
 func (s *Solver) enqueue(l Lit, from cref) bool {
@@ -370,7 +363,7 @@ func (s *Solver) propagate() cref {
 		s.qhead++
 		s.props++
 		falseLit := p.Not()
-		ws := s.watches[p]
+		ws := s.watches.list(p)
 		j := 0 // ws[:j] holds the watchers p keeps, in their old order
 	next:
 		for i := 0; i < len(ws); i++ {
@@ -391,7 +384,7 @@ func (s *Solver) propagate() cref {
 					// swap would, so analyze sees the same conflict.
 					s.arena[c+1], s.arena[c+2] = w.blocker, falseLit
 					j += copy(ws[j:], ws[i+1:])
-					s.watches[p] = ws[:j]
+					s.watches.setLen(p, j)
 					s.qhead = len(s.trail)
 					return c
 				}
@@ -414,7 +407,9 @@ func (s *Solver) propagate() cref {
 			for k := 2; k < len(lits); k++ {
 				if vals[lits[k]] != lFalse {
 					lits[1], lits[k] = lits[k], lits[1]
-					s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{c, first})
+					s.watches.push(lits[1].Not(), watcher{c, first})
+					// The push may have moved the pool, but not p's chunk.
+					ws = s.watches.list(p)
 					continue next
 				}
 			}
@@ -424,13 +419,13 @@ func (s *Solver) propagate() cref {
 			if vals[first] == lFalse {
 				// Conflict: keep remaining watchers and bail.
 				j += copy(ws[j:], ws[i+1:])
-				s.watches[p] = ws[:j]
+				s.watches.setLen(p, j)
 				s.qhead = len(s.trail)
 				return c
 			}
 			s.enqueue(first, c)
 		}
-		s.watches[p] = ws[:j]
+		s.watches.setLen(p, j)
 	}
 	return crefUndef
 }
@@ -659,7 +654,8 @@ func (s *Solver) reduceDB() {
 // order of the rest. live is the word count of the surviving clauses.
 func (s *Solver) compact(live int) {
 	to := make([]Lit, 0, live)
-	for li, ws := range s.watches {
+	for li := range s.watches.lists {
+		ws := s.watches.list(Lit(li))
 		kept := ws[:0]
 		for _, w := range ws {
 			c, bin := w.c&^crefBinary, w.c&crefBinary
@@ -668,7 +664,7 @@ func (s *Solver) compact(live int) {
 				kept = append(kept, watcher{c | bin, w.blocker})
 			}
 		}
-		s.watches[li] = kept
+		s.watches.setLen(Lit(li), len(kept))
 	}
 	for v, r := range s.reason {
 		if r != crefUndef {

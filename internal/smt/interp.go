@@ -16,7 +16,9 @@ import (
 // The memo cache is shared across Eval calls, which is what makes
 // re-evaluating every asserted term after a SAT verdict (model
 // validation, see solver.go) linear in the DAG instead of quadratic.
-// An Evaluator is bound to one environment; build a fresh one per model.
+// An Evaluator is bound to one environment; its memo must be cleared
+// whenever the environment's values change (solver.go reuses one
+// evaluator across models that way).
 type Evaluator struct {
 	memo map[*Term]bv.BV
 	env  func(*Term) bv.BV

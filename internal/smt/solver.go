@@ -2,6 +2,7 @@ package smt
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,12 +18,21 @@ import (
 // repair synthesizer performs its minimal-change linear search without
 // re-encoding the unrolled circuit.
 type Solver struct {
-	sat   *sat.Solver
-	bits  map[*Term][]sat.Lit
-	gates map[gateKey]sat.Lit
-	t, f  sat.Lit
+	sat *sat.Solver
+	// bits maps a blasted term to the offset of its Width literals
+	// (LSB first) in lits; varTerms lists the blasted OpVar terms.
+	bits     map[*Term]uint32
+	lits     []sat.Lit
+	varTerms []*Term
+	gates    gateTable
+	t, f     sat.Lit
 
-	model map[*Term]bv.BV // var snapshot after a Sat answer
+	// model is the var snapshot of the last Sat answer, valid while
+	// haveModel. It and ev, the evaluator that validates it, are
+	// cleared and reused by each Sat answer.
+	model     map[*Term]bv.BV
+	haveModel bool
+	ev        *Evaluator
 
 	// Self-certification state. asserted holds every term handed to the
 	// bit-blaster, so a Sat model can be re-checked by the reference
@@ -58,11 +68,6 @@ func (st *CertifyStats) Add(o CertifyStats) {
 	st.CheckTime += o.CheckTime
 }
 
-type gateKey struct {
-	op   Op
-	a, b sat.Lit
-}
-
 // NewSolver returns a solver for terms of the given context. Model
 // validation (re-evaluating all asserted terms after every Sat answer)
 // is always on under `go test`; use EnableCertification to also get
@@ -70,8 +75,7 @@ type gateKey struct {
 func NewSolver(ctx *Context) *Solver {
 	s := &Solver{
 		sat:      sat.New(),
-		bits:     map[*Term][]sat.Lit{},
-		gates:    map[gateKey]sat.Lit{},
+		bits:     map[*Term]uint32{},
 		validate: testing.Testing(),
 	}
 	v := s.sat.NewVar()
@@ -147,15 +151,15 @@ func (s *Solver) andLit(a, b sat.Lit) sat.Lit {
 	if b < a {
 		a, b = b, a
 	}
-	key := gateKey{OpAnd, a, b}
-	if g, ok := s.gates[key]; ok {
+	key := gateKey(false, a, b)
+	if g, ok := s.gates.get(key); ok {
 		return g
 	}
 	g := s.fresh()
 	s.sat.AddClause(g.Not(), a)
 	s.sat.AddClause(g.Not(), b)
 	s.sat.AddClause(g, a.Not(), b.Not())
-	s.gates[key] = g
+	s.gates.put(key, g)
 	return g
 }
 
@@ -186,8 +190,8 @@ func (s *Solver) xorLit(a, b sat.Lit) sat.Lit {
 	if b < a {
 		a, b = b, a
 	}
-	key := gateKey{OpXor, a, b}
-	if g, ok := s.gates[key]; ok {
+	key := gateKey(true, a, b)
+	if g, ok := s.gates.get(key); ok {
 		return g
 	}
 	g := s.fresh()
@@ -195,7 +199,7 @@ func (s *Solver) xorLit(a, b sat.Lit) sat.Lit {
 	s.sat.AddClause(g.Not(), a.Not(), b.Not())
 	s.sat.AddClause(g, a, b.Not())
 	s.sat.AddClause(g, a.Not(), b)
-	s.gates[key] = g
+	s.gates.put(key, g)
 	return g
 }
 
@@ -239,70 +243,74 @@ func (s *Solver) ultBits(a, b []sat.Lit) sat.Lit {
 	return lt
 }
 
-func (s *Solver) constBits(v bv.BV) []sat.Lit {
-	out := make([]sat.Lit, v.Width())
-	for i := range out {
+// appendConst appends v's bits as constant literals to out.
+func (s *Solver) appendConst(out []sat.Lit, v bv.BV) []sat.Lit {
+	for i := range v.Width() {
+		l := s.f
 		if v.Bit(i) {
-			out[i] = s.t
-		} else {
-			out[i] = s.f
+			l = s.t
 		}
+		out = append(out, l)
 	}
 	return out
 }
 
-// blast returns the SAT literals (LSB first) representing t.
+// blast returns the SAT literals (LSB first) representing t. They
+// alias s.lits and must not be modified.
 func (s *Solver) blast(t *Term) []sat.Lit {
-	if ls, ok := s.bits[t]; ok {
-		return ls
+	if off, ok := s.bits[t]; ok {
+		end := off + uint32(t.Width)
+		return s.lits[off:end:end]
 	}
-	var out []sat.Lit
+	// Every operator's encoding blasts its arguments first, in order, so
+	// t's literals are the ones appended after theirs.
+	var args [3][]sat.Lit
+	for i, arg := range t.Args {
+		args[i] = s.blast(arg)
+	}
+	a, b := args[0], args[1]
+	start := len(s.lits)
 	switch t.Op {
 	case OpConst:
-		out = s.constBits(t.Val)
+		s.lits = s.appendConst(s.lits, t.Val)
 	case OpVar:
-		out = make([]sat.Lit, t.Width)
-		for i := range out {
-			out[i] = s.fresh()
+		for range t.Width {
+			s.lits = append(s.lits, s.fresh())
 		}
+		s.varTerms = append(s.varTerms, t)
 	case OpNot:
-		a := s.blast(t.Args[0])
-		out = make([]sat.Lit, len(a))
-		for i := range a {
-			out[i] = a[i].Not()
+		for _, l := range a {
+			s.lits = append(s.lits, l.Not())
 		}
 	case OpAnd, OpOr, OpXor:
-		a, b := s.blast(t.Args[0]), s.blast(t.Args[1])
-		out = make([]sat.Lit, len(a))
 		for i := range a {
+			var l sat.Lit
 			switch t.Op {
 			case OpAnd:
-				out[i] = s.andLit(a[i], b[i])
+				l = s.andLit(a[i], b[i])
 			case OpOr:
-				out[i] = s.orLit(a[i], b[i])
+				l = s.orLit(a[i], b[i])
 			default:
-				out[i] = s.xorLit(a[i], b[i])
+				l = s.xorLit(a[i], b[i])
 			}
+			s.lits = append(s.lits, l)
 		}
 	case OpNeg:
-		a := s.blast(t.Args[0])
 		na := make([]sat.Lit, len(a))
 		for i := range a {
 			na[i] = a[i].Not()
 		}
-		out = s.addBits(na, s.constBits(bv.Zero(t.Width)), s.t)
+		s.lits = append(s.lits, s.addBits(na, s.appendConst(nil, bv.Zero(t.Width)), s.t)...)
 	case OpAdd:
-		out = s.addBits(s.blast(t.Args[0]), s.blast(t.Args[1]), s.f)
+		s.lits = append(s.lits, s.addBits(a, b, s.f)...)
 	case OpSub:
-		a, b := s.blast(t.Args[0]), s.blast(t.Args[1])
 		nb := make([]sat.Lit, len(b))
 		for i := range b {
 			nb[i] = b[i].Not()
 		}
-		out = s.addBits(a, nb, s.t)
+		s.lits = append(s.lits, s.addBits(a, nb, s.t)...)
 	case OpMul:
-		a, b := s.blast(t.Args[0]), s.blast(t.Args[1])
-		acc := s.constBits(bv.Zero(t.Width))
+		acc := s.appendConst(nil, bv.Zero(t.Width))
 		for i := 0; i < t.Width; i++ {
 			// addend = (a << i) masked by b[i]
 			addend := make([]sat.Lit, t.Width)
@@ -315,96 +323,84 @@ func (s *Solver) blast(t *Term) []sat.Lit {
 			}
 			acc = s.addBits(acc, addend, s.f)
 		}
-		out = acc
+		s.lits = append(s.lits, acc...)
 	case OpUdiv, OpUrem:
-		q, r := s.divRemBits(t.Args[0], t.Args[1])
+		q, r := s.divRemBits(a, b)
 		if t.Op == OpUdiv {
-			out = q
+			s.lits = append(s.lits, q...)
 		} else {
-			out = r
+			s.lits = append(s.lits, r...)
 		}
 	case OpEq:
-		a, b := s.blast(t.Args[0]), s.blast(t.Args[1])
 		eq := s.t
 		for i := range a {
 			eq = s.andLit(eq, s.iffLit(a[i], b[i]))
 		}
-		out = []sat.Lit{eq}
+		s.lits = append(s.lits, eq)
 	case OpUlt:
-		out = []sat.Lit{s.ultBits(s.blast(t.Args[0]), s.blast(t.Args[1]))}
+		s.lits = append(s.lits, s.ultBits(a, b))
 	case OpSlt:
-		a, b := s.blast(t.Args[0]), s.blast(t.Args[1])
-		fa := make([]sat.Lit, len(a))
-		fb := make([]sat.Lit, len(b))
-		copy(fa, a)
-		copy(fb, b)
+		fa := append([]sat.Lit(nil), a...)
+		fb := append([]sat.Lit(nil), b...)
 		fa[len(fa)-1] = fa[len(fa)-1].Not()
 		fb[len(fb)-1] = fb[len(fb)-1].Not()
-		out = []sat.Lit{s.ultBits(fa, fb)}
+		s.lits = append(s.lits, s.ultBits(fa, fb))
 	case OpShl, OpLshr, OpAshr:
-		out = s.shiftBits(t)
+		s.lits = append(s.lits, s.shiftBits(t.Op, a, b)...)
 	case OpConcat:
-		hi, lo := s.blast(t.Args[0]), s.blast(t.Args[1])
-		out = append(append([]sat.Lit{}, lo...), hi...)
+		s.lits = append(append(s.lits, b...), a...) // a is the high part
 	case OpExtract:
-		a := s.blast(t.Args[0])
-		out = append([]sat.Lit{}, a[t.Lo:t.Hi+1]...)
+		s.lits = append(s.lits, a[t.Lo:t.Hi+1]...)
 	case OpZeroExt:
-		a := s.blast(t.Args[0])
-		out = append([]sat.Lit{}, a...)
-		for len(out) < t.Width {
-			out = append(out, s.f)
+		s.lits = append(s.lits, a...)
+		for range t.Width - len(a) {
+			s.lits = append(s.lits, s.f)
 		}
 	case OpSignExt:
-		a := s.blast(t.Args[0])
-		out = append([]sat.Lit{}, a...)
-		sign := a[len(a)-1]
-		for len(out) < t.Width {
-			out = append(out, sign)
+		s.lits = append(s.lits, a...)
+		for range t.Width - len(a) {
+			s.lits = append(s.lits, a[len(a)-1])
 		}
 	case OpIte:
-		c := s.blast(t.Args[0])[0]
-		a, b := s.blast(t.Args[1]), s.blast(t.Args[2])
-		out = make([]sat.Lit, len(a))
-		for i := range a {
-			out[i] = s.muxLit(c, a[i], b[i])
+		c := a[0]
+		for i := range b {
+			s.lits = append(s.lits, s.muxLit(c, b[i], args[2][i]))
 		}
 	case OpRedOr:
-		a := s.blast(t.Args[0])
 		r := s.f
 		for _, l := range a {
 			r = s.orLit(r, l)
 		}
-		out = []sat.Lit{r}
+		s.lits = append(s.lits, r)
 	case OpRedAnd:
-		a := s.blast(t.Args[0])
 		r := s.t
 		for _, l := range a {
 			r = s.andLit(r, l)
 		}
-		out = []sat.Lit{r}
+		s.lits = append(s.lits, r)
 	case OpRedXor:
-		a := s.blast(t.Args[0])
 		r := s.f
 		for _, l := range a {
 			r = s.xorLit(r, l)
 		}
-		out = []sat.Lit{r}
+		s.lits = append(s.lits, r)
 	default:
 		panic(fmt.Sprintf("smt: blast of %v", t.Op))
 	}
-	if len(out) != t.Width {
-		panic(fmt.Sprintf("smt: blast width mismatch for %v: got %d want %d", t.Op, len(out), t.Width))
+	if n := len(s.lits) - start; n != t.Width {
+		panic(fmt.Sprintf("smt: blast width mismatch for %v: got %d want %d", t.Op, n, t.Width))
 	}
-	s.bits[t] = out
-	return out
+	if len(s.lits) > math.MaxUint32 {
+		panic("smt: more than 2^32 blasted literals")
+	}
+	s.bits[t] = uint32(start)
+	return s.lits[start:len(s.lits):len(s.lits)]
 }
 
 // divRemBits implements restoring long division. For a zero divisor the
 // quotient is all ones and the remainder equals the dividend, matching
 // SMT-LIB.
-func (s *Solver) divRemBits(at, bt *Term) (q, r []sat.Lit) {
-	a, b := s.blast(at), s.blast(bt)
+func (s *Solver) divRemBits(a, b []sat.Lit) (q, r []sat.Lit) {
 	w := len(a)
 	// Work with a w+1-bit remainder so (r<<1)|bit never overflows.
 	rw := make([]sat.Lit, w+1)
@@ -435,13 +431,12 @@ func (s *Solver) divRemBits(at, bt *Term) (q, r []sat.Lit) {
 	return q, rw[:w]
 }
 
-// shiftBits builds a barrel shifter for variable shifts.
-func (s *Solver) shiftBits(t *Term) []sat.Lit {
-	a, amt := s.blast(t.Args[0]), s.blast(t.Args[1])
-	w := t.Width
-	cur := append([]sat.Lit{}, a...)
+// shiftBits builds a barrel shifter that shifts a by amt.
+func (s *Solver) shiftBits(op Op, a, amt []sat.Lit) []sat.Lit {
+	w := len(a)
+	cur := a
 	var fill func(i int) sat.Lit
-	switch t.Op {
+	switch op {
 	case OpAshr:
 		sign := a[w-1]
 		fill = func(int) sat.Lit { return sign }
@@ -454,7 +449,7 @@ func (s *Solver) shiftBits(t *Term) []sat.Lit {
 		next := make([]sat.Lit, w)
 		for i := 0; i < w; i++ {
 			var shifted sat.Lit
-			switch t.Op {
+			switch op {
 			case OpShl:
 				if i-d >= 0 {
 					shifted = cur[i-d]
@@ -521,6 +516,7 @@ func (s *Solver) Check(assumptions ...*Term) (sat.Status, error) {
 	}
 	s.lastAssumpTerms, s.lastAssumpLits = terms, lits
 	st, err := s.sat.Solve(lits...)
+	s.haveModel = st == sat.Sat
 	if st == sat.Sat {
 		s.snapshotModel()
 		if s.validate {
@@ -535,7 +531,6 @@ func (s *Solver) Check(assumptions ...*Term) (sat.Status, error) {
 			s.obs.Metrics.Add("certify.models_validated", 1)
 		}
 	} else {
-		s.model = nil
 		if st == sat.Unsat && s.checker != nil {
 			start := time.Now()
 			cspan := span.Start("certify")
@@ -558,15 +553,15 @@ func (s *Solver) Check(assumptions ...*Term) (sat.Status, error) {
 // interpreter, returning an error on the first term that does not
 // evaluate to true. It must be called while a Sat model is held.
 func (s *Solver) ValidateModel() error {
-	if s.model == nil {
+	if !s.haveModel {
 		return fmt.Errorf("no model to validate")
 	}
-	ev := NewEvaluator(func(v *Term) bv.BV {
-		if val, ok := s.model[v]; ok {
-			return val
-		}
-		return bv.Zero(v.Width)
-	})
+	ev := s.ev
+	if ev == nil {
+		ev = NewEvaluator(s.modelValue)
+		s.ev = ev
+	}
+	clear(ev.memo)
 	for _, t := range s.asserted {
 		if ev.Eval(t).IsZero() {
 			return fmt.Errorf("asserted term %s is false under the model", t)
@@ -592,12 +587,14 @@ func (s *Solver) CertifyLastUnsat() error {
 	return s.checker.CheckUnsat(s.lastAssumpLits)
 }
 
+// snapshotModel records the value of every blasted variable.
 func (s *Solver) snapshotModel() {
-	s.model = map[*Term]bv.BV{}
-	for t, lits := range s.bits {
-		if t.Op != OpVar {
-			continue
-		}
+	if s.model == nil {
+		s.model = map[*Term]bv.BV{}
+	}
+	clear(s.model)
+	for _, t := range s.varTerms {
+		lits := s.blast(t)
 		v := bv.Zero(t.Width)
 		for i, l := range lits {
 			val := s.sat.Value(l.Var())
@@ -615,15 +612,19 @@ func (s *Solver) snapshotModel() {
 // Value evaluates a term under the last Sat model. Variables that do not
 // occur in the encoded formula evaluate to zero.
 func (s *Solver) Value(t *Term) bv.BV {
-	if s.model == nil {
+	if !s.haveModel {
 		panic("smt: Value called without a Sat model")
 	}
-	return Eval(t, func(v *Term) bv.BV {
-		if val, ok := s.model[v]; ok {
-			return val
-		}
-		return bv.Zero(v.Width)
-	})
+	return Eval(t, s.modelValue)
+}
+
+// modelValue is variable v's value in the last Sat model: zero when v
+// does not occur in the encoded formula.
+func (s *Solver) modelValue(v *Term) bv.BV {
+	if val, ok := s.model[v]; ok {
+		return val
+	}
+	return bv.Zero(v.Width)
 }
 
 // Stats returns the underlying SAT search statistics.
