@@ -8,9 +8,11 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 	"strings"
 	"time"
 
+	"rtlrepair/internal/btor2"
 	"rtlrepair/internal/bv"
 	"rtlrepair/internal/core"
 	"rtlrepair/internal/eval"
@@ -53,7 +55,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(sys.WriteBtor())
+	if err := btor2.Write(os.Stdout, sys); err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("\n=== 3. The I/O trace (Figure 2a) ===")
 	// After reset, count must be zero; later cycles pin down the

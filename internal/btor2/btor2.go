@@ -113,10 +113,12 @@ func (w *writer) term(t *smt.Term) (int, error) {
 	if id, ok := w.nodes[t]; ok {
 		return id, nil
 	}
+	// The sort is declared before the node takes its id, so ids increase
+	// down the file and every line refers only to earlier ones.
+	s := w.sort(t.Width)
 	var id int
 	switch t.Op {
 	case smt.OpConst:
-		s := w.sort(t.Width)
 		id = w.alloc()
 		fmt.Fprintf(w.w, "%d const %d %s\n", id, s, t.Val.BinaryString())
 	case smt.OpVar:
@@ -127,14 +129,14 @@ func (w *writer) term(t *smt.Term) (int, error) {
 			return 0, err
 		}
 		id = w.alloc()
-		fmt.Fprintf(w.w, "%d not %d %d\n", id, w.sort(t.Width), a)
+		fmt.Fprintf(w.w, "%d not %d %d\n", id, s, a)
 	case smt.OpNeg:
 		a, err := w.term(t.Args[0])
 		if err != nil {
 			return 0, err
 		}
 		id = w.alloc()
-		fmt.Fprintf(w.w, "%d neg %d %d\n", id, w.sort(t.Width), a)
+		fmt.Fprintf(w.w, "%d neg %d %d\n", id, s, a)
 	case smt.OpRedOr, smt.OpRedAnd, smt.OpRedXor:
 		a, err := w.term(t.Args[0])
 		if err != nil {
@@ -142,28 +144,28 @@ func (w *writer) term(t *smt.Term) (int, error) {
 		}
 		op := map[smt.Op]string{smt.OpRedOr: "redor", smt.OpRedAnd: "redand", smt.OpRedXor: "redxor"}[t.Op]
 		id = w.alloc()
-		fmt.Fprintf(w.w, "%d %s %d %d\n", id, op, w.sort(1), a)
+		fmt.Fprintf(w.w, "%d %s %d %d\n", id, op, s, a)
 	case smt.OpExtract:
 		a, err := w.term(t.Args[0])
 		if err != nil {
 			return 0, err
 		}
 		id = w.alloc()
-		fmt.Fprintf(w.w, "%d slice %d %d %d %d\n", id, w.sort(t.Width), a, t.Hi, t.Lo)
+		fmt.Fprintf(w.w, "%d slice %d %d %d %d\n", id, s, a, t.Hi, t.Lo)
 	case smt.OpZeroExt:
 		a, err := w.term(t.Args[0])
 		if err != nil {
 			return 0, err
 		}
 		id = w.alloc()
-		fmt.Fprintf(w.w, "%d uext %d %d %d\n", id, w.sort(t.Width), a, t.Width-t.Args[0].Width)
+		fmt.Fprintf(w.w, "%d uext %d %d %d\n", id, s, a, t.Width-t.Args[0].Width)
 	case smt.OpSignExt:
 		a, err := w.term(t.Args[0])
 		if err != nil {
 			return 0, err
 		}
 		id = w.alloc()
-		fmt.Fprintf(w.w, "%d sext %d %d %d\n", id, w.sort(t.Width), a, t.Width-t.Args[0].Width)
+		fmt.Fprintf(w.w, "%d sext %d %d %d\n", id, s, a, t.Width-t.Args[0].Width)
 	case smt.OpIte:
 		c, err := w.term(t.Args[0])
 		if err != nil {
@@ -178,7 +180,7 @@ func (w *writer) term(t *smt.Term) (int, error) {
 			return 0, err
 		}
 		id = w.alloc()
-		fmt.Fprintf(w.w, "%d ite %d %d %d %d\n", id, w.sort(t.Width), c, a, b)
+		fmt.Fprintf(w.w, "%d ite %d %d %d %d\n", id, s, c, a, b)
 	default:
 		op, ok := binOps[t.Op]
 		if !ok {
@@ -193,7 +195,7 @@ func (w *writer) term(t *smt.Term) (int, error) {
 			return 0, err
 		}
 		id = w.alloc()
-		fmt.Fprintf(w.w, "%d %s %d %d %d\n", id, op, w.sort(t.Width), a, b)
+		fmt.Fprintf(w.w, "%d %s %d %d %d\n", id, op, s, a, b)
 	}
 	w.nodes[t] = id
 	return id, nil

@@ -2,6 +2,7 @@ package btor2
 
 import (
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -77,6 +78,32 @@ func TestRoundTripBenchmarkGroundTruths(t *testing.T) {
 			t.Fatalf("%s: states %d != %d", b.Name, len(back.States), len(sys.States))
 		}
 		equivalentOnRandom(t, sys, back, 50, 11)
+	}
+}
+
+// Line ids must increase down the file, so every line refers only to
+// ids declared above it, as btor2 requires.
+func TestWriteIDsIncrease(t *testing.T) {
+	for _, b := range bench.CirFixSuite() {
+		sys, err := b.GroundTruthSystem()
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		var sb strings.Builder
+		if err := Write(&sb, sys); err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		last := 0
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if line == "" || line[0] == ';' {
+				continue
+			}
+			id, err := strconv.Atoi(strings.Fields(line)[0])
+			if err != nil || id <= last {
+				t.Fatalf("%s: line %q follows id %d", b.Name, line, last)
+			}
+			last = id
+		}
 	}
 }
 

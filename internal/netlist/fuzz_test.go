@@ -54,40 +54,45 @@ func randTerm(c *smt.Context, rng *rand.Rand, vars []*smt.Term, depth int) *smt.
 	}
 }
 
-// TestGateLoweringMatchesEval: lowering a random term to gates and
-// simulating must match the reference term evaluator bit for bit.
-func TestGateLoweringMatchesEval(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for iter := 0; iter < 150; iter++ {
-		c := smt.NewContext()
-		w := 1 + rng.Intn(9)
-		vars := []*smt.Term{c.Var("a", w), c.Var("b", w)}
-		term := randTerm(c, rng, vars, 3)
-		sys := &tsys.System{
-			Name:    "fuzz",
-			Inputs:  vars,
-			Outputs: []tsys.Output{{Name: "y", Expr: term}},
-		}
-		nl, err := Build(sys)
-		if err != nil {
-			t.Fatalf("iter %d: %v", iter, err)
-		}
-		g := NewGateSim(nl, PolicyZero, 0)
-		for trial := 0; trial < 8; trial++ {
-			env := map[*smt.Term]bv.BV{
-				vars[0]: bv.New(w, rng.Uint64()),
-				vars[1]: bv.New(w, rng.Uint64()),
+// FuzzGateLoweringMatchesEval: lowering random terms to gates and
+// simulating must match the reference term evaluator bit for bit. The
+// input seeds a generator of 150 terms; seed 77 is the corpus plain
+// `go test` runs.
+func FuzzGateLoweringMatchesEval(f *testing.F) {
+	f.Add(int64(77))
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		for iter := 0; iter < 150; iter++ {
+			c := smt.NewContext()
+			w := 1 + rng.Intn(9)
+			vars := []*smt.Term{c.Var("a", w), c.Var("b", w)}
+			term := randTerm(c, rng, vars, 3)
+			sys := &tsys.System{
+				Name:    "fuzz",
+				Inputs:  vars,
+				Outputs: []tsys.Output{{Name: "y", Expr: term}},
 			}
-			want := smt.Eval(term, func(v *smt.Term) bv.BV { return env[v] })
-			outs := g.Step(map[string]bv.XBV{
-				"a": bv.K(env[vars[0]]),
-				"b": bv.K(env[vars[1]]),
-			})
-			got := outs["y"]
-			if !got.IsFullyKnown() || !got.Val.Eq(want) {
-				t.Fatalf("iter %d trial %d: gates %v != eval %v for %v (a=%v b=%v)",
-					iter, trial, got, want, term, env[vars[0]], env[vars[1]])
+			nl, err := Build(sys)
+			if err != nil {
+				t.Fatalf("iter %d: %v", iter, err)
+			}
+			g := NewGateSim(nl, PolicyZero, 0)
+			for trial := 0; trial < 8; trial++ {
+				env := map[*smt.Term]bv.BV{
+					vars[0]: bv.New(w, rng.Uint64()),
+					vars[1]: bv.New(w, rng.Uint64()),
+				}
+				want := smt.Eval(term, func(v *smt.Term) bv.BV { return env[v] })
+				outs := g.Step(map[string]bv.XBV{
+					"a": bv.K(env[vars[0]]),
+					"b": bv.K(env[vars[1]]),
+				})
+				got := outs["y"]
+				if !got.IsFullyKnown() || !got.Val.Eq(want) {
+					t.Fatalf("iter %d trial %d: gates %v != eval %v for %v (a=%v b=%v)",
+						iter, trial, got, want, term, env[vars[0]], env[vars[1]])
+				}
 			}
 		}
-	}
+	})
 }

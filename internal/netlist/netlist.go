@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"strings"
 
+	"rtlrepair/internal/sat"
 	"rtlrepair/internal/smt"
 	"rtlrepair/internal/tsys"
 )
@@ -99,22 +100,8 @@ func newNetlist() *Netlist {
 	}
 }
 
+// and returns the structurally hashed AND of a and b.
 func (n *Netlist) and(a, b Lit) Lit {
-	if a == falseLit || b == falseLit {
-		return falseLit
-	}
-	if a == trueLit {
-		return b
-	}
-	if b == trueLit {
-		return a
-	}
-	if a == b {
-		return a
-	}
-	if a == b.Not() {
-		return falseLit
-	}
 	if b < a {
 		a, b = b, a
 	}
@@ -128,59 +115,51 @@ func (n *Netlist) and(a, b Lit) Lit {
 	return l
 }
 
-func (n *Netlist) or(a, b Lit) Lit  { return n.and(a.Not(), b.Not()).Not() }
-func (n *Netlist) xor(a, b Lit) Lit { return n.or(n.and(a, b.Not()), n.and(a.Not(), b)) }
-func (n *Netlist) mux(c, a, b Lit) Lit {
-	return n.or(n.and(c, a), n.and(c.Not(), b))
+// gates is the netlist's gate library for smt.Lowering: a structurally
+// hashed AND, XOR built as three ANDs, and no free inputs. Build binds
+// every input and flop bit and rejects a system whose roots read any
+// other variable, so Input's placeholder never reaches a netlist it
+// returns.
+type gates struct{ n *Netlist }
+
+func (g gates) And(a, b sat.Lit) sat.Lit { return sat.Lit(g.n.and(Lit(a), Lit(b))) }
+
+func (g gates) Xor(a, b sat.Lit) sat.Lit {
+	x, y := Lit(a), Lit(b)
+	return sat.Lit(g.n.and(g.n.and(x, y.Not()).Not(), g.n.and(x.Not(), y).Not()).Not())
 }
 
-func (n *Netlist) addWord(a, b []Lit, cin Lit) []Lit {
-	sum := make([]Lit, len(a))
-	c := cin
-	for i := range a {
-		axb := n.xor(a[i], b[i])
-		sum[i] = n.xor(axb, c)
-		c = n.or(n.and(a[i], b[i]), n.and(axb, c))
-	}
-	return sum
-}
+func (g gates) Input() sat.Lit { return sat.Lit(falseLit) }
 
-func (n *Netlist) ultWord(a, b []Lit) Lit {
-	lt := falseLit
-	for i := range a {
-		bitLt := n.and(a[i].Not(), b[i])
-		eq := n.xor(a[i], b[i]).Not()
-		lt = n.or(bitLt, n.and(eq, lt))
-	}
-	return lt
-}
-
-// Build lowers a transition system to gates. Systems with synthesis
-// parameters cannot be lowered (repairs are re-elaborated without holes
-// before the gate-level check).
+// Build lowers a transition system to gates with the bit-blaster's
+// lowering (smt.Lowering). Systems with synthesis parameters cannot be
+// lowered (repairs are re-elaborated without holes before the
+// gate-level check).
 func Build(sys *tsys.System) (*Netlist, error) {
 	if len(sys.Params) > 0 {
 		return nil, fmt.Errorf("netlist: system has unresolved synthesis parameters")
 	}
 	n := newNetlist()
-	b := &builder{n: n, memo: map[*smt.Term][]Lit{}}
+	low := smt.NewLowering(gates{n}, sat.Lit(trueLit))
+	newNode := func(kind NodeKind) sat.Lit {
+		n.Nodes = append(n.Nodes, Node{Kind: kind})
+		return sat.Lit(MkLit(len(n.Nodes)-1, false))
+	}
 
 	// Allocate inputs.
 	for _, in := range sys.Inputs {
-		lits := make([]Lit, in.Width)
-		for i := range lits {
-			n.Nodes = append(n.Nodes, Node{Kind: KindInput})
-			lits[i] = MkLit(len(n.Nodes)-1, false)
+		bits := make([]sat.Lit, in.Width)
+		for i := range bits {
+			bits[i] = newNode(KindInput)
 		}
-		n.Inputs = append(n.Inputs, Word{Name: in.Name, Lits: lits})
-		b.memo[in] = lits
+		low.Bind(in, bits)
+		n.Inputs = append(n.Inputs, Word{Name: in.Name, Lits: toLits(bits)})
 	}
 	// Allocate flop outputs.
 	for _, st := range sys.States {
-		lits := make([]Lit, st.Var.Width)
-		for i := range lits {
-			n.Nodes = append(n.Nodes, Node{Kind: KindDFF})
-			lits[i] = MkLit(len(n.Nodes)-1, false)
+		bits := make([]sat.Lit, st.Var.Width)
+		for i := range bits {
+			bits[i] = newNode(KindDFF)
 			var init *bool
 			if st.Init != nil {
 				v := st.Init.Val.Bit(i)
@@ -188,256 +167,32 @@ func Build(sys *tsys.System) (*Netlist, error) {
 			}
 			n.DFFs = append(n.DFFs, DFF{Node: len(n.Nodes) - 1, Init: init, Name: st.Var.Name, Bit: i})
 		}
-		b.memo[st.Var] = lits
+		low.Bind(st.Var, bits)
 	}
 	// Lower next functions and outputs.
 	dffIdx := 0
 	for _, st := range sys.States {
-		next, err := b.lower(st.Next)
-		if err != nil {
-			return nil, err
-		}
-		for i := range next {
-			n.DFFs[dffIdx].Next = next[i]
+		for _, l := range low.Lower(st.Next) {
+			n.DFFs[dffIdx].Next = Lit(l)
 			dffIdx++
 		}
 	}
 	for _, o := range sys.Outputs {
-		lits, err := b.lower(o.Expr)
-		if err != nil {
-			return nil, err
-		}
-		n.Outputs = append(n.Outputs, Word{Name: o.Name, Lits: lits})
+		n.Outputs = append(n.Outputs, Word{Name: o.Name, Lits: toLits(low.Lower(o.Expr))})
+	}
+	if free := low.Vars(); len(free) > 0 {
+		return nil, fmt.Errorf("netlist: free variable %q", free[0].Name)
 	}
 	return n, nil
 }
 
-type builder struct {
-	n    *Netlist
-	memo map[*smt.Term][]Lit
-}
-
-func (b *builder) lower(t *smt.Term) ([]Lit, error) {
-	if ls, ok := b.memo[t]; ok {
-		return ls, nil
+// toLits copies lowered literals into gate literals.
+func toLits(ls []sat.Lit) []Lit {
+	out := make([]Lit, len(ls))
+	for i, l := range ls {
+		out[i] = Lit(l)
 	}
-	n := b.n
-	var out []Lit
-	argLits := make([][]Lit, len(t.Args))
-	for i, a := range t.Args {
-		ls, err := b.lower(a)
-		if err != nil {
-			return nil, err
-		}
-		argLits[i] = ls
-	}
-	switch t.Op {
-	case smt.OpConst:
-		out = make([]Lit, t.Width)
-		for i := range out {
-			if t.Val.Bit(i) {
-				out[i] = trueLit
-			} else {
-				out[i] = falseLit
-			}
-		}
-	case smt.OpVar:
-		return nil, fmt.Errorf("netlist: free variable %q", t.Name)
-	case smt.OpNot:
-		out = make([]Lit, t.Width)
-		for i := range out {
-			out[i] = argLits[0][i].Not()
-		}
-	case smt.OpAnd, smt.OpOr, smt.OpXor:
-		out = make([]Lit, t.Width)
-		for i := range out {
-			switch t.Op {
-			case smt.OpAnd:
-				out[i] = n.and(argLits[0][i], argLits[1][i])
-			case smt.OpOr:
-				out[i] = n.or(argLits[0][i], argLits[1][i])
-			default:
-				out[i] = n.xor(argLits[0][i], argLits[1][i])
-			}
-		}
-	case smt.OpNeg:
-		na := make([]Lit, t.Width)
-		zero := make([]Lit, t.Width)
-		for i := range na {
-			na[i] = argLits[0][i].Not()
-			zero[i] = falseLit
-		}
-		out = n.addWord(na, zero, trueLit)
-	case smt.OpAdd:
-		out = n.addWord(argLits[0], argLits[1], falseLit)
-	case smt.OpSub:
-		nb := make([]Lit, t.Width)
-		for i := range nb {
-			nb[i] = argLits[1][i].Not()
-		}
-		out = n.addWord(argLits[0], nb, trueLit)
-	case smt.OpMul:
-		acc := make([]Lit, t.Width)
-		for i := range acc {
-			acc[i] = falseLit
-		}
-		for i := 0; i < t.Width; i++ {
-			addend := make([]Lit, t.Width)
-			for j := 0; j < t.Width; j++ {
-				if j < i {
-					addend[j] = falseLit
-				} else {
-					addend[j] = n.and(argLits[0][j-i], argLits[1][i])
-				}
-			}
-			acc = n.addWord(acc, addend, falseLit)
-		}
-		out = acc
-	case smt.OpUdiv, smt.OpUrem:
-		q, r := b.divRem(argLits[0], argLits[1])
-		if t.Op == smt.OpUdiv {
-			out = q
-		} else {
-			out = r
-		}
-	case smt.OpEq:
-		eq := trueLit
-		for i := range argLits[0] {
-			eq = n.and(eq, n.xor(argLits[0][i], argLits[1][i]).Not())
-		}
-		out = []Lit{eq}
-	case smt.OpUlt:
-		out = []Lit{n.ultWord(argLits[0], argLits[1])}
-	case smt.OpSlt:
-		fa := append([]Lit{}, argLits[0]...)
-		fb := append([]Lit{}, argLits[1]...)
-		fa[len(fa)-1] = fa[len(fa)-1].Not()
-		fb[len(fb)-1] = fb[len(fb)-1].Not()
-		out = []Lit{n.ultWord(fa, fb)}
-	case smt.OpShl, smt.OpLshr, smt.OpAshr:
-		out = b.shift(t, argLits[0], argLits[1])
-	case smt.OpConcat:
-		out = append(append([]Lit{}, argLits[1]...), argLits[0]...)
-	case smt.OpExtract:
-		out = append([]Lit{}, argLits[0][t.Lo:t.Hi+1]...)
-	case smt.OpZeroExt:
-		out = append([]Lit{}, argLits[0]...)
-		for len(out) < t.Width {
-			out = append(out, falseLit)
-		}
-	case smt.OpSignExt:
-		out = append([]Lit{}, argLits[0]...)
-		sign := argLits[0][len(argLits[0])-1]
-		for len(out) < t.Width {
-			out = append(out, sign)
-		}
-	case smt.OpIte:
-		c := argLits[0][0]
-		out = make([]Lit, t.Width)
-		for i := range out {
-			out[i] = n.mux(c, argLits[1][i], argLits[2][i])
-		}
-	case smt.OpRedOr:
-		r := falseLit
-		for _, l := range argLits[0] {
-			r = n.or(r, l)
-		}
-		out = []Lit{r}
-	case smt.OpRedAnd:
-		r := trueLit
-		for _, l := range argLits[0] {
-			r = n.and(r, l)
-		}
-		out = []Lit{r}
-	case smt.OpRedXor:
-		r := falseLit
-		for _, l := range argLits[0] {
-			r = n.xor(r, l)
-		}
-		out = []Lit{r}
-	default:
-		return nil, fmt.Errorf("netlist: cannot lower %v", t.Op)
-	}
-	if len(out) != t.Width {
-		return nil, fmt.Errorf("netlist: width mismatch lowering %v", t.Op)
-	}
-	b.memo[t] = out
-	return out, nil
-}
-
-func (b *builder) divRem(a, bb []Lit) (q, r []Lit) {
-	n := b.n
-	w := len(a)
-	rw := make([]Lit, w+1)
-	for i := range rw {
-		rw[i] = falseLit
-	}
-	bw := append(append([]Lit{}, bb...), falseLit)
-	q = make([]Lit, w)
-	for i := w - 1; i >= 0; i-- {
-		shifted := make([]Lit, w+1)
-		shifted[0] = a[i]
-		copy(shifted[1:], rw[:w])
-		ge := n.ultWord(shifted, bw).Not()
-		q[i] = ge
-		nb := make([]Lit, w+1)
-		for j := range bw {
-			nb[j] = bw[j].Not()
-		}
-		diff := n.addWord(shifted, nb, trueLit)
-		rw = make([]Lit, w+1)
-		for j := range rw {
-			rw[j] = n.mux(ge, diff[j], shifted[j])
-		}
-	}
-	return q, rw[:w]
-}
-
-func (b *builder) shift(t *smt.Term, a, amt []Lit) []Lit {
-	n := b.n
-	w := t.Width
-	cur := append([]Lit{}, a...)
-	fillLit := falseLit
-	if t.Op == smt.OpAshr {
-		fillLit = a[w-1]
-	}
-	for stage := 0; stage < len(amt) && (1<<stage) < w; stage++ {
-		d := 1 << stage
-		next := make([]Lit, w)
-		for i := 0; i < w; i++ {
-			var shifted Lit
-			switch t.Op {
-			case smt.OpShl:
-				if i-d >= 0 {
-					shifted = cur[i-d]
-				} else {
-					shifted = falseLit
-				}
-			default:
-				if i+d < w {
-					shifted = cur[i+d]
-				} else {
-					shifted = fillLit
-				}
-			}
-			next[i] = n.mux(amt[stage], shifted, cur[i])
-		}
-		cur = next
-	}
-	over := falseLit
-	for stage := 0; stage < len(amt); stage++ {
-		if 1<<stage >= w || stage >= 31 {
-			over = n.or(over, amt[stage])
-		}
-	}
-	if over != falseLit {
-		out := make([]Lit, w)
-		for i := 0; i < w; i++ {
-			out[i] = n.mux(over, fillLit, cur[i])
-		}
-		return out
-	}
-	return cur
+	return out
 }
 
 // WriteVerilog emits the netlist as structural gate-level Verilog,

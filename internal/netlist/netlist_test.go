@@ -136,6 +136,39 @@ endmodule`
 	}
 }
 
+// TestMuxOfSharedBitNeedsNoGate: a mux whose two data bits are the same
+// literal is that literal, in the netlist as in the bit-blaster, so y[1]
+// is a and stays known under an X select while y[0] keeps the gate-level
+// X. Only y[0]'s mux of b and c takes gates.
+func TestMuxOfSharedBitNeedsNoGate(t *testing.T) {
+	_, nl := buildFrom(t, `
+module p(input sel, input a, input b, input c, output [1:0] y);
+assign y = sel ? {a, b} : {a, c};
+endmodule`)
+	if got := nl.NumGates(); got != 3 {
+		t.Errorf("gates = %d, want 3 (one mux)", got)
+	}
+	g := NewGateSim(nl, PolicyKeepX, 0)
+	outs := g.Step(map[string]bv.XBV{"sel": bv.X(1), "a": bv.KU(1, 1), "b": bv.KU(1, 1), "c": bv.KU(1, 1)})
+	y := outs["y"]
+	if !y.Known.Bit(1) || !y.Val.Bit(1) {
+		t.Fatalf("y = %v, want y[1] known 1", y)
+	}
+	if y.Known.Bit(0) {
+		t.Fatalf("y = %v, want y[0] X (pessimism)", y)
+	}
+}
+
+func TestBuildRejectsFreeVariable(t *testing.T) {
+	ctx := smt.NewContext()
+	a, v := ctx.Var("a", 4), ctx.Var("v", 4)
+	sys := &tsys.System{Name: "p", Inputs: []*smt.Term{a},
+		Outputs: []tsys.Output{{Name: "y", Expr: ctx.Add(a, v)}}}
+	if _, err := Build(sys); err == nil || !strings.Contains(err.Error(), `"v"`) {
+		t.Fatalf("Build = %v, want a free-variable error naming v", err)
+	}
+}
+
 func TestBuildRejectsParams(t *testing.T) {
 	ctx := smt.NewContext()
 	phi := ctx.Var("phi", 1)

@@ -100,7 +100,7 @@ const crefBinary = cref(1) << 31
 
 // Header flags; the clause size fills the bits above hdrSizeShift.
 const (
-	hdrLearnt  = 1 << iota // derived or imported, not added by AddClause
+	hdrLearnt  = 1 << iota // derived by conflict analysis, not added by AddClause
 	hdrDeleted             // chosen by reduceDB; gone after compaction
 	hdrLocked              // reason of a root assignment during reduceDB
 	hdrMoved               // copied by compaction; the next word is the new cref
@@ -125,7 +125,7 @@ type Solver struct {
 	watches  watchStore // see watch.go
 	vals     []lbool    // indexed by literal: vals[l] and vals[l^1] are opposite or both lUndef
 	phase    []bool     // saved phase, indexed by var
-	level    []int      // decision level per var
+	level    []int32    // decision level per var
 	reason   []cref     // antecedent per var
 	trail    []Lit
 	trailLim []int
@@ -346,7 +346,7 @@ func (s *Solver) enqueue(l Lit, from cref) bool {
 	}
 	v := l.Var()
 	s.vals[l], s.vals[l^1] = lTrue, lFalse
-	s.level[v] = s.decisionLevel()
+	s.level[v] = int32(s.decisionLevel())
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
 	return true
@@ -450,7 +450,7 @@ func (s *Solver) analyze(confl cref) ([]Lit, int) {
 				s.seen[v] = true
 				marked = append(marked, v)
 				s.bumpVar(v)
-				if s.level[v] >= s.decisionLevel() {
+				if int(s.level[v]) >= s.decisionLevel() {
 					counter++
 				} else {
 					learnt = append(learnt, q)
@@ -507,7 +507,7 @@ func (s *Solver) analyze(confl cref) ([]Lit, int) {
 			}
 		}
 		learnt[1], learnt[maxI] = learnt[maxI], learnt[1]
-		btLevel = s.level[learnt[1].Var()]
+		btLevel = int(s.level[learnt[1].Var()])
 	}
 	for _, v := range marked {
 		s.seen[v] = false
@@ -790,7 +790,7 @@ func (s *Solver) Solve(assumptions ...Lit) (st Status, err error) {
 					return Unsat, nil
 				}
 				// Re-establish assumptions after a root-level restart.
-				if st, done := s.reassume(assumptions); done {
+				if st, done := s.reassume(); done {
 					return st, nil
 				}
 			} else {
@@ -820,7 +820,7 @@ func (s *Solver) Solve(assumptions ...Lit) (st Status, err error) {
 			if len(s.learnts) > 4000+len(s.clauses) {
 				s.backtrackTo(0)
 				s.reduceDB()
-				if st, done := s.reassume(assumptions); done {
+				if st, done := s.reassume(); done {
 					return st, nil
 				}
 				continue
@@ -855,9 +855,10 @@ func (s *Solver) Solve(assumptions ...Lit) (st Status, err error) {
 	}
 }
 
-// reassume replays assumption decisions after a restart to level 0.
-// It returns (status, true) if solving is already decided.
-func (s *Solver) reassume([]Lit) (Status, bool) {
+// reassume follows a backtrack to level 0: it clears the assumption
+// level and propagates, and the search loop then re-extends the
+// assumptions. It returns (status, true) if solving is already decided.
+func (s *Solver) reassume() (Status, bool) {
 	s.assumptionLevel = 0
 	if s.propagate() != crefUndef {
 		s.ok = false

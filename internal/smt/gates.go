@@ -6,6 +6,52 @@ import (
 	"rtlrepair/internal/sat"
 )
 
+// tseitin is the solver's gate library for its Lowering: each AND or
+// XOR gate is a fresh SAT variable tied to its operands by Tseitin
+// clauses, built once per operand pair and found again in table.
+type tseitin struct {
+	sat   *sat.Solver
+	table gateTable
+}
+
+// And returns a literal equivalent to a ∧ b.
+func (g *tseitin) And(a, b sat.Lit) sat.Lit {
+	if b < a {
+		a, b = b, a
+	}
+	key := gateKey(false, a, b)
+	if x, ok := g.table.get(key); ok {
+		return x
+	}
+	x := g.Input()
+	g.sat.AddClause(x.Not(), a)
+	g.sat.AddClause(x.Not(), b)
+	g.sat.AddClause(x, a.Not(), b.Not())
+	g.table.put(key, x)
+	return x
+}
+
+// Xor returns a literal equivalent to a ⊕ b.
+func (g *tseitin) Xor(a, b sat.Lit) sat.Lit {
+	if b < a {
+		a, b = b, a
+	}
+	key := gateKey(true, a, b)
+	if x, ok := g.table.get(key); ok {
+		return x
+	}
+	x := g.Input()
+	g.sat.AddClause(x.Not(), a, b)
+	g.sat.AddClause(x.Not(), a.Not(), b.Not())
+	g.sat.AddClause(x, a, b.Not())
+	g.sat.AddClause(x, a.Not(), b)
+	g.table.put(key, x)
+	return x
+}
+
+// Input returns the literal of a fresh SAT variable.
+func (g *tseitin) Input() sat.Lit { return sat.PosLit(g.sat.NewVar()) }
+
 // gateTable caches the Tseitin gates the blaster has built: it maps a
 // gate key (see gateKey) to the gate's output literal. It is open
 // addressing with linear probing over 12-byte slots, a key and its

@@ -60,12 +60,12 @@ func TestGateTableMatchesMap(t *testing.T) {
 // blaster listed its variables: a scan of every blasted term.
 func fullScanModel(s *Solver) map[*Term]bv.BV {
 	m := map[*Term]bv.BV{}
-	for t, off := range s.bits {
+	for t, off := range s.low.bits {
 		if t.Op != OpVar {
 			continue
 		}
 		v := bv.Zero(t.Width)
-		for i, l := range s.lits[off : off+uint32(t.Width)] {
+		for i, l := range s.low.lits[off : off+uint32(t.Width)] {
 			if s.sat.Value(l.Var()) != l.Neg() {
 				v = v.WithBit(i, true)
 			}

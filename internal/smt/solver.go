@@ -2,7 +2,6 @@ package smt
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,14 +17,9 @@ import (
 // repair synthesizer performs its minimal-change linear search without
 // re-encoding the unrolled circuit.
 type Solver struct {
-	sat *sat.Solver
-	// bits maps a blasted term to the offset of its Width literals
-	// (LSB first) in lits; varTerms lists the blasted OpVar terms.
-	bits     map[*Term]uint32
-	lits     []sat.Lit
-	varTerms []*Term
-	gates    gateTable
-	t, f     sat.Lit
+	sat   *sat.Solver
+	gates tseitin
+	low   *Lowering
 
 	// model is the var snapshot of the last Sat answer, valid while
 	// haveModel. It and ev, the evaluator that validates it, are
@@ -75,13 +69,12 @@ func (st *CertifyStats) Add(o CertifyStats) {
 func NewSolver(ctx *Context) *Solver {
 	s := &Solver{
 		sat:      sat.New(),
-		bits:     map[*Term]uint32{},
 		validate: testing.Testing(),
 	}
-	v := s.sat.NewVar()
-	s.t = sat.PosLit(v)
-	s.f = s.t.Not()
-	s.sat.AddClause(s.t)
+	s.gates.sat = s.sat
+	t := s.gates.Input()
+	s.sat.AddClause(t)
+	s.low = NewLowering(&s.gates, t)
 	return s
 }
 
@@ -129,361 +122,6 @@ func (s *Solver) SetDeadline(d time.Time) { s.sat.Deadline = d }
 // (Unknown, sat.ErrInterrupted). A nil flag disables cancellation.
 func (s *Solver) SetInterrupt(flag *atomic.Bool) { s.sat.Interrupt = flag }
 
-func (s *Solver) fresh() sat.Lit { return sat.PosLit(s.sat.NewVar()) }
-
-// andLit returns a literal equivalent to a ∧ b.
-func (s *Solver) andLit(a, b sat.Lit) sat.Lit {
-	if a == s.f || b == s.f {
-		return s.f
-	}
-	if a == s.t {
-		return b
-	}
-	if b == s.t {
-		return a
-	}
-	if a == b {
-		return a
-	}
-	if a == b.Not() {
-		return s.f
-	}
-	if b < a {
-		a, b = b, a
-	}
-	key := gateKey(false, a, b)
-	if g, ok := s.gates.get(key); ok {
-		return g
-	}
-	g := s.fresh()
-	s.sat.AddClause(g.Not(), a)
-	s.sat.AddClause(g.Not(), b)
-	s.sat.AddClause(g, a.Not(), b.Not())
-	s.gates.put(key, g)
-	return g
-}
-
-func (s *Solver) orLit(a, b sat.Lit) sat.Lit {
-	return s.andLit(a.Not(), b.Not()).Not()
-}
-
-// xorLit returns a literal equivalent to a ⊕ b.
-func (s *Solver) xorLit(a, b sat.Lit) sat.Lit {
-	if a == s.f {
-		return b
-	}
-	if a == s.t {
-		return b.Not()
-	}
-	if b == s.f {
-		return a
-	}
-	if b == s.t {
-		return a.Not()
-	}
-	if a == b {
-		return s.f
-	}
-	if a == b.Not() {
-		return s.t
-	}
-	if b < a {
-		a, b = b, a
-	}
-	key := gateKey(true, a, b)
-	if g, ok := s.gates.get(key); ok {
-		return g
-	}
-	g := s.fresh()
-	s.sat.AddClause(g.Not(), a, b)
-	s.sat.AddClause(g.Not(), a.Not(), b.Not())
-	s.sat.AddClause(g, a, b.Not())
-	s.sat.AddClause(g, a.Not(), b)
-	s.gates.put(key, g)
-	return g
-}
-
-func (s *Solver) iffLit(a, b sat.Lit) sat.Lit { return s.xorLit(a, b).Not() }
-
-// muxLit returns c ? a : b.
-func (s *Solver) muxLit(c, a, b sat.Lit) sat.Lit {
-	if c == s.t {
-		return a
-	}
-	if c == s.f {
-		return b
-	}
-	if a == b {
-		return a
-	}
-	return s.orLit(s.andLit(c, a), s.andLit(c.Not(), b))
-}
-
-// addBits computes a + b + cin, returning sum bits.
-func (s *Solver) addBits(a, b []sat.Lit, cin sat.Lit) []sat.Lit {
-	n := len(a)
-	sum := make([]sat.Lit, n)
-	c := cin
-	for i := 0; i < n; i++ {
-		axb := s.xorLit(a[i], b[i])
-		sum[i] = s.xorLit(axb, c)
-		c = s.orLit(s.andLit(a[i], b[i]), s.andLit(axb, c))
-	}
-	return sum
-}
-
-// ultBits returns the literal for unsigned a < b.
-func (s *Solver) ultBits(a, b []sat.Lit) sat.Lit {
-	lt := s.f
-	for i := 0; i < len(a); i++ {
-		bitLt := s.andLit(a[i].Not(), b[i])
-		eq := s.iffLit(a[i], b[i])
-		lt = s.orLit(bitLt, s.andLit(eq, lt))
-	}
-	return lt
-}
-
-// appendConst appends v's bits as constant literals to out.
-func (s *Solver) appendConst(out []sat.Lit, v bv.BV) []sat.Lit {
-	for i := range v.Width() {
-		l := s.f
-		if v.Bit(i) {
-			l = s.t
-		}
-		out = append(out, l)
-	}
-	return out
-}
-
-// blast returns the SAT literals (LSB first) representing t. They
-// alias s.lits and must not be modified.
-func (s *Solver) blast(t *Term) []sat.Lit {
-	if off, ok := s.bits[t]; ok {
-		end := off + uint32(t.Width)
-		return s.lits[off:end:end]
-	}
-	// Every operator's encoding blasts its arguments first, in order, so
-	// t's literals are the ones appended after theirs.
-	var args [3][]sat.Lit
-	for i, arg := range t.Args {
-		args[i] = s.blast(arg)
-	}
-	a, b := args[0], args[1]
-	start := len(s.lits)
-	switch t.Op {
-	case OpConst:
-		s.lits = s.appendConst(s.lits, t.Val)
-	case OpVar:
-		for range t.Width {
-			s.lits = append(s.lits, s.fresh())
-		}
-		s.varTerms = append(s.varTerms, t)
-	case OpNot:
-		for _, l := range a {
-			s.lits = append(s.lits, l.Not())
-		}
-	case OpAnd, OpOr, OpXor:
-		for i := range a {
-			var l sat.Lit
-			switch t.Op {
-			case OpAnd:
-				l = s.andLit(a[i], b[i])
-			case OpOr:
-				l = s.orLit(a[i], b[i])
-			default:
-				l = s.xorLit(a[i], b[i])
-			}
-			s.lits = append(s.lits, l)
-		}
-	case OpNeg:
-		na := make([]sat.Lit, len(a))
-		for i := range a {
-			na[i] = a[i].Not()
-		}
-		s.lits = append(s.lits, s.addBits(na, s.appendConst(nil, bv.Zero(t.Width)), s.t)...)
-	case OpAdd:
-		s.lits = append(s.lits, s.addBits(a, b, s.f)...)
-	case OpSub:
-		nb := make([]sat.Lit, len(b))
-		for i := range b {
-			nb[i] = b[i].Not()
-		}
-		s.lits = append(s.lits, s.addBits(a, nb, s.t)...)
-	case OpMul:
-		acc := s.appendConst(nil, bv.Zero(t.Width))
-		for i := 0; i < t.Width; i++ {
-			// addend = (a << i) masked by b[i]
-			addend := make([]sat.Lit, t.Width)
-			for j := 0; j < t.Width; j++ {
-				if j < i {
-					addend[j] = s.f
-				} else {
-					addend[j] = s.andLit(a[j-i], b[i])
-				}
-			}
-			acc = s.addBits(acc, addend, s.f)
-		}
-		s.lits = append(s.lits, acc...)
-	case OpUdiv, OpUrem:
-		q, r := s.divRemBits(a, b)
-		if t.Op == OpUdiv {
-			s.lits = append(s.lits, q...)
-		} else {
-			s.lits = append(s.lits, r...)
-		}
-	case OpEq:
-		eq := s.t
-		for i := range a {
-			eq = s.andLit(eq, s.iffLit(a[i], b[i]))
-		}
-		s.lits = append(s.lits, eq)
-	case OpUlt:
-		s.lits = append(s.lits, s.ultBits(a, b))
-	case OpSlt:
-		fa := append([]sat.Lit(nil), a...)
-		fb := append([]sat.Lit(nil), b...)
-		fa[len(fa)-1] = fa[len(fa)-1].Not()
-		fb[len(fb)-1] = fb[len(fb)-1].Not()
-		s.lits = append(s.lits, s.ultBits(fa, fb))
-	case OpShl, OpLshr, OpAshr:
-		s.lits = append(s.lits, s.shiftBits(t.Op, a, b)...)
-	case OpConcat:
-		s.lits = append(append(s.lits, b...), a...) // a is the high part
-	case OpExtract:
-		s.lits = append(s.lits, a[t.Lo:t.Hi+1]...)
-	case OpZeroExt:
-		s.lits = append(s.lits, a...)
-		for range t.Width - len(a) {
-			s.lits = append(s.lits, s.f)
-		}
-	case OpSignExt:
-		s.lits = append(s.lits, a...)
-		for range t.Width - len(a) {
-			s.lits = append(s.lits, a[len(a)-1])
-		}
-	case OpIte:
-		c := a[0]
-		for i := range b {
-			s.lits = append(s.lits, s.muxLit(c, b[i], args[2][i]))
-		}
-	case OpRedOr:
-		r := s.f
-		for _, l := range a {
-			r = s.orLit(r, l)
-		}
-		s.lits = append(s.lits, r)
-	case OpRedAnd:
-		r := s.t
-		for _, l := range a {
-			r = s.andLit(r, l)
-		}
-		s.lits = append(s.lits, r)
-	case OpRedXor:
-		r := s.f
-		for _, l := range a {
-			r = s.xorLit(r, l)
-		}
-		s.lits = append(s.lits, r)
-	default:
-		panic(fmt.Sprintf("smt: blast of %v", t.Op))
-	}
-	if n := len(s.lits) - start; n != t.Width {
-		panic(fmt.Sprintf("smt: blast width mismatch for %v: got %d want %d", t.Op, n, t.Width))
-	}
-	if len(s.lits) > math.MaxUint32 {
-		panic("smt: more than 2^32 blasted literals")
-	}
-	s.bits[t] = uint32(start)
-	return s.lits[start:len(s.lits):len(s.lits)]
-}
-
-// divRemBits implements restoring long division. For a zero divisor the
-// quotient is all ones and the remainder equals the dividend, matching
-// SMT-LIB.
-func (s *Solver) divRemBits(a, b []sat.Lit) (q, r []sat.Lit) {
-	w := len(a)
-	// Work with a w+1-bit remainder so (r<<1)|bit never overflows.
-	rw := make([]sat.Lit, w+1)
-	for i := range rw {
-		rw[i] = s.f
-	}
-	bw := append(append([]sat.Lit{}, b...), s.f)
-	q = make([]sat.Lit, w)
-	for i := w - 1; i >= 0; i-- {
-		// r = (r << 1) | a[i]
-		shifted := make([]sat.Lit, w+1)
-		shifted[0] = a[i]
-		copy(shifted[1:], rw[:w])
-		// ge = shifted >= b
-		ge := s.ultBits(shifted, bw).Not()
-		q[i] = ge
-		// r = ge ? shifted - b : shifted
-		nb := make([]sat.Lit, w+1)
-		for j := range bw {
-			nb[j] = bw[j].Not()
-		}
-		diff := s.addBits(shifted, nb, s.t)
-		rw = make([]sat.Lit, w+1)
-		for j := range rw {
-			rw[j] = s.muxLit(ge, diff[j], shifted[j])
-		}
-	}
-	return q, rw[:w]
-}
-
-// shiftBits builds a barrel shifter that shifts a by amt.
-func (s *Solver) shiftBits(op Op, a, amt []sat.Lit) []sat.Lit {
-	w := len(a)
-	cur := a
-	var fill func(i int) sat.Lit
-	switch op {
-	case OpAshr:
-		sign := a[w-1]
-		fill = func(int) sat.Lit { return sign }
-	default:
-		fill = func(int) sat.Lit { return s.f }
-	}
-	// Stages for amount bits that can produce in-range shifts.
-	for stage := 0; stage < len(amt) && (1<<stage) < w; stage++ {
-		d := 1 << stage
-		next := make([]sat.Lit, w)
-		for i := 0; i < w; i++ {
-			var shifted sat.Lit
-			switch op {
-			case OpShl:
-				if i-d >= 0 {
-					shifted = cur[i-d]
-				} else {
-					shifted = s.f
-				}
-			default: // right shifts
-				if i+d < w {
-					shifted = cur[i+d]
-				} else {
-					shifted = fill(i)
-				}
-			}
-			next[i] = s.muxLit(amt[stage], shifted, cur[i])
-		}
-		cur = next
-	}
-	// If any amount bit >= log2 range is set, the result saturates.
-	over := s.f
-	for stage := 0; stage < len(amt); stage++ {
-		if 1<<stage >= w || stage >= 31 {
-			over = s.orLit(over, amt[stage])
-		}
-	}
-	if over != s.f {
-		out := make([]sat.Lit, w)
-		for i := 0; i < w; i++ {
-			out[i] = s.muxLit(over, fill(i), cur[i])
-		}
-		return out
-	}
-	return cur
-}
-
 // Assert adds a width-1 term as a hard constraint.
 func (s *Solver) Assert(t *Term) {
 	if t.Width != 1 {
@@ -492,7 +130,7 @@ func (s *Solver) Assert(t *Term) {
 	if t.Op == OpConst && !t.Val.IsZero() {
 		return // trivially true
 	}
-	s.sat.AddClause(s.blast(t)[0])
+	s.sat.AddClause(s.low.Lower(t)[0])
 	s.asserted = append(s.asserted, t)
 }
 
@@ -512,7 +150,7 @@ func (s *Solver) Check(assumptions ...*Term) (sat.Status, error) {
 			panic("smt: assumption of non-boolean term")
 		}
 		terms = append(terms, a)
-		lits = append(lits, s.blast(a)[0])
+		lits = append(lits, s.low.Lower(a)[0])
 	}
 	s.lastAssumpTerms, s.lastAssumpLits = terms, lits
 	st, err := s.sat.Solve(lits...)
@@ -543,7 +181,7 @@ func (s *Solver) Check(assumptions ...*Term) (sat.Status, error) {
 			s.obs.Metrics.Add("certify.unsats_certified", 1)
 		}
 	}
-	span.End(obs.Str("result", st.String()), obs.Int("smt_terms", int64(len(s.bits))))
+	span.End(obs.Str("result", st.String()), obs.Int("smt_terms", int64(s.low.Terms())))
 	s.obs.Metrics.Add("smt.checks", 1)
 	return st, err
 }
@@ -593,8 +231,8 @@ func (s *Solver) snapshotModel() {
 		s.model = map[*Term]bv.BV{}
 	}
 	clear(s.model)
-	for _, t := range s.varTerms {
-		lits := s.blast(t)
+	for _, t := range s.low.Vars() {
+		lits := s.low.Lower(t)
 		v := bv.Zero(t.Width)
 		for i, l := range lits {
 			val := s.sat.Value(l.Var())

@@ -773,7 +773,7 @@ func CollectVars(ts ...*Term) []*Term {
 }
 
 // String renders the term in an SMT-LIB-like prefix syntax (for debugging
-// and the btor-style writer).
+// and error messages).
 func (t *Term) String() string {
 	switch t.Op {
 	case OpConst:

@@ -6,8 +6,6 @@ package tsys
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"rtlrepair/internal/obs"
 	"rtlrepair/internal/smt"
@@ -249,42 +247,3 @@ func (u *Unrolling) StateAt(k int, sv *smt.Term) *smt.Term { return u.stateAt[k]
 
 // OutputAt returns the expression for the named output at step k.
 func (u *Unrolling) OutputAt(k int, name string) *smt.Term { return u.outputAt[k][name] }
-
-// WriteBtor renders the system in a btor2-flavoured textual format. The
-// output is stable and used for golden tests and debugging; it is not a
-// strictly conforming btor2 file (expressions are printed as trees).
-func (s *System) WriteBtor() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "; system %s\n", s.Name)
-	names := []string{}
-	widths := map[string]int{}
-	for _, in := range s.Inputs {
-		names = append(names, in.Name)
-		widths[in.Name] = in.Width
-	}
-	sort.Strings(names)
-	line := 1
-	for _, n := range names {
-		fmt.Fprintf(&sb, "%d input (bitvec %d) %s\n", line, widths[n], n)
-		line++
-	}
-	for _, p := range s.Params {
-		fmt.Fprintf(&sb, "%d param (bitvec %d) %s\n", line, p.Width, p.Name)
-		line++
-	}
-	for _, st := range s.States {
-		fmt.Fprintf(&sb, "%d state (bitvec %d) %s\n", line, st.Var.Width, st.Var.Name)
-		line++
-		if st.Init != nil {
-			fmt.Fprintf(&sb, "%d init %s = %s\n", line, st.Var.Name, st.Init)
-			line++
-		}
-		fmt.Fprintf(&sb, "%d next %s = %s\n", line, st.Var.Name, st.Next)
-		line++
-	}
-	for _, o := range s.Outputs {
-		fmt.Fprintf(&sb, "%d output %s = %s\n", line, o.Name, o.Expr)
-		line++
-	}
-	return sb.String()
-}

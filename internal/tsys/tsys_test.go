@@ -126,17 +126,6 @@ func TestAccessors(t *testing.T) {
 	}
 }
 
-func TestWriteBtor(t *testing.T) {
-	ctx := smt.NewContext()
-	sys := counterSystem(ctx)
-	out := sys.WriteBtor()
-	for _, want := range []string{"system first_counter", "input (bitvec 1) reset", "state (bitvec 4) count", "next count", "output overflow"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("btor output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestUnrollTaggedNamespaces(t *testing.T) {
 	ctx := smt.NewContext()
 	sys := counterSystem(ctx)
