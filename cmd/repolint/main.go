@@ -1,6 +1,6 @@
 // Command repolint is a repo-specific vet pass enforcing invariants the
 // standard toolchain cannot express. It is built on the standard
-// library's go/parser and go/ast only (no golang.org/x/tools
+// library's go/parser, go/ast and go/types only (no golang.org/x/tools
 // dependency) and runs in CI next to gofmt and go vet:
 //
 //	repolint ./...              # lint the whole module
@@ -27,7 +27,11 @@
 //     smt.Context (table, vars, nextID, frozen) may only be written by
 //     the construction/intern path (NewContext, Clone, Freeze, intern,
 //     Var). Any other writer would break the freeze invariant that
-//     makes shared contexts safe for lock-free concurrent readers.
+//     makes shared contexts safe for lock-free concurrent readers. The
+//     package is type-checked so that a same-named field of another
+//     type does not count; an operand the type checker cannot type
+//     (say, one file linted without the rest of its package) still
+//     does.
 //
 // Exit codes: 0 clean, 1 findings, 2 usage/parse errors.
 package main
@@ -36,8 +40,10 @@ import (
 	"flag"
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -85,15 +91,27 @@ func main() {
 	}
 	sort.Strings(files)
 
-	var findings []string
 	fset := token.NewFileSet()
-	for _, path := range files {
+	parsed := make([]*ast.File, len(files))
+	smtPkgs := map[string][]*ast.File{}
+	for i, path := range files {
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "repolint: %v\n", err)
 			os.Exit(2)
 		}
-		findings = append(findings, lintFile(fset, path, f)...)
+		parsed[i] = f
+		if isSmtSource(path) {
+			smtPkgs[filepath.Dir(path)] = append(smtPkgs[filepath.Dir(path)], f)
+		}
+	}
+	info := newInfo()
+	for _, pkg := range smtPkgs {
+		typeCheck(fset, pkg, info)
+	}
+	var findings []string
+	for i, path := range files {
+		findings = append(findings, lintFile(fset, path, parsed[i], info)...)
 	}
 
 	for _, f := range findings {
@@ -105,14 +123,32 @@ func main() {
 	}
 }
 
-// lintFile runs every check over one parsed file.
-func lintFile(fset *token.FileSet, path string, f *ast.File) []string {
+// lintFile runs every check over one parsed file; info holds the types
+// of the file's package when it is an internal/smt source.
+func lintFile(fset *token.FileSet, path string, f *ast.File, info *types.Info) []string {
 	var out []string
 	out = append(out, checkPairing(fset, f)...)
-	if strings.Contains(filepath.ToSlash(path), "internal/smt/") && !strings.HasSuffix(path, "_test.go") {
-		out = append(out, checkFrozenCtxWrites(fset, f)...)
+	if isSmtSource(path) {
+		out = append(out, checkFrozenCtxWrites(fset, f, info)...)
 	}
 	return out
+}
+
+func isSmtSource(path string) bool {
+	return strings.Contains(filepath.ToSlash(path), "internal/smt/") && !strings.HasSuffix(path, "_test.go")
+}
+
+func newInfo() *types.Info {
+	return &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
+}
+
+// typeCheck records the expression types of one package's files in
+// info, type-checking imports from source. Type errors are left to the
+// compiler and go vet: an expression they leave untyped may still be a
+// Context, and the frozen-ctx-write rule treats it as one.
+func typeCheck(fset *token.FileSet, files []*ast.File, info *types.Info) {
+	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil), Error: func(error) {}}
+	conf.Check(files[0].Name.Name, fset, files, info)
 }
 
 // pairedOpeners maps each open-resource constructor to the method that
@@ -198,7 +234,7 @@ var (
 
 // checkFrozenCtxWrites flags writes to Context's hash-cons state
 // outside the construction/intern path.
-func checkFrozenCtxWrites(fset *token.FileSet, f *ast.File) []string {
+func checkFrozenCtxWrites(fset *token.FileSet, f *ast.File, info *types.Info) []string {
 	var out []string
 	for _, decl := range f.Decls {
 		fn, ok := decl.(*ast.FuncDecl)
@@ -213,12 +249,12 @@ func checkFrozenCtxWrites(fset *token.FileSet, f *ast.File) []string {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
-					if field, ok := ctxFieldTarget(lhs); ok {
+					if field, ok := ctxFieldTarget(lhs, info); ok {
 						report(lhs.Pos(), field)
 					}
 				}
 			case *ast.IncDecStmt:
-				if field, ok := ctxFieldTarget(n.X); ok {
+				if field, ok := ctxFieldTarget(n.X, info); ok {
 					report(n.Pos(), field)
 				}
 			}
@@ -230,15 +266,30 @@ func checkFrozenCtxWrites(fset *token.FileSet, f *ast.File) []string {
 
 // ctxFieldTarget reports whether an assignment target is (an index
 // into) one of Context's hash-cons fields.
-func ctxFieldTarget(e ast.Expr) (string, bool) {
+func ctxFieldTarget(e ast.Expr, info *types.Info) (string, bool) {
 	if ix, ok := e.(*ast.IndexExpr); ok {
 		e = ix.X
 	}
 	sel, ok := e.(*ast.SelectorExpr)
-	if !ok || !ctxFields[sel.Sel.Name] {
+	if !ok || !ctxFields[sel.Sel.Name] || !maybeContext(info.TypeOf(sel.X)) {
 		return "", false
 	}
 	return sel.Sel.Name, true
+}
+
+// maybeContext reports whether t may be smt.Context or a pointer to
+// it. An operand the type checker could not type counts as a Context,
+// so a write is skipped only when its operand is known to be another
+// type.
+func maybeContext(t types.Type) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if t == nil || t == types.Typ[types.Invalid] {
+		return true
+	}
+	n, ok := t.(*types.Named)
+	return ok && n.Obj().Name() == "Context" && n.Obj().Pkg() != nil && n.Obj().Pkg().Name() == "smt"
 }
 
 func writerList() string {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"strings"
@@ -14,7 +15,9 @@ func lintSrc(t *testing.T, path, src string) []string {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	return lintFile(fset, path, f)
+	info := newInfo()
+	typeCheck(fset, []*ast.File{f}, info)
+	return lintFile(fset, path, f, info)
 }
 
 func TestSpanLeakDetected(t *testing.T) {
@@ -75,9 +78,21 @@ func run(cmd *exec.Cmd) error {
 	}
 }
 
-func TestFrozenCtxWriteDetected(t *testing.T) {
-	src := `
+// ctxDecl declares the hash-cons fields the rule resolves writes to.
+const ctxDecl = `
 package smt
+type Term struct{}
+type Context struct {
+	parent *Context
+	table  map[string]*Term
+	vars   map[string]*Term
+	nextID uint64
+	frozen bool
+}
+`
+
+func TestFrozenCtxWriteDetected(t *testing.T) {
+	src := ctxDecl + `
 func (c *Context) evil(key string, t *Term) {
 	c.table[key] = t
 	c.nextID++
@@ -99,9 +114,45 @@ func (c *Context) evil(key string, t *Term) {
 	}
 }
 
+// A field named like a hash-cons field on another type is not Context
+// state.
+func TestFrozenCtxSameNameOtherType(t *testing.T) {
+	got := lintSrc(t, "internal/smt/lower.go", ctxDecl+`
+type Lowering struct {
+	vars   []*Term
+	table  map[string]*Term
+	frozen bool
+}
+func (l *Lowering) Lower(v *Term) {
+	l.vars = append(l.vars, v)
+	l.table["x"] = v
+	l.frozen = true
+}`)
+	if len(got) != 0 {
+		t.Fatalf("non-Context fields flagged: %v", got)
+	}
+}
+
+// A write reached through a *Context field is still a Context write.
+func TestFrozenCtxWriteThroughField(t *testing.T) {
+	got := lintSrc(t, "internal/smt/lower.go", ctxDecl+`
+type Lowering struct{ ctx *Context }
+func (l *Lowering) Lower(k string, v *Term) {
+	l.ctx.vars[k] = v
+	l.ctx.nextID++
+}`)
+	if len(got) != 2 {
+		t.Fatalf("got %d findings, want 2: %v", len(got), got)
+	}
+	for _, g := range got {
+		if !strings.Contains(g, "frozen-ctx-write") {
+			t.Fatalf("unexpected finding %q", g)
+		}
+	}
+}
+
 func TestFrozenCtxWritersAllowed(t *testing.T) {
-	got := lintSrc(t, "internal/smt/term.go", `
-package smt
+	got := lintSrc(t, "internal/smt/term.go", ctxDecl+`
 func (c *Context) intern(key string, mk func() *Term) *Term {
 	c.nextID++
 	c.table[key] = mk()
@@ -114,6 +165,25 @@ func (c *Context) Freeze() {
 }`)
 	if len(got) != 0 {
 		t.Fatalf("whitelisted writers flagged: %v", got)
+	}
+}
+
+// A write whose operand the type checker cannot type (here Context is
+// declared in a file not linted with this one) is still reported.
+func TestFrozenCtxWriteUntypedOperand(t *testing.T) {
+	got := lintSrc(t, "internal/smt/solver.go", `
+package smt
+func (c *Context) reset(s *Solver) {
+	c.vars = nil
+	s.ctx.nextID = 0
+}`)
+	if len(got) != 2 {
+		t.Fatalf("got %d findings, want 2: %v", len(got), got)
+	}
+	for _, g := range got {
+		if !strings.Contains(g, "frozen-ctx-write") {
+			t.Fatalf("unexpected finding %q", g)
+		}
 	}
 }
 

@@ -5,13 +5,6 @@
 //	rtllint -json design.v          # machine-readable report
 //	rtllint -severity error x.v     # only elaboration-fatal findings
 //	rtllint -fail-on warning x.v    # CI gate: fail on warnings too
-//	rtllint -explain const-net x.v  # justify fact-driven diagnostics
-//
-// The fact-driven rules (const-net, fact-dead-branch,
-// fact-unreachable-arm) are justified by abstract-interpretation
-// reachability invariants over the elaborated transition system;
-// -explain <rule> (or -explain all) prints the abstract facts behind
-// each such verdict, one indented line per fact.
 //
 // When a file holds several modules the last one is the top (matching
 // rtlrepair); earlier modules form the instantiation library.
@@ -37,7 +30,6 @@ func main() {
 		severity = flag.String("severity", "", "minimum severity to report: info, warning or error (default all)")
 		failOn   = flag.String("fail-on", "error", "lowest severity that makes the exit code 1: info, warning or error")
 		quiet    = flag.Bool("q", false, "suppress the summary line")
-		explain  = flag.String("explain", "", "print justifying abstract facts for the given rule (or \"all\")")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: rtllint [flags] design.v [more.v ...]\n")
@@ -71,7 +63,7 @@ func main() {
 		if countAtLeast(report, failSev) > 0 && exit == 0 {
 			exit = 1
 		}
-		printReport(path, report, minSev, *jsonOut, *quiet, *explain)
+		printReport(path, report, minSev, *jsonOut, *quiet)
 	}
 	os.Exit(exit)
 }
@@ -116,10 +108,10 @@ func lintFile(path string) (*analysis.Report, error) {
 	for _, m := range mods[:len(mods)-1] {
 		lib[m.Name] = m
 	}
-	return analysis.Analyze(top, analysis.Options{Lib: lib, Facts: true}), nil
+	return analysis.Analyze(top, analysis.Options{Lib: lib}), nil
 }
 
-func printReport(path string, report *analysis.Report, minSev analysis.Severity, asJSON, quiet bool, explain string) {
+func printReport(path string, report *analysis.Report, minSev analysis.Severity, asJSON, quiet bool) {
 	filtered := &analysis.Report{}
 	for _, d := range report.Diagnostics {
 		if d.Severity >= minSev {
@@ -143,11 +135,6 @@ func printReport(path string, report *analysis.Report, minSev analysis.Severity,
 	}
 	for _, d := range filtered.Diagnostics {
 		fmt.Printf("%s:%s\n", path, d)
-		if explain != "" && (explain == "all" || explain == d.Rule) {
-			for _, line := range d.Explain {
-				fmt.Printf("    because %s\n", line)
-			}
-		}
 	}
 	if !quiet {
 		fmt.Printf("%s: %d error(s), %d warning(s)\n",

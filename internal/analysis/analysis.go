@@ -67,13 +67,6 @@ const (
 	RuleSensIncomplete   = "sens-incomplete"
 	RuleOutOfRange       = "out-of-range"
 	RuleNotSynthesizable = "not-synthesizable"
-	// Fact-driven rules (absfacts.go): justified by abstract-reachability
-	// invariants over the elaborated transition system rather than by
-	// syntactic constant folding. Their diagnostics carry Explain lines
-	// (rtllint -explain) listing the abstract facts behind the verdict.
-	RuleConstNet       = "const-net"
-	RuleFactDeadBranch = "fact-dead-branch"
-	RuleFactDeadArm    = "fact-unreachable-arm"
 )
 
 // Diagnostic is one finding of the analysis engine.
@@ -83,9 +76,6 @@ type Diagnostic struct {
 	Pos      verilog.Pos `json:"pos"`
 	Signal   string      `json:"signal,omitempty"`
 	Msg      string      `json:"message"`
-	// Explain holds the justification chain for fact-driven rules: one
-	// line per abstract fact the verdict rests on (rtllint -explain).
-	Explain []string `json:"explain,omitempty"`
 }
 
 func (d Diagnostic) String() string {
@@ -169,13 +159,6 @@ func (r *Report) Sort() {
 type Options struct {
 	// Lib provides definitions for instantiated modules.
 	Lib map[string]*verilog.Module
-	// Facts enables the abstract-interpretation diagnostics
-	// (const-net, fact-dead-branch, fact-unreachable-arm): a second
-	// elaboration plus a reachability fixpoint over the transition
-	// system. rtllint turns it on; the repair frontend leaves it off —
-	// repair doesn't consume these diagnostics and the fixpoint would
-	// tax every core.Repair call.
-	Facts bool
 }
 
 // analyzer carries the shared pass state: the flattened module, its
@@ -218,9 +201,6 @@ func Analyze(m *verilog.Module, opts Options) *Report {
 	a.casePass()
 	a.resetPass()
 	a.sensPass()
-	if opts.Facts {
-		a.absFactsPass()
-	}
 	r.Sort()
 	return r
 }

@@ -19,7 +19,7 @@ func analyze(t *testing.T, src string) *analysis.Report {
 	for _, m := range mods[:len(mods)-1] {
 		lib[m.Name] = m
 	}
-	return analysis.Analyze(top, analysis.Options{Lib: lib, Facts: true})
+	return analysis.Analyze(top, analysis.Options{Lib: lib})
 }
 
 func wantRule(t *testing.T, r *analysis.Report, rule string, sev analysis.Severity, n int) {

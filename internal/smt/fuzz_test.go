@@ -125,69 +125,3 @@ func FuzzBlastVsEval(f *testing.F) {
 		}
 	})
 }
-
-// FuzzAbsintSound checks the abstract domains against the concrete
-// semantics: facts constructed around the environment value — covering
-// both channels of the reduced product (known bits and unsigned
-// intervals) — and learned for the variables must admit it after every
-// transfer.
-func FuzzAbsintSound(f *testing.F) {
-	f.Add([]byte{17, 42, 63, 0, 1, 2, 3, 10, 200, 3, 0}, byte(0x0F), byte(2))
-	f.Add([]byte{9, 30, 5, 5, 1, 17, 200, 11, 8, 14, 3}, byte(0xAA), byte(0))
-	f.Add([]byte{255, 0, 31, 2, 9, 4, 63, 21, 7, 19, 1}, byte(0xFF), byte(7))
-	// Wide-slack, sign-bit-straddling, and equal-variable (data[3]%3==0
-	// pins b := a) seeds.
-	f.Add([]byte{8, 200, 40, 0, 3, 2, 9, 9, 1, 16, 2}, byte(0x00), byte(6))
-	f.Add([]byte{31, 33, 62, 12, 5, 16, 1, 9, 0, 12, 4}, byte(0x20), byte(3))
-	f.Add([]byte{7, 7, 7, 3, 2, 0, 5, 2, 6, 17, 9}, byte(0x03), byte(5))
-	f.Fuzz(func(t *testing.T, data []byte, mask, slack byte) {
-		ctx := NewContext()
-		if len(data) >= 4 && data[3]%3 == 0 {
-			// Pin b to a's value BEFORE building the term's environment,
-			// so the equality asserted below holds concretely.
-			data = append([]byte{}, data...)
-			data[1] = data[0]
-		}
-		term, env := buildFuzzTerm(ctx, data)
-		if term == nil {
-			return
-		}
-		a := NewAbs()
-		for v, val := range env {
-			// Facts derived FROM the concrete value are sound by
-			// construction: mask some bits as known and widen the
-			// interval by `slack` on each side (saturating).
-			known := bv.New(fuzzWidth, uint64(mask))
-			d := bv.New(fuzzWidth, uint64(slack)%8)
-			lo := bv.Zero(fuzzWidth)
-			if !val.Ult(d) {
-				lo = val.Sub(d)
-			}
-			hi := val.Add(d)
-			if hi.Ult(val) {
-				hi = bv.Ones(fuzzWidth)
-			}
-			fact := Fact{Known: known, Val: val.And(known), Lo: lo, Hi: hi}.normalize()
-			if !fact.Admits(val) {
-				t.Fatalf("constructed fact excludes its own value: %+v vs %s", fact, val)
-			}
-			a.Learn(v, fact)
-		}
-		va, vb := ctx.Var("a", fuzzWidth), ctx.Var("b", fuzzWidth)
-		if env[va].Eq(env[vb]) {
-			// a == b holds in env, so learning it must keep every fact
-			// sound.
-			a.Learn(ctx.Eq(va, vb), boolFact(true))
-		}
-		ev := NewEvaluator(func(v *Term) bv.BV { return env[v] })
-		concrete := ev.Eval(term)
-		if fact := a.Fact(term); !fact.Admits(concrete) {
-			t.Fatalf("transfer result %+v excludes concrete value %s", fact, concrete)
-		}
-		for v, val := range env {
-			if fact := a.Fact(v); !fact.Admits(val) {
-				t.Fatalf("learned var fact %+v excludes %s", fact, val)
-			}
-		}
-	})
-}

@@ -336,3 +336,33 @@ func TestWideTerms(t *testing.T) {
 		t.Fatalf("x = %v, want all ones", got)
 	}
 }
+
+// TestSolverCertifyStats drives a certifying solver through Sat and
+// Unsat verdicts and checks the bookkeeping.
+func TestSolverCertifyStats(t *testing.T) {
+	ctx := NewContext()
+	s := NewSolver(ctx)
+	s.EnableCertification()
+	if !s.Certifying() {
+		t.Fatal("Certifying() false after EnableCertification")
+	}
+	x := ctx.Var("x", 8)
+	y := ctx.Var("y", 8)
+	s.Assert(ctx.Eq(ctx.Add(x, y), ctx.ConstU(8, 10)))
+	if st, err := s.Check(ctx.Ult(x, ctx.ConstU(8, 5))); err != nil || st != sat.Sat {
+		t.Fatalf("sat check: %v %v", st, err)
+	}
+	if st, err := s.Check(ctx.AndN(
+		ctx.Not(ctx.Ult(x, ctx.ConstU(8, 200))),
+		ctx.Not(ctx.Ult(y, ctx.ConstU(8, 200))),
+	)); err != nil || st != sat.Unsat {
+		t.Fatalf("unsat check: %v %v", st, err)
+	}
+	cs := s.CertifyStats()
+	if cs.ModelsValidated != 1 || cs.UnsatsCertified != 1 {
+		t.Fatalf("certify stats: %+v", cs)
+	}
+	if cs.ProofSteps == 0 {
+		t.Fatalf("no proof steps recorded: %+v", cs)
+	}
+}
