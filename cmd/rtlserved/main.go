@@ -19,9 +19,10 @@
 // Durability (see DESIGN.md "Durability"): -wal makes the server
 // crash-safe — every queued job is durably logged before its 202 and
 // replayed after a restart, with /healthz/ready answering 503 until the
-// backlog is requeued — and -artifacts keeps results and frontend
-// artifacts in an on-disk content-addressed cache, so a restarted
-// server comes back warm:
+// backlog is requeued — and -artifacts keeps finished results in an
+// on-disk content-addressed cache, so a restarted server still answers
+// the requests it has seen. The store holds results only; a restarted
+// server rebuilds each design's frontend once, in memory:
 //
 //	rtlserved -addr :8080 -wal /var/rtl/jobs.wal -artifacts /var/rtl/cas
 //
@@ -67,7 +68,7 @@ func main() {
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "shutdown drain budget before running jobs are cancelled")
 		stallAfter    = flag.Duration("stall-after", 10*time.Second, "solver heartbeat staleness behind the stalled-job watchdog (-1s disables)")
 		walPath       = flag.String("wal", "", "write-ahead job log path; enables crash-safe replay")
-		artifactDir   = flag.String("artifacts", "", "on-disk content-addressed cache directory; survives restarts")
+		artifactDir   = flag.String("artifacts", "", "on-disk content-addressed cache of results (not frontends); survives restarts")
 	)
 	var ocli obs.CLI
 	ocli.RegisterFlags(flag.CommandLine)

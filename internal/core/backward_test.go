@@ -138,13 +138,13 @@ func growAndCompare(t *testing.T, name string, s *Synthesizer, rec *obs.Recorder
 
 // TestBackwardGrowthMatchesRebuild drives the live window solver of
 // every attempt RepairCtx runs (each template, localized and unpruned)
-// through growWindows, the growth rule Windowed and RepairAll run. At
-// every window the grown encoding — earlier cycles prepended and linked
-// to the old start variables, the start state bound by assumption —
-// must agree with a fresh encoding from the concrete start state on
-// status and minimal Σ cost·φ. C3 grows only k_past; i2c_w2 and fsm_w1
-// mix both and clamp the start at cycle 0; D4 mixes both. MaxSamples is
-// 1, so no blocking clause enters the comparison.
+// through growWindows, the growth rule Windowed runs. At every window
+// the grown encoding — earlier cycles prepended and linked to the old
+// start variables, the start state bound by assumption — must agree
+// with a fresh encoding from the concrete start state on status and
+// minimal Σ cost·φ. C3 grows only k_past; i2c_w2 and fsm_w1 mix both
+// and clamp the start at cycle 0; D4 mixes both. MaxSamples is 1, so no
+// blocking clause enters the comparison.
 func TestBackwardGrowthMatchesRebuild(t *testing.T) {
 	if testing.Short() {
 		t.Skip("encodes benchmark designs window by window")

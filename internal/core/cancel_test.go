@@ -111,17 +111,6 @@ func TestRepairMultiAggregatesStats(t *testing.T) {
 	}
 }
 
-func TestRepairAllCtxPreCancelled(t *testing.T) {
-	ins, outs := counterIO()
-	tr := recordGolden(t, goodCounter, ins, outs, counterRows())
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	cands := RepairAllCtx(ctx, mustParse(t, buggyCounter), tr, repairOpts(), 4)
-	if len(cands) != 0 {
-		t.Fatalf("pre-cancelled sampling returned %d candidates", len(cands))
-	}
-}
-
 // TestFrontendReuse: a pre-built Frontend artifact must produce the
 // same repair as the inline frontend (this is the contract the serving
 // layer's artifact cache relies on), including when shared across

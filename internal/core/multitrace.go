@@ -3,8 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
+	"time"
 
 	"rtlrepair/internal/bv"
+	"rtlrepair/internal/obs"
 	"rtlrepair/internal/sat"
 	"rtlrepair/internal/smt"
 	"rtlrepair/internal/trace"
@@ -37,28 +40,49 @@ func RepairMultiCtx(ctx context.Context, m *verilog.Module, traces []*trace.Trac
 		return r.finish()
 	}
 	res := r.res
-	if !r.eachTemplate(func(in *instrumented, sopts SynthOptions) bool {
-		sol, err := solveMultiTrace(in, r.ctrs, r.init, sopts, res)
-		if err != nil {
-			// A timed-out or cancelled query ends the template loop: the
-			// remaining templates share the same exhausted budget. The
-			// solver statistics accumulated so far stay on res.
+	// The templates run in order, unpruned, each under an "attempt" span
+	// labelled p0:<template>, and the first verified repair wins. The
+	// stop flag mirrors ctx, so cancelling ctx also interrupts a running
+	// query.
+	var stop atomic.Bool
+	defer watchCancel(ctx, &stop)()
+	for _, tmpl := range r.opts.Templates {
+		if stop.Load() || ctx.Err() != nil || time.Now().After(r.deadline) {
 			res.Status = StatusTimeout
 			res.Reason = cancelReason(ctx.Err())
-			return true
+			return r.finish()
 		}
-		if sol == nil {
-			return false
+		asc := r.sc.WithLabel("p0:" + tmpl.Name()).Start("attempt")
+		in, err := r.fe.instrument(tmpl, nil, &r.opts, asc)
+		sites := 0
+		if in != nil {
+			sites = len(in.vars.Phis)
 		}
-		c := in.candidate(sol, r.init, r.ctrs...)
+		var c *Candidate
+		if err == nil && in.sys != nil {
+			sopts := r.opts.synthOptions(r.deadline, &stop)
+			sopts.Obs = asc
+			sol, err := solveMultiTrace(in, r.ctrs, r.init, sopts, res)
+			if err != nil {
+				// A timed-out or cancelled query ends the template loop:
+				// the remaining templates share the same exhausted budget.
+				// The solver statistics accumulated so far stay on res.
+				res.Status = StatusTimeout
+				res.Reason = cancelReason(ctx.Err())
+			} else if sol != nil {
+				c = in.candidate(sol, r.init, r.ctrs...)
+			}
+		}
+		asc.End(obs.Str("template", tmpl.Name()), obs.Int("pass", 0), obs.Int("sites", int64(sites)))
 		if c != nil {
 			res.setRepair(c)
 		}
-		return c != nil
-	}) {
-		res.Status = StatusCannotRepair
-		res.Reason = "no template found a repair satisfying all traces"
+		if c != nil || res.Status == StatusTimeout {
+			return r.finish()
+		}
 	}
+	res.Status = StatusCannotRepair
+	res.Reason = "no template found a repair satisfying all traces"
 	return r.finish()
 }
 

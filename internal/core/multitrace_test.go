@@ -100,6 +100,24 @@ func TestRepairMultiJointConstraint(t *testing.T) {
 	}
 }
 
+// TestRepairMultiCertify runs RepairMulti in self-certifying mode,
+// where a Sat model the reference interpreter rejects, or an Unsat
+// verdict whose DRUP proof does not check, panics. On the two-trace
+// counter the first query is Sat and the minimal-change search's
+// Σφ ≤ 0 query is Unsat, so both checkers run.
+func TestRepairMultiCertify(t *testing.T) {
+	opts := repairOpts()
+	opts.Certify = true
+	buggy := strings.Replace(goodCounter, "count + 1", "count + 2", 1)
+	res := RepairMulti(mustParse(t, buggy), twoTraces(t), opts)
+	if res.Status != StatusRepaired {
+		t.Fatalf("RepairMulti status = %v (%s)", res.Status, res.Reason)
+	}
+	if res.Certify.ModelsValidated < 1 || res.Certify.UnsatsCertified < 1 {
+		t.Fatalf("RepairMulti certified too little: %+v", res.Certify)
+	}
+}
+
 // spanEnds returns the span_end events named name in rec, in order.
 func spanEnds(rec *obs.Recorder, name string) []obs.Event {
 	var out []obs.Event

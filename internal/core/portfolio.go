@@ -10,6 +10,7 @@ import (
 
 	"rtlrepair/internal/analysis"
 	"rtlrepair/internal/obs"
+	"rtlrepair/internal/verilog"
 )
 
 // The portfolio engine runs the template loop of Figure 3 as a set of
@@ -31,6 +32,17 @@ import (
 // sequential engine's precedence: earliest acceptable template of the
 // earliest pass, else the smallest fallback. The outcome is therefore
 // deterministic — independent of worker count and goroutine scheduling.
+
+// Candidate is one verified repair: the patched module re-elaborates
+// and passes every trace. Each portfolio attempt that finds a repair
+// holds one, as does RepairMulti's template loop, and the selected one
+// becomes the run's result.
+type Candidate struct {
+	Repaired    *verilog.Module
+	Changes     int
+	Template    string
+	ChangeDescs []string
+}
 
 // attempt is one (localization pass, template) portfolio entry.
 type attempt struct {

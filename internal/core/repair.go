@@ -278,17 +278,10 @@ func newFrontend(sc obs.Scope, m *verilog.Module, lib map[string]*verilog.Module
 		}
 	}
 
-	// 2. Elaborate the preprocessed design.
-	fe.elaborate(sc)
-	return fe
-}
-
-// elaborate elaborates fe.Fixed and freezes the result into fe, or sets
-// fe.Reason when the design is not synthesizable. Elaboration stays the
-// authority on synthesizability; the analysis report only explains the
-// failure in more detail (it sees all problems at once where
-// elaboration stops at the first).
-func (fe *Frontend) elaborate(sc obs.Scope) {
+	// 2. Elaborate the preprocessed design. Elaboration stays the
+	// authority on synthesizability; the analysis report only explains
+	// a failure in more detail (it sees all problems at once where
+	// elaboration stops at the first).
 	span := sc.Start("elaborate")
 	sctx := smt.NewContext()
 	sys, info, err := synth.Elaborate(sctx, fe.Fixed, synth.Options{Lib: fe.Lib})
@@ -303,7 +296,7 @@ func (fe *Frontend) elaborate(sc obs.Scope) {
 				}
 			}
 		}
-		return
+		return fe
 	}
 	span.End(obs.Int("states", int64(len(sys.States))), obs.Int("outputs", int64(len(sys.Outputs))))
 	fe.Sys = sys
@@ -313,28 +306,6 @@ func (fe *Frontend) elaborate(sc obs.Scope) {
 	// one cached Frontend — clone it without further writes.
 	sctx.Freeze()
 	fe.ctx = sctx
-}
-
-// RehydrateFrontend rebuilds a Frontend from a previously preprocessed
-// design — e.g. one deserialized from the server's on-disk artifact cache.
-// The lint transform is skipped: fixed and fixes come verbatim from the
-// original preprocessing (they are inputs to the repair verdict), while
-// the static-analysis report and the elaboration are recomputed here.
-// Both are pure functions of the preprocessed module, so a rehydrated
-// frontend behaves byte-for-byte like the one NewFrontend built. A
-// non-empty reason short-circuits to a failed frontend (fixed may be
-// nil in that case), mirroring how the failure was first recorded.
-func RehydrateFrontend(fixed *verilog.Module, lib map[string]*verilog.Module, fixes []lint.Fix, reason string) *Frontend {
-	fe := &Frontend{Fixed: fixed, Fixes: fixes, Lib: lib}
-	if fixed != nil {
-		fe.Diagnostics = analysis.Analyze(fixed, analysis.Options{Lib: lib})
-	}
-	if reason != "" {
-		fe.Reason = reason
-		return fe
-	}
-	// A recomputed failure reports exactly as the cold path does.
-	fe.elaborate(obs.Scope{})
 	return fe
 }
 
@@ -602,42 +573,6 @@ func (r *run) cancelled() bool {
 		r.res.Reason = cancelReason(err)
 	}
 	return err != nil
-}
-
-// eachTemplate is the sequential template loop of RepairMulti and
-// RepairAll. It instruments the run's templates in order, unpruned, each
-// under an "attempt" span labelled p0:<template>, skips those with no
-// site, and hands the others to try with the attempt's synthesis
-// options until try reports the search done. Before each template it
-// checks the stop flag, which mirrors ctx, and the deadline; once either
-// has tripped it settles Timeout. It reports whether the loop ended
-// before the last template.
-func (r *run) eachTemplate(try func(in *instrumented, sopts SynthOptions) (done bool)) bool {
-	var stop atomic.Bool
-	defer watchCancel(r.ctx, &stop)()
-	for _, tmpl := range r.opts.Templates {
-		if stop.Load() || r.ctx.Err() != nil || time.Now().After(r.deadline) {
-			r.res.Status = StatusTimeout
-			r.res.Reason = cancelReason(r.ctx.Err())
-			return true
-		}
-		asc := r.sc.WithLabel("p0:" + tmpl.Name()).Start("attempt")
-		in, err := r.fe.instrument(tmpl, nil, &r.opts, asc)
-		done, sites := false, 0
-		if in != nil {
-			sites = len(in.vars.Phis)
-		}
-		if err == nil && in.sys != nil {
-			sopts := r.opts.synthOptions(r.deadline, &stop)
-			sopts.Obs = asc
-			done = try(in, sopts)
-		}
-		asc.End(obs.Str("template", tmpl.Name()), obs.Int("pass", 0), obs.Int("sites", int64(sites)))
-		if done {
-			return true
-		}
-	}
-	return false
 }
 
 // finish is the finish step of every repair entry: it stamps the run's

@@ -41,7 +41,10 @@ type SynthOptions struct {
 	// Deadline bounds the whole synthesis (zero = none).
 	Deadline time.Time
 	// MaxSamples bounds how many minimal repairs are validated per
-	// window before advancing.
+	// window before advancing. The repair flow always sets
+	// samplesPerWindow; the field stays settable because
+	// TestBackwardGrowthMatchesRebuild sets it to 1, so that no blocking
+	// clause enters its comparison with a freshly built window.
 	MaxSamples int
 	// NoMinimize skips the minimal-change search (ablation of §4.3's
 	// Max-SMT-style minimization): the first satisfying assignment is
@@ -794,7 +797,10 @@ func (s *Synthesizer) Windowed(firstFailure int) (*Solution, error) {
 // window's future boundary grows k_future to that cycle; an Unsat window
 // or any other failure grows k_past by pastStep. The search gives up,
 // returning nil, once k_past+k_future exceeds MaxWindow; it returns
-// ErrCancelled or ErrTimeout when interrupted or out of time.
+// ErrCancelled or ErrTimeout when interrupted or out of time. Windowed
+// is the only repair-flow caller; try stays a callback because
+// TestBackwardGrowthMatchesRebuild drives the same growth rule with its
+// own check of every window.
 func (s *Synthesizer) growWindows(ff int, try func(sols []*Solution) (done bool, latestFuture int, err error)) error {
 	kPast, kFuture := 0, 0
 	for {

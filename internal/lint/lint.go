@@ -48,21 +48,15 @@ type Fix struct {
 	Desc   string
 }
 
-// Preprocess returns a repaired clone of m together with the list of
-// fixes that were applied. The input module is not modified. Lib
-// provides instantiated modules (they are preprocessed transitively via
-// flattening inside elaboration; lint itself only touches the top
-// module, as in the paper's per-file operation).
-func Preprocess(m *verilog.Module, lib map[string]*verilog.Module) (*verilog.Module, []Fix, error) {
-	out, fixes, _, err := PreprocessWithReport(m, lib)
-	return out, fixes, err
-}
-
-// PreprocessWithReport is Preprocess plus the static-analysis report of
-// the *fixed* design. The report tells the caller what lint could not
-// fix: error-severity diagnostics predict elaboration failure (an early
-// cannot-repair classification), and the flagged signals feed fault
-// localization in the repair engine. The report is never nil.
+// PreprocessWithReport returns a repaired clone of m, the list of fixes
+// that were applied, and the static-analysis report of the *fixed*
+// design. The input module is not modified. Lib provides instantiated
+// modules (they are preprocessed transitively via flattening inside
+// elaboration; lint itself only touches the top module, as in the
+// paper's per-file operation). The report tells the caller what lint
+// could not fix: error-severity diagnostics predict elaboration failure
+// (an early cannot-repair classification), and the flagged signals feed
+// fault localization in the repair engine. The report is never nil.
 func PreprocessWithReport(m *verilog.Module, lib map[string]*verilog.Module) (*verilog.Module, []Fix, *analysis.Report, error) {
 	out := verilog.CloneModule(m)
 	var fixes []Fix

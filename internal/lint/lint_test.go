@@ -15,7 +15,7 @@ func preprocess(t *testing.T, src string) (*verilog.Module, []Fix) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, fixes, err := Preprocess(m, nil)
+	out, fixes, _, err := PreprocessWithReport(m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ endmodule`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := Preprocess(m, nil)
+	out, _, _, err := PreprocessWithReport(m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +153,11 @@ endmodule`)
 		t.Fatal(err)
 	}
 	before := verilog.Print(m)
-	if _, _, err := Preprocess(m, nil); err != nil {
+	if _, _, _, err := PreprocessWithReport(m, nil); err != nil {
 		t.Fatal(err)
 	}
 	if verilog.Print(m) != before {
-		t.Fatal("Preprocess mutated its input")
+		t.Fatal("PreprocessWithReport mutated its input")
 	}
 }
 

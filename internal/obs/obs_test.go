@@ -20,7 +20,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	r.Add("c", 1)
 	r.SetGauge("g", 1)
-	r.MaxGauge("g", 2)
 	r.Observe("h", 3)
 	r.ObserveDuration("h", time.Second)
 	if r.Counter("c") != 0 || r.Gauge("g") != 0 {
@@ -203,9 +202,6 @@ func TestRegistryDeterministicJSON(t *testing.T) {
 		r.Add("sat.conflicts", 1)
 		r.Add("repair.runs", 1)
 		r.SetGauge("g", 2.5)
-		r.MaxGauge("m", 1)
-		r.MaxGauge("m", 7)
-		r.MaxGauge("m", 3)
 		r.Observe("h", 4)
 		r.Observe("h", 600)
 		return r
@@ -224,8 +220,8 @@ func TestRegistryDeterministicJSON(t *testing.T) {
 	if r.Counter("sat.conflicts") != 42 {
 		t.Fatalf("counter = %d, want 42", r.Counter("sat.conflicts"))
 	}
-	if r.Gauge("m") != 7 {
-		t.Fatalf("max gauge = %v, want 7", r.Gauge("m"))
+	if r.Gauge("g") != 2.5 {
+		t.Fatalf("gauge = %v, want 2.5", r.Gauge("g"))
 	}
 	if !strings.Contains(a.String(), "histogram_bounds") {
 		t.Fatalf("bounds missing:\n%s", a.String())

@@ -454,20 +454,6 @@ func (r *Recorder) Solvers() []SolverView {
 	return out
 }
 
-// Stalled returns the live solvers whose last heartbeat is older than
-// threshold. A search that has not beaten since it registered counts
-// from its start time, so a solver stuck before its first poll still
-// trips the watchdog.
-func (r *Recorder) Stalled(threshold time.Duration) []SolverView {
-	var out []SolverView
-	for _, v := range r.Solvers() {
-		if time.Duration(v.StallMS)*time.Millisecond > threshold {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // Subscription is a live event feed. Read C until Close; events arrive
 // in emission order, with drops (never blocking the emitters) counted.
 type Subscription struct {

@@ -28,7 +28,7 @@ type histogram struct {
 }
 
 // Registry is a concurrency-safe metrics store: monotonic counters,
-// last-value and max gauges, and fixed-bucket histograms. A nil
+// last-value gauges, and fixed-bucket histograms. A nil
 // *Registry is the disabled registry — every method no-ops — so
 // instrumentation sites need no guards.
 type Registry struct {
@@ -67,18 +67,6 @@ func (r *Registry) SetGauge(name string, v float64) {
 	}
 	r.mu.Lock()
 	r.gauges[name] = v
-	r.mu.Unlock()
-}
-
-// MaxGauge records the maximum value a gauge has seen.
-func (r *Registry) MaxGauge(name string, v float64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	if cur, ok := r.gauges[name]; !ok || v > cur {
-		r.gauges[name] = v
-	}
 	r.mu.Unlock()
 }
 

@@ -7,8 +7,8 @@ import (
 )
 
 // diskCAS is a filesystem content-addressed blob store: the persistent
-// tier under the in-memory result and artifact caches. Keys are the
-// cache keys (SHA-256 hex) and values are immutable once written.
+// tier under the in-memory result cache. Keys are the cache keys
+// (SHA-256 hex) and values are immutable once written.
 // Writes land in a temp file first and are published by rename, so
 // readers never see a torn blob, and concurrent writers of the same key
 // are harmless — the content under one address is by construction

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -156,9 +158,9 @@ func TestRejectedSubmitLeavesNoOrphan(t *testing.T) {
 }
 
 // A server restarted on the same artifact directory answers a request
-// it has never seen from the previous process's published result, and
-// a new trace over a known design rehydrates the frontend from disk
-// instead of re-elaborating.
+// it has never seen from the previous process's published result. The
+// directory holds results only, so a new trace over a known design
+// builds the frontend afresh.
 func TestRestartWarmsFromArtifactDir(t *testing.T) {
 	casDir := filepath.Join(t.TempDir(), "cas")
 	first := newTestServer(t, Config{Slots: 1, ArtifactDir: casDir}, nil)
@@ -186,8 +188,8 @@ func TestRestartWarmsFromArtifactDir(t *testing.T) {
 		t.Fatal("result came from somewhere other than the artifact directory")
 	}
 
-	// New trace, same design: the result key differs (must re-repair) but
-	// the frontend artifact survives the restart.
+	// New trace, same design: the result key differs, so the job is
+	// repaired afresh and its frontend is built once, in memory.
 	job, err = s.Submit(&Request{Source: buggyCounterSrc, Trace: counterTraceShortCSV,
 		Options: ReqOptions{Seed: 7}})
 	if err != nil {
@@ -197,8 +199,16 @@ func TestRestartWarmsFromArtifactDir(t *testing.T) {
 	if v.Cached || v.Result == nil || v.Result.Status != "repaired" {
 		t.Fatalf("new-trace job: cached=%t result=%+v, want fresh repaired", v.Cached, v.Result)
 	}
-	if hits := s.Metrics().Counter("serve.cas.artifact.hits"); hits == 0 {
-		t.Fatal("frontend artifact was rebuilt instead of rehydrated from disk")
+	m := s.Metrics()
+	if misses := m.Counter("serve.cache.artifact.misses"); misses != 1 {
+		t.Fatalf("serve.cache.artifact.misses = %d, want 1", misses)
+	}
+	var buf bytes.Buffer
+	if err := m.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), `"serve.cas.artifact.`) {
+		t.Fatalf("an on-disk artifact counter exists; the store holds results only:\n%s", buf.String())
 	}
 }
 

@@ -4,8 +4,8 @@
 // content-addressed cache (exact-request results, plus reusable
 // frontend artifacts so re-repairing a known design with a new trace
 // skips parsing and elaboration). Optionally, a write-ahead job log
-// makes accepted jobs survive a crash and an on-disk store keeps both
-// cache tiers across restarts. See DESIGN.md "Serving".
+// makes accepted jobs survive a crash and an on-disk store keeps the
+// result tier across restarts. See DESIGN.md "Serving".
 package serve
 
 import (
@@ -74,8 +74,9 @@ type Config struct {
 	// process accepted but never finished are replayed by New.
 	WALPath string
 	// ArtifactDir enables the on-disk content-addressed cache (""
-	// disables): results and frontend artifacts are written through to
-	// it, so a restarted server comes back warm.
+	// disables): results, and only results, are written through to it,
+	// so a restarted server still answers the requests it has seen.
+	// Frontend artifacts stay in memory.
 	ArtifactDir string
 	// Obs supplies the metrics registry and the flight recorder.
 	// A nil Metrics is replaced with a fresh registry so /metricsz
@@ -497,25 +498,22 @@ func (s *Server) jobTimeout(job *Job) time.Duration {
 	return d
 }
 
-// artifactFor returns the cached frontend for the job's design — from
-// memory, else rehydrated from disk — building and caching it on a
-// miss. Concurrent misses on the same key may build twice; both builds
-// produce identical artifacts and the cache keeps the last, so this
-// only costs duplicate work, never correctness.
+// artifactFor returns the cached frontend for the job's design,
+// building and caching it on a miss. Concurrent misses on the same key
+// may build twice; both builds produce identical artifacts and the
+// cache keeps the last, so this only costs duplicate work, never
+// correctness.
 func (s *Server) artifactFor(job *Job) *Artifact {
 	key := job.parsed.req.artifactKey()
 	if art, ok := s.artifacts.Get(key); ok {
 		return art
 	}
 	parsed := job.parsed
-	if art, ok := s.diskArtifact(key, parsed); ok {
-		return art
-	}
 	art := &Artifact{
 		parsed: parsed,
 		FE:     core.NewFrontend(parsed.top, parsed.lib, parsed.req.Options.NoPreprocess),
 	}
-	s.storeArtifact(key, art)
+	s.artifacts.Put(key, art)
 	return art
 }
 

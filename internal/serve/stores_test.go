@@ -1,119 +1,13 @@
 package serve
 
 import (
-	"context"
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
-	"time"
 
-	"rtlrepair/internal/analysis"
-	"rtlrepair/internal/core"
 	"rtlrepair/internal/obs"
 	"rtlrepair/internal/synth"
-	"rtlrepair/internal/verilog"
 )
-
-// counterWithBlockingSrc is the buggy counter written with blocking
-// assignments in its clocked process, so preprocessing produces a
-// non-empty fix list — the warm==cold pin must carry fixes through the
-// on-disk store, not just sources.
-const counterWithBlockingSrc = `
-module first_counter(input clock, input reset, input enable,
-                     output reg [3:0] count, output reg overflow);
-always @(posedge clock) begin
-  if (reset == 1'b1) begin
-    overflow = 1'b0;
-  end else if (enable == 1'b1) begin
-    count = count + 1;
-  end
-  if (count == 4'b1111) begin
-    overflow = 1'b1;
-  end
-end
-endmodule`
-
-// TestSharedArtifactWarmEqualsCold pins the on-disk cache's artifact
-// contract: a frontend rehydrated from the artifact directory
-// is byte-for-byte equivalent to one built cold — same preprocessed
-// source, same fixes, same diagnostics, and (decisively) the same
-// repair verdict when driven through the full pipeline.
-func TestSharedArtifactWarmEqualsCold(t *testing.T) {
-	for name, src := range map[string]string{
-		"no fixes":   buggyCounterSrc,
-		"with fixes": counterWithBlockingSrc,
-	} {
-		t.Run(name, func(t *testing.T) {
-			req := &Request{Source: src, Trace: counterTraceCSV, Options: ReqOptions{Seed: 1}}
-			parsed, err := parseRequest(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cold := &Artifact{parsed: parsed,
-				FE: core.NewFrontend(parsed.top, parsed.lib, req.Options.NoPreprocess)}
-			blob, err := encodeArtifact(cold)
-			if err != nil {
-				t.Fatal(err)
-			}
-			warm, err := decodeArtifact(blob, parsed)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			if got, want := verilog.Print(warm.FE.Fixed), verilog.Print(cold.FE.Fixed); got != want {
-				t.Fatalf("preprocessed source diverged:\nwarm:\n%s\ncold:\n%s", got, want)
-			}
-			if warm.FE.Reason != cold.FE.Reason {
-				t.Fatalf("reason: warm %q, cold %q", warm.FE.Reason, cold.FE.Reason)
-			}
-			// JSON round-trips nil and empty slices interchangeably; only
-			// the elements matter.
-			if len(warm.FE.Fixes) != len(cold.FE.Fixes) ||
-				(len(cold.FE.Fixes) > 0 && !reflect.DeepEqual(warm.FE.Fixes, cold.FE.Fixes)) {
-				t.Fatalf("fixes diverged:\nwarm: %+v\ncold: %+v", warm.FE.Fixes, cold.FE.Fixes)
-			}
-			if name == "with fixes" && len(cold.FE.Fixes) == 0 {
-				t.Fatal("fixture produced no lint fixes; the test lost its point")
-			}
-			wd, cd := diagList(warm.FE.Diagnostics), diagList(cold.FE.Diagnostics)
-			if len(wd) != len(cd) || (len(cd) > 0 && !reflect.DeepEqual(wd, cd)) {
-				t.Fatalf("diagnostics diverged:\nwarm: %+v\ncold: %+v", wd, cd)
-			}
-			if (warm.FE.Sys == nil) != (cold.FE.Sys == nil) {
-				t.Fatalf("elaboration presence diverged: warm %t, cold %t",
-					warm.FE.Sys != nil, cold.FE.Sys != nil)
-			}
-
-			// The decisive equivalence: both frontends drive the repair to
-			// the same verdict and the same repaired source.
-			run := func(fe *core.Frontend) *core.Result {
-				return core.RepairCtx(context.Background(), parsed.top, parsed.tr, core.Options{
-					Seed: 1, Timeout: 30 * time.Second, Lib: parsed.lib, Frontend: fe,
-				})
-			}
-			a, b := run(cold.FE), run(warm.FE)
-			if a.Status != b.Status || a.Template != b.Template || a.Changes != b.Changes {
-				t.Fatalf("verdicts diverged: cold %v/%s/%d, warm %v/%s/%d",
-					a.Status, a.Template, a.Changes, b.Status, b.Template, b.Changes)
-			}
-			if (a.Repaired == nil) != (b.Repaired == nil) {
-				t.Fatalf("repaired presence diverged")
-			}
-			if a.Repaired != nil && verilog.Print(a.Repaired) != verilog.Print(b.Repaired) {
-				t.Fatalf("repaired source diverged:\ncold:\n%s\nwarm:\n%s",
-					verilog.Print(a.Repaired), verilog.Print(b.Repaired))
-			}
-		})
-	}
-}
-
-func diagList(r *analysis.Report) []analysis.Diagnostic {
-	if r == nil {
-		return nil
-	}
-	return r.Diagnostics
-}
 
 func TestLRUEvictionOrderAndCounters(t *testing.T) {
 	m := obs.NewRegistry()
