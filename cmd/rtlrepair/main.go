@@ -9,6 +9,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -84,19 +85,12 @@ func main() {
 	fmt.Fprintf(os.Stderr, "status:   %s (%.2fs)\n", res.Status, res.Duration.Seconds())
 	if *verbose {
 		for _, tr := range res.PerTemplate {
-			state := "no repair"
-			if tr.Found {
-				state = fmt.Sprintf("%d changes", tr.Changes)
-			}
-			if tr.Err != nil {
-				state = tr.Err.Error()
-			}
 			pass := "pruned"
 			if !tr.Localized {
 				pass = "full"
 			}
 			fmt.Fprintf(os.Stderr, "  %-22s %-7s w%d  %-12s %s\n",
-				tr.Template, pass, tr.Worker, state, tr.Duration.Round(time.Millisecond))
+				tr.Template, pass, tr.Worker, attemptState(tr), tr.Duration.Round(time.Millisecond))
 			st := tr.Stats.SAT
 			if st.Conflicts+st.Decisions+st.Propagations > 0 {
 				fmt.Fprintf(os.Stderr, "    sat: %d vars %d clauses | %d conflicts %d decisions %d propagations %d restarts %d learned\n",
@@ -144,6 +138,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "reason:   %s\n", res.Reason)
 		os.Exit(1)
 	}
+}
+
+// attemptState is the outcome column of a -v attempt line.
+func attemptState(tr core.TemplateResult) string {
+	switch {
+	case errors.Is(tr.Err, core.ErrSameSites):
+		return "same sites as pruned pass"
+	case tr.Err != nil:
+		return tr.Err.Error()
+	case tr.Found:
+		return fmt.Sprintf("%d changes", tr.Changes)
+	}
+	return "no repair"
 }
 
 func orPre(t string) string {

@@ -192,11 +192,14 @@ func TestBackwardGrowthMatchesRebuild(t *testing.T) {
 			for _, l := range []*analysis.Localization{loc, nil} {
 				for _, tmpl := range DefaultTemplates() {
 					in, err := fe.instrument(tmpl, l, &Options{Lib: lib}, obs.Scope{})
-					if in == nil || in.vars.Empty() {
-						continue
+					if err == nil {
+						err = in.elaborate(fe, obs.Scope{})
 					}
 					if err != nil {
 						t.Fatal(err)
+					}
+					if in.sys == nil {
+						continue
 					}
 					rec := obs.NewRecorder(0)
 					s := NewSynthesizer(in.ctx, in.sys, in.vars, ctr, init, SynthOptions{MaxSamples: 1, Obs: obs.Scope{Rec: rec}})

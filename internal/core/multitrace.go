@@ -55,8 +55,9 @@ func RepairMultiCtx(ctx context.Context, m *verilog.Module, traces []*trace.Trac
 		asc := r.sc.WithLabel("p0:" + tmpl.Name()).Start("attempt")
 		in, err := r.fe.instrument(tmpl, nil, &r.opts, asc)
 		sites := 0
-		if in != nil {
+		if err == nil {
 			sites = len(in.vars.Phis)
+			err = in.elaborate(r.fe, asc)
 		}
 		var c *Candidate
 		if err == nil && in.sys != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,6 +27,9 @@ import (
 //     sequential engine never starts the unpruned pass once any repair
 //     exists.
 //
+// An unpruned retry whose template keeps every site of its pruned
+// attempt is skipped with ErrSameSites (see samePruned).
+//
 // Workers claim attempts in declaration order from one shared counter
 // and share one prefix-snapshot cache (see prefix.go). Selection happens
 // only after every attempt has finished (or been cancelled), by the
@@ -43,6 +47,11 @@ type Candidate struct {
 	Template    string
 	ChangeDescs []string
 }
+
+// ErrSameSites is the Err of an unpruned retry that was skipped because
+// its template kept the same sites with and without localization: its
+// search would repeat the pruned attempt's.
+var ErrSameSites = errors.New("core: same sites as pruned pass")
 
 // attempt is one (localization pass, template) portfolio entry.
 type attempt struct {
@@ -253,10 +262,17 @@ func (p *portfolio) runAttempt(at *attempt, worker int) {
 	}
 
 	in, err := r.fe.instrument(at.tmpl, at.loc, &r.opts, asc)
-	if in != nil {
-		at.tres.Sites = len(in.vars.Phis)
+	if err != nil {
+		at.tres.Err = err
+		return
 	}
-	if err != nil || in.sys == nil {
+	at.tres.Sites = len(in.vars.Phis)
+	if at.pass > 0 && p.samePruned(at, in.vars) {
+		at.tres.State = AttemptSkipped
+		at.tres.Err = ErrSameSites
+		return
+	}
+	if err = in.elaborate(r.fe, asc); err != nil || in.sys == nil {
 		at.tres.Err = err
 		return
 	}
@@ -286,6 +302,19 @@ func (p *portfolio) runAttempt(at *attempt, worker int) {
 	if at.candidate = in.candidate(sol, r.init, r.ctrs[0]); at.candidate != nil {
 		p.cancelSiblings(at)
 	}
+}
+
+// samePruned reports whether the unpruned retry at, whose template
+// instrumented vars, keeps exactly the sites of the same template's
+// pruned attempt. Localization acts on a template only through
+// Env.InCone, so equal φ and α lists mean an identical instrumented
+// module and the same search as the pruned attempt, which selection
+// always ranks ahead. The pruned site list is rebuilt here, inside the
+// attempt, rather than read from the pruned attempt, which may not have
+// run yet.
+func (p *portfolio) samePruned(at *attempt, vars *VarTable) bool {
+	_, pruned, err := p.r.fe.sites(at.tmpl, p.r.res.Localization, &p.r.opts)
+	return err == nil && slices.Equal(pruned.Phis, vars.Phis) && slices.Equal(pruned.Alphas, vars.Alphas)
 }
 
 // cancelSiblings stops every attempt whose result provably cannot win

@@ -2,13 +2,18 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"rtlrepair/internal/bench"
 	"rtlrepair/internal/obs"
+	"rtlrepair/internal/sat"
+	"rtlrepair/internal/sim"
 	"rtlrepair/internal/verilog"
 )
 
@@ -204,5 +209,75 @@ func TestWorkerCountKnob(t *testing.T) {
 	}
 	if got := (&Options{}).workerCount(); got != runtime.GOMAXPROCS(0) {
 		t.Fatalf("workerCount(0) = %d, want GOMAXPROCS", got)
+	}
+}
+
+// An unpruned retry whose template keeps every site of its pruned
+// attempt would repeat that attempt's search, so it is skipped with
+// ErrSameSites. Localization prunes no site of fsm_w1, so every retry is
+// skipped; it prunes some of D4's, so D4's retry runs. Both designs are
+// cannot-repair, so no attempt is cancelled and the reported (pass,
+// template, state, sites) tuples are the same at any worker count.
+func TestPortfolioSkipsIdenticalRetry(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		skipsAll bool
+	}{{"fsm_w1", true}, {"D4", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := bench.ByName(tc.name)
+			if b == nil {
+				t.Fatalf("benchmark %s missing from registry", tc.name)
+			}
+			tr, err := b.Trace()
+			if err != nil {
+				t.Fatal(err)
+			}
+			lib, err := b.LibModules()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want string
+			for _, workers := range []int{1, 2, 4} {
+				m, err := b.BuggyModule()
+				if err != nil {
+					t.Fatal(err)
+				}
+				res := Repair(m, tr, Options{Policy: sim.Randomize, Seed: 1, Timeout: 60 * time.Second,
+					Lib: lib, Workers: workers})
+				if res.Status != StatusCannotRepair || res.Localization == nil {
+					t.Fatalf("workers=%d: status %v (%s), localized %v; want a localized cannot-repair",
+						workers, res.Status, res.Reason, res.Localization != nil)
+				}
+				n := len(res.PerTemplate) / 2
+				pruned, retry := res.PerTemplate[:n], res.PerTemplate[n:]
+				skipped := 0
+				for i, at := range retry {
+					if at.State != AttemptSkipped {
+						continue
+					}
+					skipped++
+					if !errors.Is(at.Err, ErrSameSites) || at.Sites != pruned[i].Sites ||
+						at.Stats.SAT != (sat.Statistics{}) {
+						t.Errorf("workers=%d: skipped retry of %s has err %v, %d sites (pruned %d), SAT %+v; want ErrSameSites, the pruned sites and no SAT work",
+							workers, at.Template, at.Err, at.Sites, pruned[i].Sites, at.Stats.SAT)
+					}
+				}
+				if tc.skipsAll && skipped != n {
+					t.Errorf("workers=%d: %d of %d retries skipped, want all", workers, skipped, n)
+				}
+				if !tc.skipsAll && skipped == n {
+					t.Errorf("workers=%d: every retry skipped, want the retry to run", workers)
+				}
+				var key strings.Builder
+				for _, at := range res.PerTemplate {
+					fmt.Fprintf(&key, "%v %s %s %d\n", at.Localized, at.Template, at.State, at.Sites)
+				}
+				if workers == 1 {
+					want = key.String()
+				} else if key.String() != want {
+					t.Errorf("workers=%d attempts differ from workers=1:\n%s\nvs\n%s", workers, key.String(), want)
+				}
+			}
+		})
 	}
 }

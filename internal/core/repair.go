@@ -159,10 +159,13 @@ const (
 	// because a sibling's repair made its outcome irrelevant (or the
 	// caller cancelled the repair).
 	AttemptCancelled = "cancelled"
-	// AttemptSkipped: the attempt never started — it was cancelled or
-	// the deadline expired before a worker picked it up. Its Duration
-	// is scheduling noise, not work, and must be excluded from speedup
-	// math.
+	// AttemptSkipped: the attempt never searched. Either it was
+	// cancelled or the deadline expired before a worker picked it up
+	// (Err is ErrCancelled or ErrTimeout), or it is an unpruned retry
+	// whose template kept the pruned attempt's sites (Err is
+	// ErrSameSites). Its Duration is scheduling noise or
+	// instrumentation, not search work, and must be excluded from
+	// speedup math.
 	AttemptSkipped = "skipped"
 )
 
@@ -174,7 +177,9 @@ type TemplateResult struct {
 	Found    bool
 	Changes  int
 	// Sites is the number of φ variables the template instrumented
-	// (after fault-localization pruning, when active).
+	// (after fault-localization pruning, when active). A retry skipped
+	// with ErrSameSites reports the sites it shares with its pruned
+	// attempt; an attempt skipped before it started reports 0.
 	Sites int
 	// Localized is true when the attempt ran with localization pruning.
 	Localized bool
@@ -322,35 +327,49 @@ type instrumented struct {
 }
 
 // instrument applies tmpl to the preprocessed design, with sites outside
-// loc pruned (nil loc prunes nothing), and elaborates the result on a
-// context layered over the frontend's frozen one, so elaboration
-// re-interns only what the template changed and shares the rest of the
-// term DAG. The two steps record "instrument" and "elaborate" spans
-// under sc. A template that finds no site returns with a nil sys. The
-// result is nil only when instrumentation itself fails.
+// loc pruned (nil loc prunes nothing), under an "instrument" span. The
+// result is nil only when instrumentation fails.
 func (fe *Frontend) instrument(tmpl Template, loc *analysis.Localization, opts *Options, sc obs.Scope) (*instrumented, error) {
-	counter := 0
-	in := &instrumented{tmpl: tmpl, vars: NewVarTable(&counter), lib: opts.Lib}
-	env := &Env{Info: fe.Info, Lib: opts.Lib, Frozen: opts.frozenSet(), Loc: loc}
 	span := sc.Start("instrument")
-	src, err := tmpl.Instrument(fe.Fixed, env, in.vars)
-	span.End(obs.Int("sites", int64(len(in.vars.Phis))))
+	src, vars, err := fe.sites(tmpl, loc, opts)
+	span.End(obs.Int("sites", int64(len(vars.Phis))))
 	if err != nil {
 		return nil, err
 	}
-	in.src = src
+	return &instrumented{tmpl: tmpl, src: src, vars: vars, lib: opts.Lib}, nil
+}
+
+// sites runs tmpl's instrumentation pass on the preprocessed design,
+// with sites outside loc pruned, and returns the instrumented source and
+// the synthesis variables it introduced. Variable names are numbered
+// from 0 on every call, so two calls that keep the same sites return
+// equal tables.
+func (fe *Frontend) sites(tmpl Template, loc *analysis.Localization, opts *Options) (*verilog.Module, *VarTable, error) {
+	counter := 0
+	vars := NewVarTable(&counter)
+	env := &Env{Info: fe.Info, Lib: opts.Lib, Frozen: opts.frozenSet(), Loc: loc}
+	src, err := tmpl.Instrument(fe.Fixed, env, vars)
+	return src, vars, err
+}
+
+// elaborate elaborates the instrumented source, under an "elaborate"
+// span, on a context layered over fe's frozen one, so elaboration
+// re-interns only what the template changed and shares the rest of the
+// term DAG. A template that found no site is not elaborated and keeps a
+// nil sys.
+func (in *instrumented) elaborate(fe *Frontend, sc obs.Scope) error {
 	if in.vars.Empty() {
-		return in, nil
+		return nil
 	}
 	in.ctx = fe.ctx.Clone()
-	span = sc.Start("elaborate")
-	sys, _, err := synth.Elaborate(in.ctx, src, synth.Options{Lib: opts.Lib})
+	span := sc.Start("elaborate")
+	sys, _, err := synth.Elaborate(in.ctx, in.src, synth.Options{Lib: in.lib})
 	span.End()
 	if err != nil {
-		return in, err
+		return err
 	}
 	in.sys = sys
-	return in, nil
+	return nil
 }
 
 // candidate resolves a solution into the instrumented source and checks
@@ -447,7 +466,9 @@ func RepairCtx(ctx context.Context, m *verilog.Module, tr *trace.Trace, opts Opt
 	// output columns, ranked by the static-analysis diagnostics.
 	// Templates prune instrumentation sites outside the cone. If the
 	// pruned search fails, a second unpruned pass runs, so localization
-	// can shrink the SMT problem but never lose a repair.
+	// can shrink the SMT problem but never lose a repair. A template
+	// whose unpruned sites equal its pruned ones skips that retry: its
+	// search would repeat the pruned one.
 	if !r.opts.NoLocalize {
 		span := r.sc.Start("localize")
 		res.Localization = analysis.Localize(r.fe.Fixed, r.opts.Lib,

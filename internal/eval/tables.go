@@ -245,8 +245,9 @@ type TemplateCell struct {
 // templateCells runs each default template as a standalone repair, in
 // the paper's template order, so each template reports its own result
 // rather than whatever the full tool's early-exiting portfolio let it
-// finish. Each run still makes the tool's localized pass and unpruned
-// retry, but with one template neither can add a second cell. A design
+// finish. Each run still makes the tool's localized pass and, when
+// localization pruned one of the template's sites, its unpruned retry,
+// but with one template neither can add a second cell. A design
 // that preprocessing repairs, that needs no repair, or that fails
 // elaboration gets no cells: no template attempt runs on it.
 func templateCells(b *bench.Benchmark, opts Options) []TemplateCell {

@@ -97,8 +97,8 @@ func (p *Proof) NumLearned() int {
 }
 
 func (p *Proof) add(kind StepKind, lits []Lit) {
-	p.lits = append(p.lits, lits...)
-	p.steps = append(p.steps, proofStep{end: uint32(len(p.lits)), kind: kind})
+	p.lits = append(reserve(p.lits, len(lits)), lits...)
+	p.steps = append(reserve(p.steps, 1), proofStep{end: uint32(len(p.lits)), kind: kind})
 }
 
 // release drops every step before step n, moving the later ones to the
@@ -208,6 +208,11 @@ func (c *Checker) reserve(lits []Lit) {
 			n = m
 		}
 	}
+	if k := n - len(c.vals); k > 0 {
+		c.vals = reserve(c.vals, k)
+		c.mark = reserve(c.mark, k)
+		c.watches.lists = reserve(c.watches.lists, k)
+	}
 	for len(c.vals) < n {
 		c.vals = append(c.vals, lUndef, lUndef)
 		c.watches.addVar()
@@ -308,6 +313,7 @@ func (c *Checker) rehash() {
 // conflict flips c.conflict.
 func (c *Checker) addClause() {
 	cr := cref(len(c.arena))
+	c.arena = reserve(c.arena, 1+len(c.buf))
 	c.arena = append(c.arena, Lit(len(c.buf)<<1))
 	c.arena = append(c.arena, c.buf...)
 	c.insert(cr, clauseHash(c.buf))

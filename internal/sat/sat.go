@@ -209,9 +209,26 @@ func New() *Solver {
 // NumVars reports the number of allocated variables.
 func (s *Solver) NumVars() int { return len(s.phase) }
 
-// NewVar allocates a fresh variable and returns its index.
+// minVars is the variable capacity of a solver's first allocation.
+const minVars = 16
+
+// NewVar allocates a fresh variable and returns its index. When the
+// per-variable slices are full they all grow together, to twice the
+// variables.
 func (s *Solver) NewVar() int {
 	v := len(s.phase)
+	if v == cap(s.phase) {
+		n := max(v, minVars)
+		s.vals = reserve(s.vals, 2*n)
+		s.phase = reserve(s.phase, n)
+		s.level = reserve(s.level, n)
+		s.reason = reserve(s.reason, n)
+		s.activity = reserve(s.activity, n)
+		s.seen = reserve(s.seen, n)
+		s.watches.lists = reserve(s.watches.lists, 2*n)
+		s.heap.heap = reserve(s.heap.heap, n)
+		s.heap.pos = reserve(s.heap.pos, n)
+	}
 	s.vals = append(s.vals, lUndef, lUndef)
 	s.phase = append(s.phase, false)
 	s.level = append(s.level, 0)
@@ -284,7 +301,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		return true
 	}
 	c := s.alloc(out, false)
-	s.clauses = append(s.clauses, c)
+	s.clauses = append(reserve(s.clauses, 1), c)
 	s.attach(c)
 	return true
 }
@@ -300,12 +317,25 @@ func (s *Solver) alloc(lits []Lit, learnt bool) cref {
 	if uint64(c)+uint64(clauseWords(h)) > uint64(crefBinary) {
 		panic("sat: clause arena exceeds 2^31 words")
 	}
+	s.arena = reserve(s.arena, int(clauseWords(h)))
 	s.arena = append(s.arena, Lit(h))
 	s.arena = append(s.arena, lits...)
 	if learnt {
 		s.arena = append(s.arena, 0, 0)
 	}
 	return c
+}
+
+// reserve returns s with room for n more elements, doubling its
+// capacity when it lacks the room. append grows a large slice by only
+// about 1.25×, which copies it more often and leaves more garbage.
+func reserve[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	t := make([]T, len(s), max(2*cap(s), len(s)+n))
+	copy(t, s)
+	return t
 }
 
 // lits returns clause c's literals, aliasing the arena: swaps through

@@ -83,14 +83,7 @@ func (ws *watchStore) relocate(h *watchList) {
 			panic("sat: watch pool exceeds 2^32 watchers")
 		}
 		off = uint32(len(ws.pool))
-		if int(off+size) > cap(ws.pool) {
-			// Double: append grows a large slice by about 1.25×, which
-			// copies the pool more often and leaves more garbage.
-			pool := make([]watcher, off, max(2*cap(ws.pool), int(off+size)))
-			copy(pool, ws.pool)
-			ws.pool = pool
-		}
-		ws.pool = ws.pool[:off+size]
+		ws.pool = reserve(ws.pool, int(size))[:off+size]
 	}
 	copy(ws.pool[off:off+h.n], ws.pool[h.off:h.off+h.n])
 	if h.cap != 0 {
