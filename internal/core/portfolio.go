@@ -11,6 +11,7 @@ import (
 
 	"rtlrepair/internal/analysis"
 	"rtlrepair/internal/obs"
+	"rtlrepair/internal/smt"
 	"rtlrepair/internal/verilog"
 )
 
@@ -128,12 +129,16 @@ func (r *run) runPortfolio(passes []*analysis.Localization) {
 	wallStart := time.Now()
 	var next atomic.Int64
 	work := func(w int) {
+		// The worker's one window solver: every attempt it claims resets
+		// it rather than building a new one, so the solver's storage is
+		// allocated once per worker, not once per attempt.
+		solver := smt.NewSolver(r.fe.ctx)
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= len(p.attempts) {
 				return
 			}
-			p.runAttempt(p.attempts[i], w)
+			p.runAttempt(p.attempts[i], w, solver)
 		}
 	}
 	var wg sync.WaitGroup
@@ -223,10 +228,11 @@ func (r *run) runPortfolio(passes []*analysis.Localization) {
 }
 
 // runAttempt executes one attempt on its own smt.Context — a layer over
-// the frontend's frozen context — and synthesis variable namespace. On
-// success it stores a verified candidate and cancels the siblings the
+// the frontend's frozen context — and synthesis variable namespace, and
+// on the worker's solver, which the attempt's window encoding resets.
+// On success it stores a verified candidate and cancels the siblings the
 // sequential engine would never have run.
-func (p *portfolio) runAttempt(at *attempt, worker int) {
+func (p *portfolio) runAttempt(at *attempt, worker int, solver *smt.Solver) {
 	at.tres = TemplateResult{Template: at.tmpl.Name(), Localized: at.loc != nil,
 		Worker: worker, State: AttemptRan}
 	start := time.Now()
@@ -284,6 +290,7 @@ func (p *portfolio) runAttempt(at *attempt, worker int) {
 	if r.opts.Basic {
 		sol, err = synthz.Basic()
 	} else {
+		synthz.solver = solver
 		sol, err = synthz.Windowed(r.res.FirstFailure)
 	}
 	at.tres.Stats = synthz.Stats

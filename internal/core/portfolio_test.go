@@ -281,3 +281,57 @@ func TestPortfolioSkipsIdenticalRetry(t *testing.T) {
 		})
 	}
 }
+
+// TestPortfolioWorkerSolverReuse: each portfolio worker owns one solver
+// and resets it for every attempt it claims, so which attempts share a
+// solver depends on the worker count and the schedule. A reset must
+// leave nothing behind: on three cannot-repair designs, where no
+// attempt is cancelled, every attempt's (pass, template, state, sites,
+// SAT statistics) tuple at workers 2 and 4 equals the one at workers 1.
+// D4 and pairing_w2 encode six windows each, more than the workers, so
+// some worker encodes at least two attempts on one solver.
+func TestPortfolioWorkerSolverReuse(t *testing.T) {
+	for _, name := range []string{"fsm_w1", "D4", "pairing_w2"} {
+		t.Run(name, func(t *testing.T) {
+			b := bench.ByName(name)
+			if b == nil {
+				t.Fatalf("benchmark %s missing from registry", name)
+			}
+			tr, err := b.Trace()
+			if err != nil {
+				t.Fatal(err)
+			}
+			lib, err := b.LibModules()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want string
+			for _, workers := range []int{1, 2, 4} {
+				m, err := b.BuggyModule()
+				if err != nil {
+					t.Fatal(err)
+				}
+				res := Repair(m, tr, Options{Policy: sim.Randomize, Seed: 1, Timeout: 60 * time.Second,
+					Lib: lib, Workers: workers})
+				if res.Status != StatusCannotRepair {
+					t.Fatalf("workers=%d: status %v (%s), want cannot-repair", workers, res.Status, res.Reason)
+				}
+				var key strings.Builder
+				encoded := 0
+				for _, at := range res.PerTemplate {
+					fmt.Fprintf(&key, "%v %s %s %d %+v\n", at.Localized, at.Template, at.State, at.Sites, at.Stats.SAT)
+					encoded += at.Stats.SolverBuilds
+				}
+				if lanes := min(workers, speculationCapacity()); name != "fsm_w1" && encoded <= lanes {
+					t.Fatalf("workers=%d: %d attempts encoded a window on %d workers, want more attempts than workers",
+						workers, encoded, lanes)
+				}
+				if workers == 1 {
+					want = key.String()
+				} else if key.String() != want {
+					t.Errorf("workers=%d attempts differ from workers=1:\n%s\nvs\n%s", workers, key.String(), want)
+				}
+			}
+		})
+	}
+}

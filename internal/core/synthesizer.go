@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -150,6 +151,11 @@ type Synthesizer struct {
 	win      *winEnc       // live window encoding (nil before the first solve)
 	sampling samplingState // enumeration state of the last solved window
 
+	// solver, when non-nil, is the portfolio worker's solver, which
+	// newWindow resets instead of building a new one. The attempt that
+	// owns the synthesizer is done with it once Windowed returns.
+	solver *smt.Solver
+
 	// prefix serves window start states: the register state after c
 	// cycles of the unmodified (all φ = 0) circuit, extended
 	// monotonically, so widening k_past re-simulates nothing.
@@ -177,6 +183,9 @@ func NewSynthesizer(ctx *smt.Context, sys *tsys.System, vars *VarTable, tr *trac
 // Concretize resolves unknown initial states and input don't-cares of a
 // trace per policy, returning the initial state map and a trace whose
 // input cells are fully known. Expected outputs keep their don't-cares.
+// The returned trace shares tr's columns, its output rows and every
+// input row without an unknown cell; only a row it fills is copied, so
+// tr itself is never modified.
 func Concretize(sys *tsys.System, tr *trace.Trace, policy sim.UnknownPolicy, seed int64) (map[string]bv.XBV, *trace.Trace) {
 	rng := rand.New(rand.NewSource(seed))
 	fill := func(width int) bv.BV {
@@ -195,15 +204,23 @@ func Concretize(sys *tsys.System, tr *trace.Trace, policy sim.UnknownPolicy, see
 			init[st.Var.Name] = bv.K(fill(st.Var.Width))
 		}
 	}
-	out := tr.Clone()
-	for i := range out.InputRows {
-		for j, cell := range out.InputRows[i] {
+	rows, cloned := tr.InputRows, false
+	for i, row := range tr.InputRows {
+		if !slices.ContainsFunc(row, bv.XBV.HasUnknown) {
+			continue
+		}
+		if !cloned {
+			rows, cloned = slices.Clone(rows), true
+		}
+		row = slices.Clone(row)
+		for j, cell := range row {
 			if cell.HasUnknown() {
-				out.InputRows[i][j] = bv.K(cell.Resolve(fill(cell.Width())))
+				row[j] = bv.K(cell.Resolve(fill(cell.Width())))
 			}
 		}
+		rows[i] = row
 	}
-	return init, out
+	return init, &trace.Trace{Inputs: tr.Inputs, Outputs: tr.Outputs, InputRows: rows, OutputRows: tr.OutputRows}
 }
 
 func (s *Synthesizer) expired() bool {
@@ -372,12 +389,17 @@ func (s *Synthesizer) encodeWindow(start, end int, startState map[string]bv.XBV,
 }
 
 // newWindow builds the synthesizer's window solver over cycles
-// [start, end). The step-0 states are left free for the binding
-// assumptions.
+// [start, end), resetting the worker's solver when it has one. The
+// step-0 states are left free for the binding assumptions.
 func (s *Synthesizer) newWindow(start, end int, sc obs.Scope) (*winEnc, error) {
 	span := sc.Start("encode")
 	u := tsys.Unroll(s.ctx, s.sys, 0, nil, traceInputs(s.ctx, s.tr, start))
-	solver := smt.NewSolver(s.ctx)
+	solver := s.solver
+	if solver != nil {
+		solver.Reset()
+	} else {
+		solver = smt.NewSolver(s.ctx)
+	}
 	if s.opts.Certify {
 		solver.EnableCertification()
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -230,5 +231,49 @@ func TestValidateAgreesWithEngineChecks(t *testing.T) {
 	}
 	if got := vars.Changes(sol.Assign); got != sol.Changes {
 		t.Fatalf("change accounting mismatch: %d vs %d", got, sol.Changes)
+	}
+}
+
+// TestConcretizeSharesKnownRows: Concretize copies only the input rows
+// it fills. An all-known trace comes back with every row shared; with
+// one X cell exactly that row is copied, and the caller's trace keeps
+// its X.
+func TestConcretizeSharesKnownRows(t *testing.T) {
+	ins, outs := counterIO()
+	tr := recordGolden(t, goodCounter, ins, outs, counterRows())
+	sys, _, err := synth.Elaborate(smt.NewContext(), mustParse(t, goodCounter), synth.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b []bv.XBV) bool { return &a[0] == &b[0] }
+
+	_, ctr := Concretize(sys, tr, sim.Randomize, 1)
+	for i := range tr.InputRows {
+		if !same(ctr.InputRows[i], tr.InputRows[i]) || !same(ctr.OutputRows[i], tr.OutputRows[i]) {
+			t.Fatalf("all-known trace: row %d was copied, want it shared", i)
+		}
+	}
+
+	const xRow = 3
+	xtr := &trace.Trace{Inputs: tr.Inputs, Outputs: tr.Outputs,
+		InputRows: slices.Clone(tr.InputRows), OutputRows: tr.OutputRows}
+	xtr.InputRows[xRow] = []bv.XBV{bv.KU(1, 0), bv.X(1)}
+	_, ctr = Concretize(sys, xtr, sim.Randomize, 1)
+	if &ctr.InputRows[0] == &xtr.InputRows[0] {
+		t.Fatal("filling a row wrote into the caller's row list")
+	}
+	for i := range xtr.InputRows {
+		if shared := same(ctr.InputRows[i], xtr.InputRows[i]); shared != (i != xRow) {
+			t.Errorf("row %d shared = %v, want %v", i, shared, i != xRow)
+		}
+		if !same(ctr.OutputRows[i], xtr.OutputRows[i]) {
+			t.Errorf("output row %d was copied, want it shared", i)
+		}
+	}
+	if !ctr.InputRows[xRow][1].IsFullyKnown() || ctr.InputRows[xRow][0].String() != xtr.InputRows[xRow][0].String() {
+		t.Errorf("filled row = %v, want the X resolved and the known cell kept", ctr.InputRows[xRow])
+	}
+	if xtr.InputRows[xRow][1].IsFullyKnown() {
+		t.Error("Concretize filled the caller's X cell")
 	}
 }

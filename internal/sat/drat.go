@@ -101,6 +101,11 @@ func (p *Proof) add(kind StepKind, lits []Lit) {
 	p.steps = append(reserve(p.steps, 1), proofStep{end: uint32(len(p.lits)), kind: kind})
 }
 
+// reset empties the log, keeping its buffers.
+func (p *Proof) reset() {
+	p.lits, p.steps, p.released = p.lits[:0], p.steps[:0], 0
+}
+
 // release drops every step before step n, moving the later ones to the
 // front of the buffers.
 func (p *Proof) release(n int) {
@@ -126,7 +131,10 @@ func (s *Solver) StartProof() *Proof {
 	if s.proof != nil {
 		return s.proof
 	}
-	s.proof = &Proof{}
+	s.proof, s.spare = s.spare, nil
+	if s.proof == nil {
+		s.proof = &Proof{}
+	}
 	for _, c := range s.clauses {
 		s.proof.add(StepOrig, s.lits(c))
 	}
@@ -194,6 +202,23 @@ type Checker struct {
 // NewChecker returns a checker that will consume the given proof log.
 func NewChecker(p *Proof) *Checker {
 	return &Checker{proof: p}
+}
+
+// Reset empties the checker into the state NewChecker(p) returns,
+// keeping the capacity of its buffers and the size of its deletion
+// table, whose entries it clears.
+func (c *Checker) Reset(p *Proof) {
+	clear(c.table)
+	*c = Checker{
+		proof:   p,
+		arena:   c.arena[:0],
+		watches: c.watches.reset(),
+		vals:    c.vals[:0],
+		mark:    c.mark[:0],
+		trail:   c.trail[:0],
+		buf:     c.buf[:0],
+		table:   c.table,
+	}
 }
 
 // Checked reports how many learned clauses have been RUP-verified.

@@ -150,8 +150,10 @@ type Solver struct {
 	markedBuf []int // analyze's seen variables
 
 	// proof, when non-nil, records a DRUP log of clause additions and
-	// deletions (see drat.go). Enabled with StartProof.
+	// deletions (see drat.go). Enabled with StartProof. spare is the
+	// log a Reset emptied, which the next StartProof reuses.
 	proof *Proof
+	spare *Proof
 
 	assumptionLevel int
 	failed          []Lit
@@ -204,6 +206,43 @@ func New() *Solver {
 	s := &Solver{varInc: 1, claInc: 1, ok: true}
 	s.heap = newVarHeap(&s.activity)
 	return s
+}
+
+// Reset empties the solver into the state New returns, keeping the
+// capacity of every buffer: a solver rebuilt to its old size allocates
+// nothing, and searches exactly as a new one would. Deadline, Interrupt
+// and Obs are cleared too. A started proof log is emptied and detached,
+// and the next StartProof returns it again.
+func (s *Solver) Reset() {
+	spare := s.spare
+	if s.proof != nil {
+		s.proof.reset()
+		spare = s.proof
+	}
+	h := s.heap
+	h.heap, h.pos = h.heap[:0], h.pos[:0]
+	*s = Solver{
+		arena:     s.arena[:0],
+		clauses:   s.clauses[:0],
+		learnts:   s.learnts[:0],
+		watches:   s.watches.reset(),
+		vals:      s.vals[:0],
+		phase:     s.phase[:0],
+		level:     s.level[:0],
+		reason:    s.reason[:0],
+		trail:     s.trail[:0],
+		trailLim:  s.trailLim[:0],
+		activity:  s.activity[:0],
+		varInc:    1,
+		heap:      h,
+		claInc:    1,
+		seen:      s.seen[:0],
+		addBuf:    s.addBuf[:0],
+		learntBuf: s.learntBuf[:0],
+		markedBuf: s.markedBuf[:0],
+		spare:     spare,
+		ok:        true,
+	}
 }
 
 // NumVars reports the number of allocated variables.

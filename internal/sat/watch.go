@@ -40,6 +40,12 @@ type watchStore struct {
 	free [32]uint32
 }
 
+// reset returns the store emptied of every list, keeping the capacity
+// of its headers and its pool.
+func (ws *watchStore) reset() watchStore {
+	return watchStore{lists: ws.lists[:0], pool: ws.pool[:0]}
+}
+
 // addVar adds the empty lists of one variable's two literals.
 func (ws *watchStore) addVar() {
 	ws.lists = append(ws.lists, watchList{}, watchList{})

@@ -264,7 +264,16 @@ func checkCompiledMatchesEvalX(t *testing.T, seed int64, policy sim.UnknownPolic
 		tr.AddRow(in, out)
 	}
 	opts := sim.RunOptions{Policy: policy, Seed: seed, Params: params, RecordStates: true, RunAll: rng.Intn(2) == 0}
-	if got, want := sim.RunTrace(sys, tr, opts), refRunTrace(sys, tr, opts); !reflect.DeepEqual(got, want) {
+	got := sim.RunTrace(sys, tr, opts)
+	if !opts.RunAll {
+		// A run that stops at its first failure records no outputs; the
+		// simulator is deterministic, so a RunAll run's first rows are
+		// the ones it executed.
+		all := opts
+		all.RunAll = true
+		got.Outputs = sim.RunTrace(sys, tr, all).Outputs[:got.Cycles]
+	}
+	if want := refRunTrace(sys, tr, opts); !reflect.DeepEqual(got, want) {
 		t.Fatalf("seed %d policy %d: RunTrace differs:\n got %+v\nwant %+v", seed, policy, got, want)
 	}
 }
@@ -352,5 +361,30 @@ func TestRunTraceSteadyStateAllocs(t *testing.T) {
 	limit := float64(cycles*(1+len(tr.Outputs)) + bits.Len(uint(cycles)) + 4)
 	if got > limit {
 		t.Fatalf("RunTraceFrom allocated %.0f times over %d cycles, want ≤ %.0f", got, cycles, limit)
+	}
+}
+
+// TestRunTraceCheckOnlyAllocs pins a run that records no outputs, as
+// validation does, as O(1) allocations: the RunResult and the
+// output-slot map, however many cycles it checks.
+func TestRunTraceCheckOnlyAllocs(t *testing.T) {
+	b := bench.ByName("counter_k1")
+	sys, err := b.GroundTruthSystem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := b.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := sim.NewSim(sim.Compile(sys), sim.Zero, 0)
+	opts := sim.RunOptions{Policy: sim.Zero}
+	if res := sim.RunTraceFrom(cs, tr, 0, opts); !res.Passed() || res.Outputs != nil {
+		t.Fatalf("ground truth: first failure %d, %d output rows; want a pass and none recorded",
+			res.FirstFailure, len(res.Outputs))
+	}
+	got := testing.AllocsPerRun(20, func() { sim.RunTraceFrom(cs, tr, 0, opts) })
+	if got > 2 {
+		t.Fatalf("RunTraceFrom allocated %.0f times over %d cycles, want ≤ 2", got, tr.Len())
 	}
 }

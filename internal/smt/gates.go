@@ -109,6 +109,12 @@ func (g *gateTable) put(k uint64, v sat.Lit) {
 	g.n++
 }
 
+// reset empties the table, keeping its slots.
+func (g *gateTable) reset() {
+	clear(g.keys)
+	g.n = 0
+}
+
 // grow doubles the table (to 64 slots from empty) and reinserts every
 // key.
 func (g *gateTable) grow() {

@@ -37,6 +37,15 @@ func NewLowering(g Gates, t sat.Lit) *Lowering {
 	return &Lowering{gates: g, t: t, f: t.Not(), bits: map[*Term]uint32{}}
 }
 
+// reset forgets every lowered term and bound variable, keeping the
+// buffers, and takes t as the new constant-true literal.
+func (l *Lowering) reset(t sat.Lit) {
+	clear(l.bits)
+	clear(l.free)
+	l.lits, l.free = l.lits[:0], l.free[:0]
+	l.t, l.f = t, t.Not()
+}
+
 // Bind makes lits (LSB first) the bits of variable v, in place of fresh
 // inputs. It must precede any Lower that reaches v.
 func (l *Lowering) Bind(v *Term, lits []sat.Lit) {

@@ -39,6 +39,9 @@ type Solver struct {
 	validate        bool
 	checker         *sat.Checker
 	certStats       CertifyStats
+	// spare is the checker a Reset detached, which the next
+	// EnableCertification reuses.
+	spare *sat.Checker
 
 	// obs positions the solver in the observability layer (see SetObs).
 	obs obs.Scope
@@ -72,23 +75,65 @@ func NewSolver(ctx *Context) *Solver {
 		validate: testing.Testing(),
 	}
 	s.gates.sat = s.sat
+	s.low = NewLowering(&s.gates, s.addTrue())
+	return s
+}
+
+// addTrue allocates the constant-true literal, the first variable of
+// every solver.
+func (s *Solver) addTrue() sat.Lit {
 	t := s.gates.Input()
 	s.sat.AddClause(t)
-	s.low = NewLowering(&s.gates, t)
-	return s
+	return t
+}
+
+// Reset empties the solver into the state NewSolver returns, keeping
+// the capacity of its SAT core, gate table, lowering and model buffers,
+// and of its proof log and checker once certification has run. A reset
+// solver encodes and searches exactly as a new one: only allocation
+// goes away. Deadline, interrupt and observability scope are cleared
+// too, and certification is off until EnableCertification.
+func (s *Solver) Reset() {
+	s.sat.Reset()
+	s.gates.table.reset()
+	clear(s.model)
+	if s.ev != nil {
+		clear(s.ev.memo)
+	}
+	clear(s.asserted)
+	spare := s.spare
+	if s.checker != nil {
+		spare = s.checker
+	}
+	*s = Solver{
+		sat:      s.sat,
+		gates:    s.gates,
+		low:      s.low,
+		model:    s.model,
+		ev:       s.ev,
+		asserted: s.asserted[:0],
+		validate: testing.Testing(),
+		spare:    spare,
+	}
+	s.low.reset(s.addTrue())
 }
 
 // EnableCertification switches the solver into self-certifying mode:
 // the SAT core logs a DRUP proof, every Unsat verdict is re-checked by
 // the independent forward RUP checker, and every Sat model is
 // re-evaluated by the reference interpreter. Call it right after
-// NewSolver, before any Assert, so the proof log covers the whole
-// clause database.
+// NewSolver or Reset, before any Assert, so the proof log covers the
+// whole clause database.
 func (s *Solver) EnableCertification() {
 	if s.checker != nil {
 		return
 	}
-	s.checker = sat.NewChecker(s.sat.StartProof())
+	proof := s.sat.StartProof()
+	if s.checker, s.spare = s.spare, nil; s.checker != nil {
+		s.checker.Reset(proof)
+	} else {
+		s.checker = sat.NewChecker(proof)
+	}
 	s.validate = true
 }
 
